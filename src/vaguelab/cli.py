@@ -123,6 +123,13 @@ def _instantiate(cfg: dict):
                           filter_from_config(cfg["filters"]["h2"]))
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
+    # mst_approx has poles at 2 pi k, k != 0: inside the support of every
+    # psi^ and of the Daubechies phi^; the Meyer phi^ stops at 4 pi / 3
+    if pair.h2.kind == "mst_approx" or (pair.h1.kind == "mst_approx"
+                                        and wavelet.kind != "meyer"):
+        raise ConfigError("mst_approx poles at nonzero multiples of 2 pi lie "
+                          "in the base function's Fourier support; use it "
+                          "only as h1 with the Meyer wavelet")
     return wavelet, pair
 
 

@@ -16,6 +16,7 @@ y = 2^{j gamma} (a^gamma - x^gamma). The ratio p_j / n_j decays like
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -195,7 +196,10 @@ def _fit_slope(js, values):
     return float(slope), resid
 
 
+@functools.lru_cache(maxsize=16)
 def run_counterexample(cfg: CounterexampleConfig) -> CounterexampleRun:
+    """Norms, peaks and fitted exponents over cfg's levels, computed once
+    per config (cfg is frozen and the run immutable)."""
     js = list(cfg.j_range)
     norms = [scaled_norm(j, cfg) for j in js]
     peaks = [scaled_peak(j, cfg) for j in js]

@@ -7,8 +7,10 @@ Spectra, with psi_jk(x)^ = 2^{-j/2} e^{-i 2^{-j} k x} psi^(2^{-j} x):
     primal approximation    h1(x)            * phi_jk^(x)
     dual approximation      conj(1 / h1(x))  * phi_jk^(x)
 
-Generators (k = 0) are cached per (j, side, role); k-translates are pure
-phase factors. Norms are k-independent.
+Every spectrum here, the cached generators (k = 0) per (j, side, role),
+the level-profile spectra H(2^j y) w(y) and the rescaled members, comes
+from the one evaluator _spectrum on a y-grid with x = 2^j y. k-translates
+are pure phase factors. Norms are k-independent.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from __future__ import annotations
 import math
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import Filter, FilterEvalError, FilterPair
+from .filters import FilterEvalError, FilterPair
 from .grids import (FourierGrid, SampledSpectrum, TimeSeries, default_grid,
                     inverse_transform, l2_norm, make_grid)
 from .mra import WaveletSpec
@@ -80,21 +82,33 @@ class FamilyMember:
             return math.inf
 
 
-def _filtered_product(h: Filter, x: np.ndarray, power: int, conjugate: bool,
-                      base: np.ndarray, zero_order: float):
-    """base(x) * h(x)^power (conjugated if asked), with pole handling at 0.
+def _spectrum(wavelet: WaveletSpec, pair: FilterPair, j: int, side: str,
+              role: str, grid: FourierGrid, scale: float):
+    """scale * w(y) * H(2^j y)^{+-1} on the y-grid: (values, log_scale).
 
-    Returns (values, log_scale). Where base vanishes the product is 0 and
-    the filter is never evaluated. zero_order is the vanishing order of the
-    base at x = 0; a filter pole there is absorbed (limiting value 0) when
-    zero_order > |d|, and refused otherwise.
+    w is psi^ or phi^ by role; H is h2 or h1 by role, inverted and
+    conjugated on the dual side. The k = 0 member spectrum at x = 2^j y is
+    this with scale 2^{-j/2}, the level-profile spectrum this with scale 1.
+    Grid points scaled by 2^{+-j} are exact in floating point, so every
+    caller sees the same values at the same x.
+
+    Where w vanishes the value is 0 and H is never evaluated. A pole of H
+    at y = 0 is absorbed (limiting value 0) when the vanishing order of w
+    there exceeds |d|, and refused otherwise.
     """
-    out = np.zeros(len(x), dtype=complex)
+    y = grid.x
+    if role == "wavelet":
+        base, h, zero_order = wavelet.psi_hat(y), pair.h2, wavelet.n_moments
+    else:
+        base, h, zero_order = wavelet.phi_hat(y), pair.h1, 0.0
+    base = scale * np.asarray(base, dtype=complex)
+    power = 1 if side == "primal" else -1
+    out = np.zeros(len(y), dtype=complex)
     mask = base != 0.0
     if not np.any(mask):
         return out, 0.0
-    xm = x[mask]
-    at_zero = xm == 0.0
+    x = 2.0**j * y[mask]
+    at_zero = x == 0.0
     pole_at_zero = False
     if np.any(at_zero):
         try:
@@ -110,11 +124,11 @@ def _filtered_product(h: Filter, x: np.ndarray, power: int, conjugate: bool,
                 "filter pole at x=0 absorbed by vanishing moments; "
                 "spectrum extended by its limiting value 0", RuntimeWarning)
             pole_at_zero = True
-    xe = np.where(at_zero, 1.0, xm) if pole_at_zero else xm
+    xe = np.where(at_zero, 1.0, x) if pole_at_zero else x
     vals, log_scale = h.eval_scaled(xe, power=power)
     if pole_at_zero:
         vals = np.where(at_zero, 0.0, vals)
-    if conjugate:
+    if side == "dual":
         vals = np.conj(vals)
     out[mask] = base[mask] * vals
     return out, float(log_scale)
@@ -142,28 +156,14 @@ class FamilyBuilder:
             "grid": {"x_max": self.grid.x_max, "n": self.grid.n},
         }
 
-    def _generator(self, j: int, side: str, role: str, grid: FourierGrid):
-        """Spectrum values of the k = 0 member of (j, side, role) on grid."""
-        x = grid.x
-        if role == "wavelet":
-            base = self.wavelet.psi_hat(2.0 ** (-j) * x)
-            h = self.pair.h2
-        else:
-            base = self.wavelet.phi_hat(2.0 ** (-j) * x)
-            h = self.pair.h1
-        base = 2.0 ** (-j / 2.0) * np.asarray(base, dtype=complex)
-        power = 1 if side == "primal" else -1
-        zero_order = self.wavelet.n_moments if role == "wavelet" else 0.0
-        vals, log_scale = _filtered_product(
-            h, x, power, conjugate=(side == "dual"), base=base,
-            zero_order=zero_order)
-        return vals, log_scale
-
     def generator(self, j: int, side: str, role: str):
+        """(values, log_scale) of the k = 0 member of (j, side, role)."""
         key = (j, side, role)
         cached = self._cache.get(key)
         if cached is None:
-            vals, log_scale = self._generator(j, side, role, self.grid)
+            y_grid = make_grid(self.grid.x_max * 2.0**-j, self.grid.n)
+            vals, log_scale = _spectrum(self.wavelet, self.pair, j, side,
+                                        role, y_grid, 2.0 ** (-j / 2.0))
             with self._lock:
                 cached = self._cache.setdefault(key, (vals, log_scale))
         return cached
@@ -183,13 +183,15 @@ class FamilyBuilder:
 
     def level_profile(self, j: int, side: str, role: str,
                       pad_factor: int = 1) -> TimeSeries:
-        """g_j with member(j,k)(t) = 2^{j/2} norm_scale * g_j(2^j t - k).
+        """g_j with member(j,k)(t) = 2^{j/2} g_j(2^j t - k).
 
         g_j(tau) = (2 pi)^{-1} integral e^{i tau y} H(2^j y) w(y) dy on the
-        base y-grid, so resolution is uniform in j. pad_factor > 1 extends
-        the grid by zeros, refining the tau sampling by that factor.
-        The series absorbs the member's e^{log_scale}; its l2 norm over tau
-        equals the scaled member norm (up to the 2^{j/2} Jacobian).
+        base y-grid, so resolution is uniform in j. pad_factor > 1
+        re-evaluates the level spectrum on a grid pad_factor times wider at
+        the same dy, refining the tau sampling by that factor; this equals
+        zero-extension only for compactly supported (Meyer) spectra. Like
+        the member spectrum, the series is stored divided by e^{log_scale},
+        so its l2 norm over tau equals the scaled member norm.
         """
         if pad_factor < 1 or pad_factor & (pad_factor - 1):
             raise FamilyError("pad_factor must be a power of two >= 1")
@@ -199,54 +201,32 @@ class FamilyBuilder:
     def level_spectrum(self, j: int, side: str, role: str,
                        grid: FourierGrid | None = None) -> SampledSpectrum:
         """Spectrum of g_j on the base y-grid: H(2^j y) w(y) with the
-        side/role filter H and mother spectrum w. Valid for any integer j,
-        including negative (coarser-than-base) levels."""
+        side/role filter H and mother spectrum w, divided by e^{log_scale}.
+        Valid for any integer j, including negative (coarser-than-base)
+        levels."""
         grid = grid if grid is not None else self.grid
-        y = grid.x
-        if role == "wavelet":
-            base = np.asarray(self.wavelet.psi_hat(y), dtype=complex)
-            h = self.pair.h2
-        else:
-            base = np.asarray(self.wavelet.phi_hat(y), dtype=complex)
-            h = self.pair.h1
-        power = 1 if side == "primal" else -1
-        zero_order = self.wavelet.n_moments if role == "wavelet" else 0.0
-        vals, _ = _filtered_product(h, 2.0**j * y, power,
-                                    conjugate=(side == "dual"), base=base,
-                                    zero_order=zero_order)
+        vals, _ = _spectrum(self.wavelet, self.pair, j, side, role, grid, 1.0)
         return SampledSpectrum(grid, vals)
 
 
 def member_at_scale_rescaled(wavelet: WaveletSpec, pair: FilterPair, j: int,
                              side: str = "primal", role: str = "wavelet",
-                             base_grid: FourierGrid | None = None,
-                             allow_negative: bool = False) -> FamilyMember:
+                             base_grid: FourierGrid | None = None
+                             ) -> FamilyMember:
     """k = 0 member on a grid whose x_max is scaled by 2^j.
 
     Relative frequency resolution over the member's support is then
-    j-independent, so norms stay accurate at large j.
+    j-independent, so norms stay accurate at large j. The spectrum is
+    evaluated on the base grid in y = 2^{-j} x and relabelled.
     """
     if j > 30:
         raise FamilyError(f"j={j} exceeds the supported range (j <= 30)")
-    if j < 0 and not allow_negative:
-        raise FamilyError("negative j requires allow_negative=True")
+    idx = FamilyIndex(j, 0, side, role)
     base = base_grid if base_grid is not None else default_grid()
+    vals, log_scale = _spectrum(wavelet, pair, j, side, role, base,
+                                2.0 ** (-j / 2.0))
     grid = make_grid(base.x_max * 2.0**j, base.n)
-    builder = FamilyBuilder(wavelet, pair, grid)
-    if j < 0:
-        vals, log_scale = builder._generator(j, side, role, grid)
-        idx = _unchecked_index(j, 0, side, role)
-        return FamilyMember(idx, SampledSpectrum(grid, vals), log_scale)
-    return builder.build_member(FamilyIndex(j, 0, side, role))
-
-
-def _unchecked_index(j: int, k: int, side: str, role: str) -> FamilyIndex:
-    """Index with negative j, for internal synthesis use only."""
-    idx = object.__new__(FamilyIndex)
-    for name, val in (("j", j), ("k", k), ("side", side), ("role", role),
-                      ("normalized", False)):
-        object.__setattr__(idx, name, val)
-    return idx
+    return FamilyMember(idx, SampledSpectrum(grid, vals), log_scale)
 
 
 def time_samples(member: FamilyMember, edge_energy_tol: float = 1e-8) -> TimeSeries:

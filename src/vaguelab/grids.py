@@ -5,6 +5,13 @@ Conventions used throughout the package:
     forward:  F(x) = integral e^{-i x t} f(t) dt
     inverse:  f(t) = (2 pi)^{-1} integral e^{i t x} F(x) dx
     inner product:  <f, g> = (2 pi)^{-1} integral F(x) conj(G(x)) dx
+
+Grid invariant behind the transforms: x_m = -x_max + m dx and
+t_l = t0 + l dt with dt = pi / x_max, t0 = -n dt / 2 and n a power of two
+>= 16, so x_max dt = pi, t0 dx = -pi, dx dt = 2 pi / n and n is a
+multiple of 4. Then e^{i t_l x_m} = (-1)^{l+m} e^{2 pi i l m / n}, and
+the sign flips are exactly the half-length rotations fftshift/ifftshift:
+both transforms are a plain FFT with no chirp factors.
 """
 
 from __future__ import annotations
@@ -113,9 +120,6 @@ class SampledSpectrum:
         vals = np.array([complex(re, im) for re, im in payload["values"]])
         return cls(grid, vals)
 
-    def to_csv(self, path) -> None:
-        _write_csv(path, "x", self.grid.x, self.values)
-
 
 @dataclass(frozen=True)
 class TimeSeries:
@@ -133,17 +137,6 @@ class TimeSeries:
     @property
     def t(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(len(self.values))
-
-    def to_csv(self, path) -> None:
-        _write_csv(path, "t", self.t, self.values)
-
-
-def _write_csv(path, axis_name, axis, values) -> None:
-    lines = [f"{axis_name},re,im"]
-    for a, z in zip(axis, values):
-        lines.append(f"{float(a)!r},{float(z.real)!r},{float(z.imag)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _check_same_grid(f: SampledSpectrum, g: SampledSpectrum) -> None:
@@ -165,23 +158,17 @@ def l2_norm(f: SampledSpectrum) -> float:
 def inverse_transform(f: SampledSpectrum) -> TimeSeries:
     """Sample f(t) = (2 pi)^{-1} integral e^{itx} F(x) dx on the conjugate grid."""
     grid = f.grid
-    m = np.arange(grid.n)
-    g = f.values * np.exp(1j * grid.t0 * m * grid.dx)
-    spectrum_sum = grid.n * np.fft.ifft(g)
-    phase = np.exp(1j * grid.t * (-grid.x_max))
-    vals = (grid.dx / TWO_PI) * phase * spectrum_sum
-    return TimeSeries(grid.t0, grid.dt, vals)
+    summed = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(f.values)))
+    # n dx / (2 pi) = 1 / dt turns ifft's 1/n into the quadrature weight
+    return TimeSeries(grid.t0, grid.dt, summed / grid.dt)
 
 
 def forward_transform(series: TimeSeries, grid: FourierGrid) -> SampledSpectrum:
     """Inverse of :func:`inverse_transform` on matching grids."""
     if len(series.values) != grid.n or not np.isclose(series.dt, grid.dt):
         raise GridError("time series does not match the grid's conjugate sampling")
-    l = np.arange(grid.n)
-    pre = series.values * np.exp(1j * grid.x_max * l * grid.dt)
-    summed = np.fft.fft(pre)
-    vals = grid.dt * np.exp(-1j * grid.x * grid.t0) * summed
-    return SampledSpectrum(grid, vals)
+    summed = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(series.values)))
+    return SampledSpectrum(grid, grid.dt * summed)
 
 
 DEFAULT_X_MAX = 64.0 * np.pi

@@ -37,6 +37,11 @@ class CheckResult:
     statistics: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # NumPy bools from array comparisons are not JSON serializable
+        if self.passed is not None:
+            self.passed = bool(self.passed)
+
     def to_dict(self) -> dict:
         return {
             "check": self.name,

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from vaguelab.cli import ConfigError, main, resolve_config, thread_count
+from vaguelab.grids import default_grid
 
 
 def run_cli(args):
@@ -91,6 +92,25 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("document", [
+    {"filters": {"h2": {"kind": "mst_approx", "d": 0.7}}},
+    {"wavelet": {"kind": "daubechies", "n": 4},
+     "filters": {"h1": {"kind": "mst_approx", "d": 0.7}}},
+], ids=["h2", "daubechies_h1"])
+def test_mst_approx_on_support_exits_2_no_outputs(tmp_path, capsys, document):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(document))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code = run_cli(["verify-riesz", "--config", str(cfg_path),
+                    "--out", str(out_dir)])
+    assert code == 2
+    assert "mst_approx" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
+    # the Meyer scaling function stops short of the first pole
+    resolve_config({"filters": {"h1": {"kind": "mst_approx", "d": 0.7}}})
+
+
 def test_build_outputs(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"build": {"J": 1, "K": 2}}))
@@ -105,7 +125,10 @@ def test_build_outputs(tmp_path):
     assert len(manifest["indices"]) == 2 * 3 * 5
     assert all({"j", "k", "side", "role", "norm", "log_norm"} == set(r)
                for r in manifest["indices"])
-    assert (out / "member_primal_wavelet_j0.csv").exists()
+    lines = (out / "member_primal_wavelet_j0.csv").read_text().splitlines()
+    assert lines[0] == "x,re,im"
+    assert len(lines) == 2**16 + 1
+    assert float(lines[1].split(",")[0]) == default_grid().x[0]
     assert (out / "member_dual_approximation_j0.json").exists()
     report = json.loads((out / "build_report.json").read_text())
     assert report["pass"] is True

@@ -113,9 +113,6 @@ def test_member_at_scale_rescaled_matches_base_grid(meyer, ou_pair, ou_builder):
 def test_member_at_scale_negative_j(meyer, ou_pair):
     with pytest.raises(FamilyError):
         member_at_scale_rescaled(meyer, ou_pair, -2)
-    m = member_at_scale_rescaled(meyer, ou_pair, -2, allow_negative=True)
-    assert m.index.j == -2
-    assert m.norm > 0
 
 
 def test_norm_band_ou(meyer, ou_pair):

@@ -4,7 +4,9 @@ import pytest
 from vaguelab.family import FamilyBuilder
 from vaguelab.filters import (ExpGammaFilter, FilterPair, FractionalFilter,
                               unit_pair)
+from vaguelab.grids import make_grid
 from vaguelab.mra import WaveletSpec
+from vaguelab.report import dump_report, render_report
 from vaguelab.vaguelet import (VagueletParamError, VagueletParams,
                                decay_statistic, holder_statistic, mean_check,
                                synthesis_bound, vaguelet_suite)
@@ -53,6 +55,13 @@ def test_mean_check(ou_builder):
     result = mean_check(ou_builder, "primal", j_range=range(0, 6))
     assert result.passed
     assert result.statistics["max_scaled_value_at_zero"] < 1e-12
+
+
+def test_mean_check_daubechies_report_serializes(db4, ou_pair):
+    builder = FamilyBuilder(db4, ou_pair, make_grid(16.0 * np.pi, 2**10))
+    result = mean_check(builder, "primal", j_range=range(1))
+    assert type(result.passed) is bool
+    dump_report(render_report([result], {}))
 
 
 def test_exp_gamma_decay_fails(meyer):
