@@ -130,6 +130,13 @@ def _instantiate(cfg: dict):
         raise ConfigError("mst_approx poles at nonzero multiples of 2 pi lie "
                           "in the base function's Fourier support; use it "
                           "only as h1 with the Meyer wavelet")
+    # the refinement identity at level j needs phi^(y) h1(2^{j+1} y), whose
+    # support |y| <= 4 pi / 3 reaches the pole at x = 2 pi for every j >= 0
+    if pair.h1.kind == "mst_approx" and cfg["riesz"]["refinement_levels"] >= 1:
+        raise ConfigError("h1 = mst_approx puts a pole at x = 2 pi inside the "
+                          "level-(j+1) approximation spectrum that the "
+                          "refinement identity needs; set "
+                          "riesz.refinement_levels to 0")
     return wavelet, pair
 
 
@@ -172,16 +179,18 @@ def cmd_build(cfg: dict) -> dict:
     tr = Truncation(cfg["build"]["J"], cfg["build"]["K"])
     grid = builder.grid
     indices, spectra = [], {}
+    # k-translates differ by a phase only: one spectrum and one norm per
+    # generator (j, side, role), recorded for every k of the truncation
     for side in ("primal", "dual"):
-        for idx in tr.indices(side, normalized=False):
-            member = builder.build_member(idx)
-            record = {"j": idx.j, "k": idx.k, "side": idx.side,
-                      "role": idx.role, "log_norm": member.log_norm,
-                      "norm": member.norm}
-            indices.append(record)
-            if idx.k == 0:
-                key = f"member_{side}_{idx.role}_j{idx.j}"
-                spectra[key] = member.spectrum
+        generators = dict.fromkeys((idx.j, idx.role) for idx in
+                                   tr.indices(side, normalized=False))
+        for j, role in generators:
+            member = builder.build_member(FamilyIndex(j, 0, side, role))
+            log_norm, norm = member.log_norm, member.norm
+            indices.extend({"j": j, "k": k, "side": side, "role": role,
+                            "log_norm": log_norm, "norm": norm}
+                           for k in range(-tr.K, tr.K + 1))
+            spectra[f"member_{side}_{role}_j{j}"] = member.spectrum
     out_dir = Path(cfg["output_dir"])
     manifest = {
         "wavelet": wavelet.config(), "filters": pair.config(),
@@ -189,10 +198,6 @@ def cmd_build(cfg: dict) -> dict:
         "indices": indices,
     }
     for key, spectrum in spectra.items():
-        rows = list(zip(spectrum.grid.x,
-                        spectrum.values.real, spectrum.values.imag))
-        _atomic_write(out_dir / f"{key}.csv",
-                      _csv_text(["x", "re", "im"], rows))
         _atomic_write(out_dir / f"{key}.json", spectrum.to_json() + "\n")
     checks = [check_cmf(wavelet),
               CheckResult("build_manifest", True,

@@ -2,10 +2,14 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from vaguelab.cli import ConfigError, main, resolve_config, thread_count
-from vaguelab.grids import default_grid
+from vaguelab.family import FamilyBuilder
+from vaguelab.filters import FilterPair, OUFilter
+from vaguelab.grids import SampledSpectrum, make_grid
+from vaguelab.mra import WaveletSpec
 
 
 def run_cli(args):
@@ -96,7 +100,8 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
     {"filters": {"h2": {"kind": "mst_approx", "d": 0.7}}},
     {"wavelet": {"kind": "daubechies", "n": 4},
      "filters": {"h1": {"kind": "mst_approx", "d": 0.7}}},
-], ids=["h2", "daubechies_h1"])
+    {"filters": {"h1": {"kind": "mst_approx", "d": 0.7}}},
+], ids=["h2", "daubechies_h1", "meyer_h1_refinement"])
 def test_mst_approx_on_support_exits_2_no_outputs(tmp_path, capsys, document):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(document))
@@ -108,7 +113,8 @@ def test_mst_approx_on_support_exits_2_no_outputs(tmp_path, capsys, document):
     assert "mst_approx" in capsys.readouterr().err
     assert list(out_dir.iterdir()) == []
     # the Meyer scaling function stops short of the first pole
-    resolve_config({"filters": {"h1": {"kind": "mst_approx", "d": 0.7}}})
+    resolve_config({"filters": {"h1": {"kind": "mst_approx", "d": 0.7}},
+                    "riesz": {"refinement_levels": 0}})
 
 
 def test_build_outputs(tmp_path):
@@ -125,11 +131,26 @@ def test_build_outputs(tmp_path):
     assert len(manifest["indices"]) == 2 * 3 * 5
     assert all({"j", "k", "side", "role", "norm", "log_norm"} == set(r)
                for r in manifest["indices"])
-    lines = (out / "member_primal_wavelet_j0.csv").read_text().splitlines()
-    assert lines[0] == "x,re,im"
-    assert len(lines) == 2**16 + 1
-    assert float(lines[1].split(",")[0]) == default_grid().x[0]
-    assert (out / "member_dual_approximation_j0.json").exists()
+    # one JSON spectrum per generator (j, side, role), no CSV spectra
+    generators = {(r["j"], r["side"], r["role"]) for r in manifest["indices"]}
+    assert len(generators) == 2 * 3
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["manifest.json", "build_report.json"]
+        + [f"member_{side}_{role}_j{j}.json" for j, side, role in generators])
+    spectrum = SampledSpectrum.from_json(
+        (out / "member_primal_wavelet_j0.json").read_text())
+    grid = make_grid(manifest["grid"]["x_max"], manifest["grid"]["n"])
+    builder = FamilyBuilder(WaveletSpec("meyer"),
+                            FilterPair(OUFilter(), OUFilter()), grid)
+    assert np.array_equal(spectrum.grid.x, grid.x)
+    assert np.array_equal(spectrum.values,
+                          builder.generator(0, "primal", "wavelet")[0])
+    # norms are k-independent: one log_norm per generator
+    log_norms = {}
+    for r in manifest["indices"]:
+        log_norms.setdefault((r["j"], r["side"], r["role"]),
+                             set()).add(r["log_norm"])
+    assert all(len(v) == 1 for v in log_norms.values())
     report = json.loads((out / "build_report.json").read_text())
     assert report["pass"] is True
     assert report["schema"] == "1"

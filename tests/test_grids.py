@@ -106,7 +106,7 @@ def test_json_round_trip():
 
 
 def test_csv_output():
-    # spectra are written to CSV by the one writer, cli._csv_text
+    # cli._csv_text is the one CSV writer (counterexample.csv, paths.csv)
     from vaguelab.cli import _csv_text
     g = make_grid(16.0, 64)
     spec = SampledSpectrum(g, np.ones(64))
