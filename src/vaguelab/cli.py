@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -54,19 +53,6 @@ DEFAULT_CONFIG = {
                  "time_step": 0.25, "synthesis_side": "primal",
                  "include_approximation": True, "j_coarse": 0},
 }
-
-
-def thread_count() -> int:
-    """Parallelism cap from VAGUELET_LAB_THREADS (default: 1)."""
-    raw = os.environ.get("VAGUELET_LAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"VAGUELET_LAB_THREADS={raw!r} is not an integer") \
-            from exc
-    if n < 1:
-        raise ConfigError("VAGUELET_LAB_THREADS must be >= 1")
-    return n
 
 
 def _merge_section(defaults: dict, overrides: dict, path: str) -> dict:
@@ -218,19 +204,13 @@ def cmd_verify_vaguelet(cfg: dict) -> dict:
     params = VagueletParams(block["alpha1"], block["alpha2"],
                             block["j_min"], block["j_max"],
                             block["t_window"])
-    sides = block["sides"]
-
-    def one_side(side):
-        checks = vaguelet_suite(builder, side, params)
-        checks.append(synthesis_bound(builder, side, J=block["synthesis_J"],
-                                      K=block["synthesis_K"],
-                                      seed=cfg["seed"]))
-        return checks
-
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        per_side = list(pool.map(one_side, sides))
     checks = []
-    for side, side_checks in zip(sides, per_side):
+    for side in block["sides"]:
+        side_checks = vaguelet_suite(builder, side, params)
+        side_checks.append(synthesis_bound(builder, side,
+                                           J=block["synthesis_J"],
+                                           K=block["synthesis_K"],
+                                           seed=cfg["seed"]))
         for c in side_checks:
             c.name = f"{c.name}_{side}"
             checks.append(c)
@@ -302,6 +282,10 @@ def cmd_simulate(cfg: dict) -> dict:
     if step is not None:
         keep = np.abs(times / step - np.round(times / step)) < 1e-9
         times = times[keep]
+    if len(times) == 0:
+        raise ConfigError("simulate: no time on the dyadic grid in "
+                          f"[{block['t_min']}, {block['t_max']}] with "
+                          f"time_step {step}")
     try:
         plan = SynthesisPlan(
             pair, wavelet, times=times, J_detail=block["J_detail"],
@@ -437,7 +421,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
-        thread_count()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -109,7 +109,8 @@ class SampledSpectrum:
     def to_json(self) -> str:
         payload = {
             "grid": {"x_max": self.grid.x_max, "n": self.grid.n},
-            "values": [[float(z.real), float(z.imag)] for z in self.values],
+            "values": np.column_stack((self.values.real,
+                                       self.values.imag)).tolist(),
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .family import FamilyBuilder
-from .filters import Filter, FilterPair, FractionalFilter, OUFilter
+from .filters import FilterPair, FractionalFilter, OUFilter
 from .mra import WaveletSpec
 from .report import CheckResult
 
@@ -48,7 +48,7 @@ class SynthesisPlan:
     include_approximation: bool = True
     seed: int = 0
     n_paths: int = 1
-    resolution: int = 10  # term sampling step 2^{-resolution}
+    resolution: int = 10  # times on the dyadic grid of step 2^{-resolution}
     j_coarse: int = 0  # lowest detail level; negative = coarser than base
 
     def __post_init__(self):
@@ -104,67 +104,57 @@ class PathEnsemble:
         return self.values.shape[0]
 
 
-def _synthesis_filter(plan: SynthesisPlan) -> Filter:
-    return plan.pair.h2
+def _level_terms(builder: FamilyBuilder, j: int, side: str, role: str,
+                 ks: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """(k x t) block of terms 2^{j/2} g_j(2^j t - k), for any integer j.
 
-
-def _term_profiles(plan: SynthesisPlan):
-    """Level profiles g_j of the synthesis terms at step 2^{-resolution}.
-
-    term_{j,k}(t) = 2^{j/2} g_j(2^j t - k); the approximation block uses
-    h1 = h2 so the kernel is the two-sided filtered completeness sum.
+    g_j(tau) = (2 pi)^{-1} sum_m G(y_m) e^{i tau y_m} dy is the quadrature
+    over the builder's y-grid of the level spectrum G: the FFT level
+    profile, at any tau. The grid has y = 2 pi (q + r / P), r = 0..P-1,
+    with P = 2 pi / dy, and e^{-iky} is 2 pi-periodic, so with s = 2^j t
+        sum_m G e^{i(s-k)y} = sum_r e^{-2 pi i kr/P} e^{2 pi i sr/P} A[s, r],
+        A[s, r] = sum_q e^{2 pi i sq} G[q, r],
+    one product over the blocks q where G is nonzero and one length-P FFT
+    over r give every k. Phases are reduced to [0, 1) cycles before the
+    exp, exactly for dyadic s. Terms whose tau lies outside the profile's
+    window [-pi/dy, pi/dy) are 0; the fold alone would return
+    g_j(tau -+ P) there.
     """
-    pad = 2 ** (plan.resolution - 6)
-    h2 = _synthesis_filter(plan)
-    detail_builder = FamilyBuilder(plan.wavelet, plan.pair)
-    profiles = {}
-    for j in range(max(plan.j_coarse, 0), plan.J_detail + 1):
-        series = detail_builder.level_profile(j, plan.synthesis_side,
-                                              "wavelet", pad_factor=pad)
-        profiles[("wavelet", j)] = series
+    grid = builder.grid
+    period = round(2.0 * np.pi / grid.dx)
+    if not math.isclose(period * grid.dx, 2.0 * np.pi) or \
+            (grid.n // 2) % period:
+        raise ProcsimError("the y-grid must hold whole 2 pi periods on "
+                           "each side of y = 0")
+    folded = builder.level_spectrum(j, side, role).values.reshape(-1, period)
+    blocks = np.flatnonzero(np.any(folded != 0.0, axis=1))
+    q = blocks - grid.n // (2 * period)
+    s = 2.0**j * times
+    summed = np.exp(2j * np.pi * (np.outer(s, q) % 1.0)) @ folded[blocks]
+    summed *= np.exp(2j * np.pi * (np.outer(s, np.arange(period)) / period
+                                   % 1.0))
+    terms = np.fft.fft(summed, axis=1)[:, ks % period].real.T
+    tau = s[None, :] - ks[:, None]
+    terms[(tau < -period / 2) | (tau >= period / 2)] = 0.0
+    return 2.0 ** (j / 2.0) * grid.dx / (2.0 * np.pi) * terms
+
+
+def _term_matrix(plan: SynthesisPlan) -> np.ndarray:
+    """Dense matrix term[(block, j, k), t] on plan.times, rows in
+    term_keys() order; the approximation block uses h1 = h2 so the kernel
+    is the two-sided filtered completeness sum."""
+    ks = np.arange(-plan.K, plan.K + 1)
+    side = plan.synthesis_side
+    rows = []
     if plan.include_approximation:
-        approx_builder = FamilyBuilder(plan.wavelet, FilterPair(h2, h2))
-        profiles[("approximation", 0)] = approx_builder.level_profile(
-            0, plan.synthesis_side, "approximation", pad_factor=pad)
-    return profiles
-
-
-def _exact_profile_eval(builder: FamilyBuilder, j: int, side: str,
-                        taus: np.ndarray) -> np.ndarray:
-    """g_j at arbitrary tau via the direct quadrature sum over the support
-    of the level spectrum (exact counterpart of the gridded FFT profile;
-    needed for negative levels, whose tau offsets fall off any fixed grid)."""
-    spec = builder.level_spectrum(j, side, "wavelet")
-    mask = spec.values != 0.0
-    y, vals = spec.grid.x[mask], spec.values[mask]
-    dy = spec.grid.dx
-    return (np.exp(1j * np.outer(taus, y)) @ vals) * dy / (2.0 * np.pi)
-
-
-def _term_matrix(plan: SynthesisPlan, times: np.ndarray) -> np.ndarray:
-    """Dense matrix term[(block, j, k), t] on the requested times."""
-    profiles = _term_profiles(plan)
-    keys = plan.term_keys()
-    out = np.zeros((len(keys), len(times)))
-    detail_builder = FamilyBuilder(plan.wavelet, plan.pair)
-    neg_cache = {}
-    for row, (block, j, k) in enumerate(keys):
-        tau = 2.0**j * times - k
-        if j < 0:
-            cache_key = (j, k)
-            if cache_key not in neg_cache:
-                neg_cache[cache_key] = _exact_profile_eval(
-                    detail_builder, j, plan.synthesis_side, tau).real
-            vals = neg_cache[cache_key]
-        else:
-            series = profiles[(block, j)]
-            pos = np.round((tau - series.t0) / series.dt).astype(int)
-            ok = (pos >= 0) & (pos < len(series.values)) \
-                & (np.abs(tau - (series.t0 + pos * series.dt)) < 1e-9)
-            vals = np.zeros(len(times))
-            vals[ok] = series.values[pos[ok]].real
-        out[row] = 2.0 ** (j / 2.0) * vals
-    return out
+        h2 = plan.pair.h2
+        approx = FamilyBuilder(plan.wavelet, FilterPair(h2, h2))
+        rows.append(_level_terms(approx, 0, side, "approximation", ks,
+                                 plan.times))
+    detail = FamilyBuilder(plan.wavelet, plan.pair)
+    rows.extend(_level_terms(detail, j, side, "wavelet", ks, plan.times)
+                for j in range(plan.j_coarse, plan.J_detail + 1))
+    return np.vstack(rows)
 
 
 def covariance_kernel(plan: SynthesisPlan, t, s) -> np.ndarray:
@@ -174,8 +164,7 @@ def covariance_kernel(plan: SynthesisPlan, t, s) -> np.ndarray:
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if t.shape != s.shape:
         raise ProcsimError("t and s must have matching shapes")
-    both = np.concatenate([t, s])
-    m = _term_matrix(replace(plan, times=both), both)
+    m = _term_matrix(replace(plan, times=np.concatenate([t, s])))
     mt, ms = m[:, :len(t)], m[:, len(t):]
     return np.einsum("rt,rt->t", mt, ms)
 
@@ -208,7 +197,7 @@ def simulate(plan: SynthesisPlan, forced: dict | None = None) -> PathEnsemble:
     overriding the random draw for those terms (test hook; also realizes
     linearity checks).
     """
-    m = _term_matrix(plan, plan.times)
+    m = _term_matrix(plan)
     coeffs = _coefficients(plan, forced)
     values = coeffs @ m
     return PathEnsemble(plan.times, values, plan.config())

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from vaguelab.cli import ConfigError, main, resolve_config, thread_count
+from vaguelab.cli import ConfigError, main, resolve_config
 from vaguelab.family import FamilyBuilder
 from vaguelab.filters import FilterPair, OUFilter
 from vaguelab.grids import SampledSpectrum, make_grid
@@ -28,26 +28,6 @@ def test_resolve_config_rejects_unknown_keys():
         resolve_config({"wavlet": {"kind": "meyer"}})
     with pytest.raises(ConfigError):
         resolve_config({"build": {"J": 3, "bogus": 1}})
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("VAGUELET_LAB_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("VAGUELET_LAB_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("VAGUELET_LAB_THREADS", "zero")
-    with pytest.raises(ConfigError):
-        thread_count()
-    monkeypatch.setenv("VAGUELET_LAB_THREADS", "0")
-    with pytest.raises(ConfigError):
-        thread_count()
-
-
-def test_invalid_thread_env_exits_2(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("VAGUELET_LAB_THREADS", "-3")
-    code = run_cli(["counterexample", "--out", str(tmp_path)])
-    assert code == 2
-    assert "config error" in capsys.readouterr().err
 
 
 def test_counterexample_flags(tmp_path, capsys):
@@ -166,6 +146,20 @@ def test_simulate_paths_csv(tmp_path):
     manifest = json.loads((tmp_path / "paths_manifest.json").read_text())
     assert manifest["n_paths"] == 2
     assert manifest["seed"] == 7
+
+
+def test_simulate_empty_time_selection_exits_2_no_outputs(tmp_path, capsys):
+    # no multiple of 0.25 lies in [0.1, 0.2]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"simulate": {
+        "t_min": 0.1, "t_max": 0.2, "time_step": 0.25}}))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code = run_cli(["simulate", "--config", str(cfg_path),
+                    "--out", str(out_dir)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
 
 
 def test_simulate_inline_filter_spec(tmp_path):

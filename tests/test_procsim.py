@@ -7,9 +7,9 @@ from vaguelab.family import FamilyBuilder, FamilyIndex, time_samples
 from vaguelab.filters import FilterPair, FractionalFilter, OUFilter, unit_pair
 from vaguelab.mra import WaveletSpec
 from vaguelab.procsim import (PathEnsemble, ProcsimError, SynthesisPlan,
-                              covariance_kernel, dyadic_times,
-                              empirical_covariance, fbm_scaling, simulate,
-                              target_autocovariance)
+                              _level_terms, _term_matrix, covariance_kernel,
+                              dyadic_times, empirical_covariance,
+                              fbm_scaling, simulate, target_autocovariance)
 
 
 def _plan(pair, meyer, **kw):
@@ -44,15 +44,26 @@ def test_forced_zero_coefficients_give_zero_paths(meyer, ou_pair):
     assert np.all(ens.values == 0.0)
 
 
-def test_single_forced_coefficient_matches_member(meyer, ou_pair):
-    # d_{2,3} = 1, all else 0: the path equals the un-normalized member,
-    # cross-checked against the x-domain inverse transform
-    plan = _plan(ou_pair, meyer, n_paths=1)
-    forced = {key: 0.0 for key in plan.term_keys()}
-    forced[("wavelet", 2, 3)] = 1.0
+@pytest.mark.parametrize("wavelet_name, overrides, key", [
+    ("meyer", {}, ("wavelet", 2, 3)),
+    # Daubechies spectra fill the whole grid: the terms must use the same
+    # 64 pi truncation as the built members at every resolution
+    ("db4", dict(resolution=10, J_detail=0, include_approximation=False),
+     ("wavelet", 0, 1)),
+], ids=["meyer", "db4"])
+def test_single_forced_coefficient_matches_member(request, ou_pair,
+                                                  wavelet_name, overrides,
+                                                  key):
+    # one coefficient 1, all else 0: the path equals the un-normalized
+    # member, cross-checked against the x-domain inverse transform
+    wavelet = request.getfixturevalue(wavelet_name)
+    plan = _plan(ou_pair, wavelet, n_paths=1, **overrides)
+    forced = {k: 0.0 for k in plan.term_keys()}
+    forced[key] = 1.0
     ens = simulate(plan, forced=forced)
-    builder = FamilyBuilder(meyer, ou_pair)
-    member = builder.build_member(FamilyIndex(2, 3, "primal", "wavelet"))
+    builder = FamilyBuilder(wavelet, ou_pair)
+    _, j, k = key
+    member = builder.build_member(FamilyIndex(j, k, "primal", "wavelet"))
     series = time_samples(member)
     for i, t in enumerate(ens.times):
         pos = int(round((t - series.t0) / series.dt))
@@ -178,12 +189,38 @@ def test_fbm_delta_band_validation():
 
 
 def test_negative_level_terms_consistent(meyer, ou_pair):
-    # the exact tau evaluation used at j < 0 must agree with the gridded
-    # profile when applied at a level where both paths exist
-    from vaguelab.procsim import _exact_profile_eval
+    # the level-wise evaluator against its two definitions: the gridded
+    # FFT profile at a level j >= 0, and the direct quadrature over the
+    # level spectrum at a coarse level j < 0, where tau falls off any grid
     builder = FamilyBuilder(meyer, ou_pair)
+    ks = np.array([-3, 0, 5])
     profile = builder.level_profile(1, "primal", "wavelet")
-    taus = profile.t0 + profile.dt * np.array([100, 5000, 32768])
-    exact = _exact_profile_eval(builder, 1, "primal", taus)
-    gridded = profile.values[[100, 5000, 32768]]
-    assert np.max(np.abs(exact - gridded)) < 1e-9
+    idx = np.array([5000, 32668, 32805, 33068])  # 32768 is tau = 0
+    times = (profile.t0 + profile.dt * idx) / 2.0
+    terms = _level_terms(builder, 1, "primal", "wavelet", ks, times)
+    # tau = 2 t - k sits k / dt samples below the profile sample idx
+    shift = np.rint(ks / profile.dt).astype(int)
+    gridded = math.sqrt(2.0) * profile.values[idx[None, :]
+                                              - shift[:, None]].real
+    assert np.max(np.abs(terms - gridded)) < 1e-9
+
+    j = -3
+    times = np.array([-1.5, 0.0, 0.25, 3.0])
+    spec = builder.level_spectrum(j, "primal", "wavelet")
+    tau = 2.0**j * times[None, :] - ks[:, None]
+    quad = (np.exp(1j * np.multiply.outer(tau, spec.grid.x)) @ spec.values
+            * spec.grid.dx / (2.0 * np.pi))
+    terms = _level_terms(builder, j, "primal", "wavelet", ks, times)
+    assert np.max(np.abs(terms - 2.0 ** (j / 2.0) * quad.real)) < 1e-9
+
+
+def test_terms_vanish_outside_profile_window(meyer, ou_pair):
+    # at j = 9, t = 2 gives tau = 1024, outside the profile window
+    # [-512, 512); folding the spectrum onto one 2 pi period alone would
+    # return the alias g_9(0), the value of the same term at t = 0
+    plan = _plan(ou_pair, meyer, times=np.array([0.0, 2.0]), J_detail=9,
+                 K=1, include_approximation=False)
+    m = _term_matrix(plan)
+    row = plan.term_keys().index(("wavelet", 9, 0))
+    assert abs(m[row, 0]) > 1e-3
+    assert m[row, 1] == 0.0
