@@ -22,7 +22,7 @@ import numpy as np
 from .counterexample import (CounterexampleConfig, default_window,
                              ratio_exponent, run_counterexample,
                              vaguelet_violation)
-from .family import FamilyBuilder, FamilyIndex
+from .family import SIDES, FamilyBuilder, FamilyIndex
 from .filters import FilterPair, filter_from_config
 from .mra import WaveletSpec, check_cmf
 from .procsim import SynthesisPlan, dyadic_times, simulate
@@ -102,28 +102,72 @@ def resolve_config(document: dict) -> dict:
     return cfg
 
 
-def _instantiate(cfg: dict):
+def _synthesis_plan(cfg: dict, wavelet: WaveletSpec,
+                    pair: FilterPair) -> SynthesisPlan:
+    block = dict(cfg["simulate"])
+    t_min, t_max, step = (block.pop(k) for k in ("t_min", "t_max",
+                                                 "time_step"))
+    times = dyadic_times(t_min, t_max, block["resolution"])
+    if step is not None:
+        times = times[np.abs(times / step - np.round(times / step)) < 1e-9]
+    if len(times) == 0:
+        raise ValueError(f"simulate: no time on the dyadic grid in "
+                         f"[{t_min}, {t_max}] with time_step {step}")
+    # the other keys of the block are the plan's fields
+    return SynthesisPlan(pair, wavelet, times=times, seed=cfg["seed"],
+                         **block)
+
+
+def _instantiate(cfg: dict) -> dict:
+    """The validated object of every config block, by block name, so a bad
+    value is refused before any command writes a file."""
+    vb, rb, ce = cfg["vaguelet"], cfg["riesz"], cfg["counterexample"]
     try:
         wavelet = WaveletSpec.from_config(cfg["wavelet"])
         pair = FilterPair(filter_from_config(cfg["filters"]["h1"]),
                           filter_from_config(cfg["filters"]["h2"]))
-    except (ValueError, KeyError, TypeError) as exc:
+        levels = range(rb["refinement_levels"])
+        # mst_approx has poles at 2 pi k, k != 0: inside the support of
+        # every psi^ and of the Daubechies phi^; the Meyer phi^ stops at
+        # 4 pi / 3
+        if pair.h2.kind == "mst_approx" or (pair.h1.kind == "mst_approx"
+                                            and wavelet.kind != "meyer"):
+            raise ValueError("mst_approx poles at nonzero multiples of 2 pi "
+                             "lie in the base function's Fourier support; "
+                             "use it only as h1 with the Meyer wavelet")
+        # the refinement identity at level j needs phi^(y) h1(2^{j+1} y),
+        # whose support |y| <= 4 pi / 3 reaches the pole at x = 2 pi for
+        # every j >= 0
+        if pair.h1.kind == "mst_approx" and len(levels) >= 1:
+            raise ValueError("h1 = mst_approx puts a pole at x = 2 pi inside "
+                             "the level-(j+1) approximation spectrum that the "
+                             "refinement identity needs; set "
+                             "riesz.refinement_levels to 0")
+        sides = tuple(vb["sides"])
+        if not set(sides) <= set(SIDES):
+            raise ValueError(f"vaguelet.sides: each side must be one of "
+                             f"{SIDES}, got {list(sides)}")
+        # synthesis_bound's sections (K and 2K)
+        Truncation(vb["synthesis_J"], vb["synthesis_K"])
+        alpha1 = float(ce["alpha1"])
+        if not 0.0 < alpha1 < 1.0:
+            raise ValueError("counterexample.alpha1 must be in (0, 1), "
+                             f"got {alpha1}")
+        gamma = float(ce["gamma"])
+        j_min, j_max = default_window(gamma)
+        return {
+            "wavelet": wavelet, "filters": pair,
+            "build": Truncation(cfg["build"]["J"], cfg["build"]["K"]),
+            "vaguelet": (VagueletParams(vb["alpha1"], vb["alpha2"],
+                                        vb["j_min"], vb["j_max"],
+                                        vb["t_window"]), sides),
+            "riesz": (Truncation(rb["J"], rb["K"]), levels),
+            "counterexample": (CounterexampleConfig(
+                gamma, j_min if ce["j_min"] is None else int(ce["j_min"]),
+                j_max if ce["j_max"] is None else int(ce["j_max"])), alpha1),
+            "simulate": _synthesis_plan(cfg, wavelet, pair)}
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
-    # mst_approx has poles at 2 pi k, k != 0: inside the support of every
-    # psi^ and of the Daubechies phi^; the Meyer phi^ stops at 4 pi / 3
-    if pair.h2.kind == "mst_approx" or (pair.h1.kind == "mst_approx"
-                                        and wavelet.kind != "meyer"):
-        raise ConfigError("mst_approx poles at nonzero multiples of 2 pi lie "
-                          "in the base function's Fourier support; use it "
-                          "only as h1 with the Meyer wavelet")
-    # the refinement identity at level j needs phi^(y) h1(2^{j+1} y), whose
-    # support |y| <= 4 pi / 3 reaches the pole at x = 2 pi for every j >= 0
-    if pair.h1.kind == "mst_approx" and cfg["riesz"]["refinement_levels"] >= 1:
-        raise ConfigError("h1 = mst_approx puts a pole at x = 2 pi inside the "
-                          "level-(j+1) approximation spectrum that the "
-                          "refinement identity needs; set "
-                          "riesz.refinement_levels to 0")
-    return wavelet, pair
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -160,9 +204,9 @@ def _exit_code(report: dict) -> int:
 # ---------------------------------------------------------------- commands
 
 def cmd_build(cfg: dict) -> dict:
-    wavelet, pair = _instantiate(cfg)
+    blocks = _instantiate(cfg)
+    wavelet, pair, tr = blocks["wavelet"], blocks["filters"], blocks["build"]
     builder = FamilyBuilder(wavelet, pair)
-    tr = Truncation(cfg["build"]["J"], cfg["build"]["K"])
     grid = builder.grid
     indices, spectra = [], {}
     # k-translates differ by a phase only: one spectrum and one norm per
@@ -198,14 +242,12 @@ def cmd_build(cfg: dict) -> dict:
 
 
 def cmd_verify_vaguelet(cfg: dict) -> dict:
-    wavelet, pair = _instantiate(cfg)
-    builder = FamilyBuilder(wavelet, pair)
+    blocks = _instantiate(cfg)
+    builder = FamilyBuilder(blocks["wavelet"], blocks["filters"])
+    params, sides = blocks["vaguelet"]
     block = cfg["vaguelet"]
-    params = VagueletParams(block["alpha1"], block["alpha2"],
-                            block["j_min"], block["j_max"],
-                            block["t_window"])
     checks = []
-    for side in block["sides"]:
+    for side in sides:
         side_checks = vaguelet_suite(builder, side, params)
         side_checks.append(synthesis_bound(builder, side,
                                            J=block["synthesis_J"],
@@ -219,10 +261,10 @@ def cmd_verify_vaguelet(cfg: dict) -> dict:
 
 
 def cmd_verify_riesz(cfg: dict) -> dict:
-    wavelet, pair = _instantiate(cfg)
+    blocks = _instantiate(cfg)
+    wavelet, pair = blocks["wavelet"], blocks["filters"]
+    tr, levels = blocks["riesz"]
     builder = FamilyBuilder(wavelet, pair)
-    block = cfg["riesz"]
-    tr = Truncation(block["J"], block["K"])
     checks = []
     for side in ("primal", "dual"):
         g = gram(builder, side, tr)
@@ -236,7 +278,7 @@ def cmd_verify_riesz(cfg: dict) -> dict:
             params={"J": tr.J, "K": tr.K}))
     checks.append(biorthogonality_defect(builder, tr))
     checks.append(bracket_sum(wavelet, pair))
-    for j in range(block["refinement_levels"]):
+    for j in levels:
         c = refinement_identity(wavelet, pair, j, builder)
         c.name = f"refinement_identity_j{j}"
         checks.append(c)
@@ -245,20 +287,9 @@ def cmd_verify_riesz(cfg: dict) -> dict:
 
 
 def cmd_counterexample(cfg: dict) -> dict:
-    block = cfg["counterexample"]
-    gamma = float(block["gamma"])
-    j_min, j_max = default_window(gamma)
-    if block["j_min"] is not None:
-        j_min = int(block["j_min"])
-    if block["j_max"] is not None:
-        j_max = int(block["j_max"])
-    try:
-        ce_cfg = CounterexampleConfig(gamma, j_min, j_max)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    ce_cfg, alpha1 = _instantiate(cfg)["counterexample"]
     run = run_counterexample(ce_cfg)
-    checks = [ratio_exponent(ce_cfg),
-              vaguelet_violation(ce_cfg, float(block["alpha1"]))]
+    checks = [ratio_exponent(ce_cfg), vaguelet_violation(ce_cfg, alpha1)]
     rows = [(r["j"], r["scaled_norm"], r["scaled_peak"], r["ratio"])
             for r in run.records()]
     out_dir = Path(cfg["output_dir"])
@@ -275,26 +306,7 @@ def cmd_counterexample(cfg: dict) -> dict:
 
 
 def cmd_simulate(cfg: dict) -> dict:
-    wavelet, pair = _instantiate(cfg)
-    block = cfg["simulate"]
-    times = dyadic_times(block["t_min"], block["t_max"], block["resolution"])
-    step = block["time_step"]
-    if step is not None:
-        keep = np.abs(times / step - np.round(times / step)) < 1e-9
-        times = times[keep]
-    if len(times) == 0:
-        raise ConfigError("simulate: no time on the dyadic grid in "
-                          f"[{block['t_min']}, {block['t_max']}] with "
-                          f"time_step {step}")
-    try:
-        plan = SynthesisPlan(
-            pair, wavelet, times=times, J_detail=block["J_detail"],
-            K=block["K"], synthesis_side=block["synthesis_side"],
-            include_approximation=block["include_approximation"],
-            seed=cfg["seed"], n_paths=block["n_paths"],
-            resolution=block["resolution"], j_coarse=block["j_coarse"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    plan = _instantiate(cfg)["simulate"]
     ensemble = simulate(plan)
     out_dir = Path(cfg["output_dir"])
     header = [f"t={t!r}" for t in ensemble.times]
@@ -412,7 +424,7 @@ def _load_config(args) -> dict:
             cfg["simulate"]["n_paths"] = args.paths
         if args.seed is not None:
             cfg["seed"] = args.seed
-        _instantiate(cfg)  # revalidate after inline overrides
+    _instantiate(cfg)  # revalidate after the flag overrides
     return cfg
 
 
@@ -424,14 +436,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        if args.command == "all":
-            report = cmd_all(cfg)
-        else:
-            report = COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    # every block was validated above: no command raises ConfigError
+    report = cmd_all(cfg) if args.command == "all" else \
+        COMMANDS[args.command](cfg)
     for check in report["checks"]:
         verdict = {True: "PASS", False: "FAIL", None: "INCONCLUSIVE"}[
             check["pass"]]

@@ -62,35 +62,39 @@ class GramMatrix:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
 
 
-def _lag_table(builder: FamilyBuilder, left, right):
-    """Inner products of all generator pairs as functions of the time lag.
+def _inner_products(builder: FamilyBuilder, left, right) -> np.ndarray:
+    """Un-normalized <m_a, m_b> for a in left, b in right (FamilyIndex lists).
 
     <m_{j,k}, m'_{j',k'}> equals the inverse transform of
     gen_{j} * conj(gen'_{j'}) evaluated at t = -(2^{-j}k - 2^{-j'}k'),
-    which lands exactly on the conjugate time grid for dyadic shifts.
-    left/right are lists of (j, side, role) generator keys.
+    which lands exactly on the conjugate time grid for dyadic shifts: one
+    transform per generator pair (j, side, role), one indexed read per block.
     """
+    def by_generator(idxs):
+        groups = {}
+        for pos, i in enumerate(idxs):
+            rows, shifts = groups.setdefault((i.j, i.side, i.role), ([], []))
+            rows.append(pos)
+            shifts.append(2.0 ** (-i.j) * i.k)
+        return groups
+
     grid = builder.grid
-    table = {}
-    for a in set(left):
+    out = np.empty((len(left), len(right)), dtype=complex)
+    cols = by_generator(right)
+    for a, (rows_a, shifts_a) in by_generator(left).items():
         ga, _ = builder.generator(*a)
-        for b in set(right):
+        for b, (rows_b, shifts_b) in cols.items():
             gb, _ = builder.generator(*b)
-            cross = SampledSpectrum(grid, ga * np.conj(gb))
-            table[(a, b)] = inverse_transform(cross)
-    return table
-
-
-def _entry(table, grid, a_idx: FamilyIndex, b_idx: FamilyIndex,
-           norm_a: float, norm_b: float) -> complex:
-    lag = 2.0 ** (-a_idx.j) * a_idx.k - 2.0 ** (-b_idx.j) * b_idx.k
-    series = table[((a_idx.j, a_idx.side, a_idx.role),
-                    (b_idx.j, b_idx.side, b_idx.role))]
-    pos = (-lag - series.t0) / series.dt
-    ell = int(round(pos))
-    if abs(pos - ell) > 1e-9 or not 0 <= ell < len(series.values):
-        raise RieszError(f"lag {lag} not on the conjugate time grid")
-    return complex(series.values[ell]) / (norm_a * norm_b)
+            series = inverse_transform(SampledSpectrum(grid, ga * np.conj(gb)))
+            lag = np.subtract.outer(shifts_a, shifts_b)
+            pos = (-lag - series.t0) / series.dt
+            ell = np.rint(pos).astype(int)
+            off = (np.abs(pos - ell) > 1e-9) | (ell < 0) | (ell >= grid.n)
+            if np.any(off):
+                raise RieszError(f"lag {lag[off][0]} not on the conjugate "
+                                 "time grid")
+            out[np.ix_(rows_a, rows_b)] = series.values[ell]
+    return out
 
 
 def _generator_norms(builder: FamilyBuilder, keys):
@@ -106,26 +110,21 @@ def _generator_norms(builder: FamilyBuilder, keys):
     return norms
 
 
-def gram(builder: FamilyBuilder, side: str, tr: Truncation,
-         normalized: bool = True) -> GramMatrix:
-    """Conjugate-symmetric Gram matrix of the truncated family."""
-    idxs = tr.indices(side, normalized)
+def gram(builder: FamilyBuilder, side: str, tr: Truncation) -> GramMatrix:
+    """Conjugate-symmetric Gram matrix of the normalized truncated family."""
+    idxs = tr.indices(side)
     keys = [(i.j, i.side, i.role) for i in idxs]
-    table = _lag_table(builder, keys, keys)
-    norms = _generator_norms(builder, keys) if normalized else \
-        {k: 1.0 for k in set(keys)}
-    n = len(idxs)
-    g = np.empty((n, n), dtype=complex)
-    grid = builder.grid
-    for ia, a in enumerate(idxs):
-        ka = (a.j, a.side, a.role)
-        for ib in range(ia, n):
-            b = idxs[ib]
-            kb = (b.j, b.side, b.role)
-            val = _entry(table, grid, a, b, norms[ka], norms[kb])
-            g[ia, ib] = val
-            g[ib, ia] = np.conj(val)
-    return GramMatrix(g, tuple(idxs))
+    norms = _generator_norms(builder, keys)
+    norm = np.array([norms[k] for k in keys])
+    scale = np.multiply.outer(norm, norm)
+    raw = _inner_products(builder, idxs, idxs)
+    # parts divided apart, as Python's complex / float does: dividing a
+    # complex array by a float array rounds differently
+    normed = np.empty_like(raw)
+    normed.real, normed.imag = raw.real / scale, raw.imag / scale
+    # upper triangle as computed, its conjugate below and on the diagonal
+    upper = np.triu(np.ones(raw.shape, dtype=bool), 1)
+    return GramMatrix(np.where(upper, normed, normed.conj().T), tuple(idxs))
 
 
 def riesz_bounds(g: GramMatrix, residual_tol: float = 1e-8):
@@ -149,19 +148,12 @@ def biorthogonality_defect(builder: FamilyBuilder, tr: Truncation) -> CheckResul
     """
     duals = tr.indices("dual", normalized=False)
     primals = tr.indices("primal", normalized=False)
-    dkeys = [(i.j, i.side, i.role) for i in duals]
-    pkeys = [(i.j, i.side, i.role) for i in primals]
-    table = _lag_table(builder, dkeys, pkeys)
-    grid = builder.grid
-    worst = 0.0
-    worst_cross = 0.0
-    for ia, a in enumerate(duals):
-        for ib, b in enumerate(primals):
-            val = _entry(table, grid, a, b, 1.0, 1.0)
-            defect = abs(val - (1.0 if ia == ib else 0.0))
-            worst = max(worst, defect)
-            if a.role != b.role:
-                worst_cross = max(worst_cross, defect)
+    defect = np.abs(_inner_products(builder, duals, primals)
+                    - np.eye(len(duals)))
+    cross = np.not_equal.outer([i.role for i in duals],
+                               [i.role for i in primals])
+    worst = float(np.max(defect))
+    worst_cross = float(np.max(defect, where=cross, initial=0.0))
     return CheckResult(
         name="biorthogonality_defect",
         passed=worst < 1e-6,

@@ -97,6 +97,42 @@ def test_mst_approx_on_support_exits_2_no_outputs(tmp_path, capsys, document):
                     "riesz": {"refinement_levels": 0}})
 
 
+@pytest.mark.parametrize("document", [
+    {"vaguelet": {"alpha1": 2.0}},
+    {"vaguelet": {"sides": ["left"]}},
+    {"vaguelet": {"synthesis_K": 0}},
+    {"riesz": {"J": -1}},
+    {"riesz": {"refinement_levels": "x"}},
+    {"build": {"K": 0}},
+    {"counterexample": {"gamma": -1}},
+    {"counterexample": {"alpha1": 2.0}},
+    {"simulate": {"J_detail": -1}},
+    {"simulate": {"resolution": -2000}},
+], ids=["vaguelet.alpha1", "vaguelet.sides", "vaguelet.synthesis_K",
+        "riesz.J", "riesz.refinement_levels", "build.K",
+        "counterexample.gamma", "counterexample.alpha1", "simulate.J_detail",
+        "simulate.resolution"])
+def test_all_refuses_any_bad_block_before_writing(tmp_path, capsys, document):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(document))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code = run_cli(["all", "--config", str(cfg_path), "--out", str(out_dir)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags", [["--gamma", "-1"], ["--alpha1", "2"]],
+                         ids=["gamma", "alpha1"])
+def test_counterexample_bad_flag_exits_2_no_outputs(tmp_path, capsys, flags):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert run_cli(["counterexample", "--out", str(out_dir), *flags]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
+
+
 def test_build_outputs(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"build": {"J": 1, "K": 2}}))

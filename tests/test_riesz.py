@@ -6,10 +6,12 @@ import pytest
 from vaguelab.family import FamilyBuilder
 from vaguelab.filters import (FilterPair, FractionalFilter, MSTApproxFilter,
                               OUFilter, UnitFilter, unit_pair)
+from vaguelab.grids import (SampledSpectrum, inner_product,
+                            inverse_transform, l2_norm, make_grid)
 from vaguelab.mra import WaveletSpec
-from vaguelab.riesz import (RieszError, Truncation, biorthogonality_defect,
-                            bracket_sum, gram, refinement_identity,
-                            riesz_bounds)
+from vaguelab.riesz import (RieszError, Truncation, _inner_products,
+                            biorthogonality_defect, bracket_sum, gram,
+                            refinement_identity, riesz_bounds)
 
 
 def test_truncation_validation_and_size():
@@ -35,6 +37,79 @@ def test_unit_gram_is_identity(unit_builder):
 def test_gram_normalized_diagonal(ou_builder):
     g = gram(ou_builder, "primal", Truncation(2, 4))
     assert np.max(np.abs(np.diag(g.matrix) - 1.0)) < 1e-9
+
+
+def test_gram_matches_member_inner_products(ou_builder):
+    # oracle: one quadrature per pair of built, normalized member spectra
+    g = gram(ou_builder, "dual", Truncation(2, 3))
+    spectra = [ou_builder.build_member(i).spectrum for i in g.index_map]
+    oracle = np.array([[inner_product(a, b) for b in spectra]
+                       for a in spectra])
+    assert np.max(np.abs(g.matrix - oracle)) < 1e-12
+
+
+def test_biorthogonality_matches_member_inner_products(ou_builder, meyer):
+    # the second grid cuts the level-1 spectra at 4 pi: a large same-role
+    # defect next to a roundoff-level cross-role one
+    truncating = FamilyBuilder(meyer, unit_pair(),
+                               make_grid(4.0 * np.pi, 2**10))
+    tr = Truncation(1, 3)
+    duals = tr.indices("dual", normalized=False)
+    primals = tr.indices("primal", normalized=False)
+    cross_role = np.not_equal.outer([i.role for i in duals],
+                                    [i.role for i in primals])
+    for builder in (ou_builder, truncating):
+        left = [builder.build_member(i).spectrum for i in duals]
+        right = [builder.build_member(i).spectrum for i in primals]
+        oracle = np.array([[inner_product(a, b) for b in right]
+                           for a in left])
+        cross = _inner_products(builder, duals, primals)
+        assert np.max(np.abs(cross - oracle)) < 1e-12
+        defect = np.abs(oracle - np.eye(len(duals)))
+        stats = biorthogonality_defect(builder, tr).statistics
+        assert abs(stats["max_defect"] - np.max(defect)) < 1e-12
+        assert abs(stats["max_cross_block_defect"]
+                   - np.max(defect[cross_role])) < 1e-12
+    assert stats["max_defect"] > 0.01
+    assert stats["max_cross_block_defect"] < 1e-12
+
+
+def test_gram_bit_equals_entry_by_entry_reference(ou_builder):
+    # reference: one transform and one Python complex division per entry,
+    # upper triangle and its conjugate below and on the diagonal
+    g = gram(ou_builder, "dual", Truncation(1, 2))
+    grid, idxs = ou_builder.grid, g.index_map
+    gens = [ou_builder.generator(i.j, i.side, i.role)[0] for i in idxs]
+    norms = [l2_norm(SampledSpectrum(grid, v)) for v in gens]
+    ref = np.empty_like(g.matrix)
+    for ia, a in enumerate(idxs):
+        for ib in range(ia, len(idxs)):
+            b = idxs[ib]
+            series = inverse_transform(
+                SampledSpectrum(grid, gens[ia] * np.conj(gens[ib])))
+            lag = 2.0 ** (-a.j) * a.k - 2.0 ** (-b.j) * b.k
+            val = complex(series.values[round((-lag - series.t0) / series.dt)])
+            val /= norms[ia] * norms[ib]
+            ref[ia, ib], ref[ib, ia] = val, val.conjugate()
+    assert g.matrix.tobytes() == ref.tobytes()
+
+
+def test_gram_refuses_lags_off_the_time_grid(meyer):
+    # dt = 1/48: shifts 2^-4 k are multiples of dt, shifts 2^-5 k are not
+    builder = FamilyBuilder(meyer, unit_pair(), make_grid(48.0 * np.pi, 2**12))
+    with pytest.raises(RieszError):
+        gram(builder, "primal", Truncation(5, 1))
+    gram(builder, "primal", Truncation(4, 1))
+
+
+@pytest.mark.parametrize("side", ["primal", "dual"])
+def test_gram_section_is_principal_submatrix(ou_builder, side):
+    # synthesis_bound reads its K section out of the 2K one
+    small = gram(ou_builder, side, Truncation(2, 3, False))
+    big = gram(ou_builder, side, Truncation(2, 6, False))
+    keep = [i for i, idx in enumerate(big.index_map) if abs(idx.k) <= 3]
+    assert small.index_map == tuple(big.index_map[i] for i in keep)
+    assert small.matrix.tobytes() == big.matrix[np.ix_(keep, keep)].tobytes()
 
 
 def test_riesz_bounds_stability_ou(ou_builder):
