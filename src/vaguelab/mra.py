@@ -90,11 +90,21 @@ def daubechies_coefficients(n_moments: int) -> np.ndarray:
     return h
 
 
-def daubechies_u_hat(n_moments: int, x):
-    h = daubechies_coefficients(n_moments)
+def _trig_poly(coeffs, x):
+    """sum_n c_n e^{-inx} for real c_n, by Horner in z = e^{-ix}."""
     x = np.asarray(x, dtype=float)
-    n = np.arange(len(h))
-    return np.exp(-1j * np.multiply.outer(x, n)) @ h.astype(complex)
+    z = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=z.real)
+    np.negative(np.sin(x, out=z.imag), out=z.imag)
+    out = np.full(x.shape, coeffs[-1], dtype=complex)
+    for c in coeffs[-2::-1]:
+        out *= z
+        out += c
+    return out
+
+
+def daubechies_u_hat(n_moments: int, x):
+    return _trig_poly(daubechies_coefficients(n_moments), x)
 
 
 def daubechies_phi_hat(n_moments: int, x, depth: int = 40):
@@ -102,9 +112,10 @@ def daubechies_phi_hat(n_moments: int, x, depth: int = 40):
     if depth < 20:
         raise ValueError(f"product depth must be >= 20, got {depth}")
     x = np.asarray(x, dtype=float)
+    h = daubechies_coefficients(n_moments) / SQRT2
     out = np.ones(x.shape, dtype=complex)
     for j in range(1, depth + 1):
-        out *= daubechies_u_hat(n_moments, x / 2.0**j) / SQRT2
+        out *= _trig_poly(h, x / 2.0**j)
     return out
 
 
@@ -287,10 +298,10 @@ def check_w4(w: WaveletSpec, d: float, x_hi: float = 64.0 * np.pi,
         )
     x = np.geomspace(4.0 * np.pi, x_hi, 4096)
     phi_vals = np.abs(w.phi_hat(x))
-    psi0 = np.abs(w.psi_hat(x))
-    psi1 = np.abs(w.psi_hat(x + fd_step) - w.psi_hat(x - fd_step)) / (2 * fd_step)
-    psi2 = np.abs(w.psi_hat(x + fd_step) - 2 * w.psi_hat(x)
-                  + w.psi_hat(x - fd_step)) / fd_step**2
+    p0, p_up, p_dn = (w.psi_hat(y) for y in (x, x + fd_step, x - fd_step))
+    psi0 = np.abs(p0)
+    psi1 = np.abs(p_up - p_dn) / (2 * fd_step)
+    psi2 = np.abs(p_up - 2 * p0 + p_dn) / fd_step**2
     phi_slope = _envelope_slope(x, phi_vals)
     psi_slope = max(_envelope_slope(x, v) for v in (psi0, psi1, psi2))
     sup_phi = float(np.max(phi_vals * (1.0 + x) ** need_phi))

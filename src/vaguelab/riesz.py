@@ -59,6 +59,7 @@ class GramMatrix:
         return self.matrix.shape[0]
 
     def hermitian_defect(self) -> float:
+        """max|G - G^H|, i.e. 2 max|Im G_ii|: `gram` mirrors the upper triangle."""
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
 
 
@@ -69,6 +70,7 @@ def _inner_products(builder: FamilyBuilder, left, right) -> np.ndarray:
     gen_{j} * conj(gen'_{j'}) evaluated at t = -(2^{-j}k - 2^{-j'}k'),
     which lands exactly on the conjugate time grid for dyadic shifts: one
     transform per generator pair (j, side, role), one indexed read per block.
+    When left is right, blocks wholly below the diagonal are left zero.
     """
     def by_generator(idxs):
         groups = {}
@@ -79,11 +81,13 @@ def _inner_products(builder: FamilyBuilder, left, right) -> np.ndarray:
         return groups
 
     grid = builder.grid
-    out = np.empty((len(left), len(right)), dtype=complex)
+    out = np.zeros((len(left), len(right)), dtype=complex)
     cols = by_generator(right)
     for a, (rows_a, shifts_a) in by_generator(left).items():
         ga, _ = builder.generator(*a)
         for b, (rows_b, shifts_b) in cols.items():
+            if left is right and rows_a[0] > rows_b[-1]:
+                continue
             gb, _ = builder.generator(*b)
             series = inverse_transform(SampledSpectrum(grid, ga * np.conj(gb)))
             lag = np.subtract.outer(shifts_a, shifts_b)

@@ -252,6 +252,34 @@ def test_failing_check_exits_1(tmp_path, capsys):
     assert report["pass"] is False
 
 
+def test_daubechies_verify_commands(tmp_path, capsys):
+    # db4 at reduced sizes through both verify commands
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "wavelet": {"kind": "daubechies", "n": 4},
+        "riesz": {"J": 1, "K": 8, "refinement_levels": 1},
+        "vaguelet": {"j_min": 0, "j_max": 0, "sides": ["primal"],
+                     "synthesis_J": 0, "synthesis_K": 1},
+    }))
+    out = tmp_path / "out"
+    args = ["--config", str(cfg_path), "--out", str(out)]
+    assert run_cli(["verify-riesz", *args]) == 1
+    assert run_cli(["verify-vaguelet", *args]) == 0
+    riesz = json.loads((out / "riesz_report.json").read_text())
+    vaguelet = json.loads((out / "vaguelet_report.json").read_text())
+    assert riesz["schema"] == vaguelet["schema"] == "1"
+    checks = {c["check"]: c for c in riesz["checks"]}
+    for name in ("riesz_bounds_primal", "riesz_bounds_dual", "bracket_sum",
+                 "refinement_identity_j0"):
+        assert checks[name]["pass"] is True, name
+    # the defect is the grid's Fourier-tail truncation at 64 pi
+    biorth = checks["biorthogonality_defect"]
+    assert biorth["pass"] is False
+    assert abs(biorth["statistics"]["max_defect"] / 5.8187e-6 - 1.0) < 1e-3
+    assert vaguelet["pass"] is True
+    assert "FAIL" in capsys.readouterr().out
+
+
 def test_console_script_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "vaguelab.cli", "counterexample",

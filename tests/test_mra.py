@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from vaguelab.grids import SampledSpectrum, default_grid, l2_norm
 from vaguelab.mra import (MEYER_SUPPORT_RADIUS, WaveletSpec, check_cmf,
                           check_w3, check_w4, daubechies_coefficients,
+                          daubechies_phi_hat, daubechies_u_hat,
                           meyer_nu, meyer_phi_hat, meyer_psi_abs,
                           vanishing_moment_order)
 
@@ -151,3 +153,50 @@ def test_two_scale_relation(meyer, db4):
         rhs = np.asarray(w.u_hat(x / 2)) * np.asarray(w.phi_hat(x / 2)) \
             / math.sqrt(2.0)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_daubechies_u_hat_matches_direct_sum(n):
+    # oracle: sum_n h_n e^{-i n xi}, one exponential per term; on a grid of
+    # multiples of 1/64 every phase n xi is exact, so the oracle's own
+    # error stays at roundoff
+    h = daubechies_coefficients(n)
+    xi = np.arange(-400 * 64, 400 * 64 + 1) / 64.0
+    direct = sum(c * np.exp(-1j * k * xi) for k, c in enumerate(h))
+    assert np.max(np.abs(daubechies_u_hat(n, xi) - direct)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 4, 10])
+def test_daubechies_phi_hat_matches_outer_product_form(n):
+    # oracle: each factor from the (points x 2N) exponential table
+    x = default_grid().x
+    h = daubechies_coefficients(n).astype(complex)
+    taps = np.arange(len(h))
+    expected = np.ones(x.shape, dtype=complex)
+    for j in range(1, 41):
+        expected *= np.exp(-1j * np.multiply.outer(x / 2.0**j, taps)) @ h \
+            / math.sqrt(2.0)
+    assert np.max(np.abs(daubechies_phi_hat(n, x) - expected)) < 1e-12
+
+
+def test_daubechies_phi_hat_keeps_every_factor():
+    # at the grid edge the 40th factor still differs from 1 by ~1.8e-10,
+    # so stopping the product early would change results
+    x = np.array([64.0 * np.pi])
+    ratio = (daubechies_phi_hat(4, x, depth=40)
+             / daubechies_phi_hat(4, x, depth=39))
+    assert abs(ratio[0] - 1.0) > 1e-10
+    with pytest.raises(ValueError):
+        daubechies_phi_hat(4, x, depth=19)
+
+
+def test_daubechies_phi_hat_memory_is_a_few_arrays():
+    # no (points x 2N) table: the peak stays a few complex arrays of length n
+    x = default_grid().x
+    tracemalloc.start()
+    try:
+        daubechies_phi_hat(4, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 16 * len(x)

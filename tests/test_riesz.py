@@ -94,6 +94,24 @@ def test_gram_bit_equals_entry_by_entry_reference(ou_builder):
     assert g.matrix.tobytes() == ref.tobytes()
 
 
+def test_gram_skips_blocks_below_the_diagonal(ou_builder, monkeypatch):
+    # 5 generators: the 10 blocks below the diagonal are never read
+    calls = []
+
+    def counting(spectrum):
+        calls.append(1)
+        return inverse_transform(spectrum)
+
+    monkeypatch.setattr("vaguelab.riesz.inverse_transform", counting)
+    idxs = Truncation(4, 2, False).indices("primal")
+    raw = _inner_products(ou_builder, idxs, idxs)
+    assert len(calls) == 15
+    gen = np.repeat(np.arange(5), 5)
+    assert not np.any(raw[np.greater.outer(gen, gen)])
+    _inner_products(ou_builder, idxs, list(idxs))
+    assert len(calls) == 15 + 25
+
+
 def test_gram_refuses_lags_off_the_time_grid(meyer):
     # dt = 1/48: shifts 2^-4 k are multiples of dt, shifts 2^-5 k are not
     builder = FamilyBuilder(meyer, unit_pair(), make_grid(48.0 * np.pi, 2**12))
