@@ -7,7 +7,7 @@ Gaussian process synthesis from the biorthogonal expansion.
 """
 
 from .counterexample import (CounterexampleConfig, CounterexampleError,
-                             CounterexampleRun, default_window, ou_sanity,
+                             CounterexampleRun, default_window,
                              ratio_exponent, run_counterexample,
                              vaguelet_violation)
 from .family import (FamilyBuilder, FamilyError, FamilyIndex, FamilyMember,
@@ -29,8 +29,7 @@ from .report import (CheckResult, config_hash, dump_report, render_report,
 from .riesz import (GramMatrix, RieszError, Truncation,
                     biorthogonality_defect, bracket_sum, gram,
                     refinement_identity, riesz_bounds)
-from .vaguelet import (VagueletParamError, VagueletParams, decay_statistic,
-                       holder_statistic, mean_check, synthesis_bound,
+from .vaguelet import (VagueletParamError, VagueletParams, synthesis_bound,
                        vaguelet_suite)
 
 __version__ = "0.1.0"

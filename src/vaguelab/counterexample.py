@@ -147,29 +147,6 @@ def scaled_peak(j: int, cfg: CounterexampleConfig, u: float | None = None) -> fl
     return float(complex(_integrate(integrand, y)).real) / np.pi
 
 
-def direct_scaled_norm(j: int, cfg: CounterexampleConfig,
-                       n: int = 400001) -> float:
-    """x-domain oracle without substitution; safe only for small j."""
-    g, a = cfg.gamma, cfg.a
-    expo = 2.0 * 2.0 ** (j * g) * (a**g - np.linspace(0.0, a, n) ** g)
-    if float(np.max(expo)) > 700.0:
-        raise CounterexampleError("direct quadrature would underflow; use j <= 2")
-    x = np.linspace(0.0, a, n)
-    integrand = np.exp(-expo) * _psi_profile(x) ** 2
-    return math.sqrt(float(np.trapezoid(integrand, x)) / np.pi)
-
-
-def direct_scaled_peak(j: int, cfg: CounterexampleConfig,
-                       u: float | None = None, n: int = 400001) -> float:
-    if u is None:
-        u = special_frequency(j, cfg)
-    g, a = cfg.gamma, cfg.a
-    x = np.linspace(0.0, a, n)
-    expo = 2.0 ** (j * g) * (a**g - x**g)
-    integrand = np.exp(1j * u * x) * np.exp(-expo) * _psi_profile(x)
-    return float(np.trapezoid(integrand, x).real) / np.pi
-
-
 @dataclass(frozen=True)
 class CounterexampleRun:
     cfg: CounterexampleConfig
@@ -258,33 +235,3 @@ def vaguelet_violation(cfg: CounterexampleConfig, alpha1: float) -> CheckResult:
         params={**cfg.config(), "alpha1": alpha1},
     )
 
-
-def ou_sanity(j_min: int = 6, j_max: int = 12, alpha1: float = 0.5,
-              n: int = 2**17) -> CheckResult:
-    """The same peak/norm pipeline for the OU inverse filter.
-
-    f_j^(x) = (1 + (2^j x)^2)^{1/2} psi^(x) grows only polynomially; its
-    normalized values along u_j = floor(2^j) 2 pi / a decay fast, so no
-    violation is flagged. Run by direct x-domain quadrature.
-    """
-    a = MEYER_SUPPORT_RADIUS
-    x = np.linspace(0.0, a, n + 1)
-    psi = _psi_profile(x)
-    js = list(range(j_min, j_max + 1))
-    ratios = []
-    for j in js:
-        w = np.sqrt(1.0 + (2.0**j * x) ** 2)
-        norm = math.sqrt(float(np.trapezoid(w**2 * psi**2, x)) / np.pi)
-        u = math.floor(2.0**j) * 2.0 * np.pi / a
-        peak = float(np.trapezoid(np.exp(1j * u * x) * w * psi, x).real) / np.pi
-        ratios.append(abs(peak) / norm)
-    slope, resid = _fit_slope(js, ratios)
-    forced = -1.0 * (1.0 + alpha1)  # OU has d = 1; u_j ~ 2^j
-    violation = slope > forced + 0.2
-    return CheckResult(
-        name="ou_sanity",
-        passed=not violation,
-        statistics={"measured_slope": slope, "forced_slope": forced,
-                    "fit_residual": resid, "ratios": ratios},
-        params={"j_min": j_min, "j_max": j_max, "alpha1": alpha1},
-    )

@@ -8,9 +8,10 @@ Spectra, with psi_jk(x)^ = 2^{-j/2} e^{-i 2^{-j} k x} psi^(2^{-j} x):
     dual approximation      conj(1 / h1(x))  * phi_jk^(x)
 
 Every spectrum here, the cached generators (k = 0) per (j, side, role),
-the level-profile spectra H(2^j y) w(y) and the rescaled members, comes
-from the one evaluator _spectrum on a y-grid with x = 2^j y. k-translates
-are pure phase factors. Norms are k-independent.
+the level spectra H(2^j y) w(y) (whose inverse transforms are the level
+profiles g_j) and the rescaled members, comes from the one evaluator
+_spectrum on a y-grid with x = 2^j y. k-translates are pure phase
+factors. Norms are k-independent.
 """
 
 from __future__ import annotations
@@ -135,10 +136,12 @@ def _spectrum(wavelet: WaveletSpec, pair: FilterPair, j: int, side: str,
 
 
 class FamilyBuilder:
-    """Builds family members over one wavelet, filter pair and grid.
+    """Builds family members and level spectra over one wavelet, filter
+    pair and grid.
 
     Generator spectra are cached per (j, side, role); the cache supports
-    concurrent reads with locked inserts. Members are immutable.
+    concurrent reads with locked inserts. Level spectra are evaluated on
+    every call, on any grid. Members are immutable.
     """
 
     def __init__(self, wavelet: WaveletSpec, pair: FilterPair,
@@ -181,29 +184,14 @@ class FamilyBuilder:
             log_scale = 0.0
         return FamilyMember(idx, SampledSpectrum(self.grid, vals), log_scale)
 
-    def level_profile(self, j: int, side: str, role: str,
-                      pad_factor: int = 1) -> TimeSeries:
-        """g_j with member(j,k)(t) = 2^{j/2} g_j(2^j t - k).
-
-        g_j(tau) = (2 pi)^{-1} integral e^{i tau y} H(2^j y) w(y) dy on the
-        base y-grid, so resolution is uniform in j. pad_factor > 1
-        re-evaluates the level spectrum on a grid pad_factor times wider at
-        the same dy, refining the tau sampling by that factor; this equals
-        zero-extension only for compactly supported (Meyer) spectra. Like
-        the member spectrum, the series is stored divided by e^{log_scale},
-        so its l2 norm over tau equals the scaled member norm.
-        """
-        if pad_factor < 1 or pad_factor & (pad_factor - 1):
-            raise FamilyError("pad_factor must be a power of two >= 1")
-        grid = make_grid(self.grid.x_max * pad_factor, self.grid.n * pad_factor)
-        return inverse_transform(self.level_spectrum(j, side, role, grid))
-
     def level_spectrum(self, j: int, side: str, role: str,
                        grid: FourierGrid | None = None) -> SampledSpectrum:
-        """Spectrum of g_j on the base y-grid: H(2^j y) w(y) with the
-        side/role filter H and mother spectrum w, divided by e^{log_scale}.
-        Valid for any integer j, including negative (coarser-than-base)
-        levels."""
+        """Spectrum of the level profile g_j on the base y-grid, or on grid:
+        H(2^j y) w(y) with the side/role filter H and mother spectrum w,
+        divided by e^{log_scale}, for any integer j (negative included).
+        Its inverse transform is g_j, with member(j,k)(t) = 2^{j/2}
+        g_j(2^j t - k) and the l2 norm of g_j equal to the scaled member
+        norm; a grid wider at the same dy samples tau more finely."""
         grid = grid if grid is not None else self.grid
         vals, _ = _spectrum(self.wavelet, self.pair, j, side, role, grid, 1.0)
         return SampledSpectrum(grid, vals)

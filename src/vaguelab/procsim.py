@@ -109,8 +109,8 @@ def _level_terms(builder: FamilyBuilder, j: int, side: str, role: str,
     """(k x t) block of terms 2^{j/2} g_j(2^j t - k), for any integer j.
 
     g_j(tau) = (2 pi)^{-1} sum_m G(y_m) e^{i tau y_m} dy is the quadrature
-    over the builder's y-grid of the level spectrum G: the FFT level
-    profile, at any tau. The grid has y = 2 pi (q + r / P), r = 0..P-1,
+    over the builder's y-grid of the level spectrum G: its inverse
+    transform, at any tau. The grid has y = 2 pi (q + r / P), r = 0..P-1,
     with P = 2 pi / dy, and e^{-iky} is 2 pi-periodic, so with s = 2^j t
         sum_m G e^{i(s-k)y} = sum_r e^{-2 pi i kr/P} e^{2 pi i sr/P} A[s, r],
         A[s, r] = sum_q e^{2 pi i sq} G[q, r],

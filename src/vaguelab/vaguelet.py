@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .family import FamilyBuilder
+from .grids import SampledSpectrum, inverse_transform, make_grid
 from .report import CheckResult
 
 
@@ -51,21 +52,22 @@ class VagueletParams:
                 "t_window": self.t_window}
 
 
-def _profile_and_norm(builder: FamilyBuilder, j: int, side: str,
-                      pad_factor: int = 1):
-    """g_j samples, tau axis, and the profile's L2 norm over tau.
+def _profile(spectrum: SampledSpectrum, j: int, t_window: float):
+    """g_j samples and tau axis in the window |tau| <= 2^j t_window, the
+    tau spacing, and ||g_j||.
 
-    The norm over tau equals the (scaled) member norm, so ratios of
-    sup statistics to it are invariant under the internal rescaling
-    used for overflow-prone filters.
+    g_j is the inverse transform of a level spectrum. Its L2 norm over tau
+    equals the (scaled) member norm, so ratios of sup statistics to it are
+    invariant under the internal rescaling used for overflow-prone filters.
     """
-    series = builder.level_profile(j, side, "wavelet", pad_factor=pad_factor)
+    series = inverse_transform(spectrum)
     tau = series.t
     vals = series.values
     norm = math.sqrt(float(np.sum(np.abs(vals) ** 2)) * series.dt)
     if norm <= 0.0:
         raise VagueletParamError(f"zero-norm level profile at j={j}")
-    return tau, vals, norm
+    m = np.abs(tau) <= 2.0**j * t_window
+    return tau[m], vals[m], tau[1] - tau[0], norm
 
 
 def _holder_sup(g: np.ndarray, dtau: float, alpha2: float) -> float:
@@ -81,10 +83,6 @@ def _holder_sup(g: np.ndarray, dtau: float, alpha2: float) -> float:
                 break
         m *= 2
     return best
-
-
-def _window_mask(tau: np.ndarray, j: int, t_window: float) -> np.ndarray:
-    return np.abs(tau) <= 2.0**j * t_window
 
 
 def _band(values) -> float:
@@ -105,101 +103,6 @@ def _growth_trend(values, min_run: int = 4, factor: float = 4.0) -> bool:
               and values[i] > factor * values[run_start]):
             return True
     return False
-
-
-def decay_statistic(builder: FamilyBuilder, side: str,
-                    params: VagueletParams = VagueletParams()) -> CheckResult:
-    """S_j = sup_tau |g_j(tau)| (1 + |tau|)^{1 + alpha1} / ||g_j||.
-
-    Equals sup_t |member_{j,0}(t)| (1 + |2^j t|)^{1+alpha1} 2^{-j/2} for
-    the L2-normalized member.
-    """
-    per_j = []
-    for j in params.j_range:
-        tau, vals, norm = _profile_and_norm(builder, j, side)
-        m = _window_mask(tau, j, params.t_window)
-        s = float(np.max(np.abs(vals[m])
-                         * (1.0 + np.abs(tau[m])) ** (1.0 + params.alpha1)))
-        per_j.append(s / norm)
-    band = _band(per_j)
-    growing = _growth_trend(per_j)
-    return CheckResult(
-        name="decay_statistic",
-        passed=band < 10.0 and not growing and math.isfinite(max(per_j)),
-        statistics={"per_j": per_j, "band_ratio": band,
-                    "growth_trend": growing, "side": side},
-        params={**builder.config(), **params.config()},
-    )
-
-
-def mean_check(builder: FamilyBuilder, side: str,
-               j_range=range(0, 9)) -> CheckResult:
-    """max_j |Psi^ at x = 0| / sup |Psi^| for the wavelet generators.
-
-    Spectra are sampled on 2^j-rescaled grids so every level's support is
-    resolved regardless of the builder's base grid.
-    """
-    from .family import member_at_scale_rescaled
-    worst = 0.0
-    for j in j_range:
-        member = member_at_scale_rescaled(builder.wavelet, builder.pair, j,
-                                          side, "wavelet",
-                                          base_grid=builder.grid)
-        vals = member.spectrum.values
-        grid = member.spectrum.grid
-        zero_idx = int(np.argmin(np.abs(grid.x)))
-        peak = float(np.max(np.abs(vals)))
-        if peak == 0.0:
-            raise VagueletParamError(f"empty spectrum at j={j}")
-        worst = max(worst, abs(vals[zero_idx]) / peak)
-    return CheckResult(
-        name="mean_check",
-        passed=worst < 1e-12,
-        statistics={"max_scaled_value_at_zero": worst, "side": side},
-        params={**builder.config(),
-                "j_range": [min(j_range), max(j_range)]},
-    )
-
-
-def holder_statistic(builder: FamilyBuilder, side: str,
-                     params: VagueletParams = VagueletParams()) -> CheckResult:
-    """H_j = sup |g_j(tau') - g_j(tau)| / (|tau' - tau|^{alpha2} ||g_j||),
-    which equals the member statistic
-    sup |member(t') - member(t)| 2^{-j(1/2+alpha2)} / |t'-t|^{alpha2}
-    after normalization.
-
-    The sup runs over sample pairs at a graded set of separations (two per
-    octave, from one sample up to the window width). It is a lower bound of
-    the continuum sup and is trusted only if halving the sample spacing
-    changes it by < 20%, else the verdict is inconclusive.
-    """
-    per_j, per_j_fine, rel_changes = [], [], []
-    for j in params.j_range:
-        values = []
-        for pad in (1, 2):
-            tau, vals, norm = _profile_and_norm(builder, j, side,
-                                                pad_factor=pad)
-            m = _window_mask(tau, j, params.t_window)
-            g = vals[m]
-            dtau = tau[1] - tau[0]
-            values.append(_holder_sup(g, dtau, params.alpha2) / norm)
-        coarse, fine = values
-        per_j.append(coarse)
-        per_j_fine.append(fine)
-        rel_changes.append(abs(fine - coarse) / max(coarse, 1e-300))
-    refinement_ok = max(rel_changes) < 0.20
-    band = _band(per_j_fine)
-    growing = _growth_trend(per_j_fine)
-    passed = band < 10.0 and not growing
-    return CheckResult(
-        name="holder_statistic",
-        passed=(passed if refinement_ok else None),
-        statistics={"per_j": per_j, "per_j_refined": per_j_fine,
-                    "max_refinement_change": max(rel_changes),
-                    "band_ratio": band, "growth_trend": growing,
-                    "side": side},
-        params={**builder.config(), **params.config()},
-    )
 
 
 def synthesis_bound(builder: FamilyBuilder, side: str, J: int = 4, K: int = 16,
@@ -241,8 +144,73 @@ def synthesis_bound(builder: FamilyBuilder, side: str, J: int = 4, K: int = 16,
 
 def vaguelet_suite(builder: FamilyBuilder, side: str,
                    params: VagueletParams = VagueletParams()) -> list:
+    """The decay, mean and Hoelder checks of one side in one pass over the
+    levels. Each level spectrum G_j is evaluated on the base y-grid and on
+    a grid twice as wide at the same dy, whose profile g_j samples tau
+    twice as finely.
+
+    decay_statistic: S_j = sup_tau |g_j(tau)| (1 + |tau|)^{1 + alpha1} /
+    ||g_j||, i.e. sup_t |member_{j,0}(t)| (1 + |2^j t|)^{1+alpha1} 2^{-j/2}
+    for the L2-normalized member.
+    mean_check: max_j |G_j(0)| / sup |G_j|, the member's |Psi^(0)| / sup
+    |Psi^| with every level's support resolved by the same y-grid.
+    holder_statistic: H_j = sup |g_j(tau') - g_j(tau)| / (|tau' - tau|^alpha2
+    ||g_j||), i.e. sup |member(t') - member(t)| 2^{-j(1/2+alpha2)} /
+    |t'-t|^alpha2 after normalization, over sample pairs at graded
+    separations (two per octave up to the window width). It is a lower
+    bound of the continuum sup, trusted only if the finer sampling changes
+    it by < 20%; else the verdict is inconclusive.
+    """
+    wide = make_grid(2.0 * builder.grid.x_max, 2 * builder.grid.n)
+    decay, holder, holder_fine = [], [], []
+    worst_mean = 0.0
+    for j in params.j_range:
+        spectrum = builder.level_spectrum(j, side, "wavelet")
+        tau, g, dtau, norm = _profile(spectrum, j, params.t_window)
+        decay.append(float(np.max(np.abs(g) * (1.0 + np.abs(tau))
+                                  ** (1.0 + params.alpha1))) / norm)
+        holder.append(_holder_sup(g, dtau, params.alpha2) / norm)
+        vals = spectrum.values
+        worst_mean = max(worst_mean, abs(vals[len(vals) // 2])
+                         / float(np.max(np.abs(vals))))
+        _, g, dtau, norm = _profile(
+            builder.level_spectrum(j, side, "wavelet", wide), j,
+            params.t_window)
+        holder_fine.append(_holder_sup(g, dtau, params.alpha2) / norm)
+    rel_changes = [abs(fine - coarse) / max(coarse, 1e-300)
+                   for coarse, fine in zip(holder, holder_fine)]
+
+    config = {**builder.config(), **params.config()}
+    decay_band = _band(decay)
+    decay_growing = _growth_trend(decay)
+    refinement_ok = max(rel_changes) < 0.20
+    holder_band = _band(holder_fine)
+    holder_growing = _growth_trend(holder_fine)
     return [
-        decay_statistic(builder, side, params),
-        mean_check(builder, side, params.j_range),
-        holder_statistic(builder, side, params),
+        CheckResult(
+            name="decay_statistic",
+            passed=(decay_band < 10.0 and not decay_growing
+                    and math.isfinite(max(decay))),
+            statistics={"per_j": decay, "band_ratio": decay_band,
+                        "growth_trend": decay_growing, "side": side},
+            params=config,
+        ),
+        CheckResult(
+            name="mean_check",
+            passed=worst_mean < 1e-12,
+            statistics={"max_scaled_value_at_zero": worst_mean,
+                        "side": side},
+            params={**builder.config(),
+                    "j_range": [params.j_min, params.j_max]},
+        ),
+        CheckResult(
+            name="holder_statistic",
+            passed=(holder_band < 10.0 and not holder_growing
+                    if refinement_ok else None),
+            statistics={"per_j": holder, "per_j_refined": holder_fine,
+                        "max_refinement_change": max(rel_changes),
+                        "band_ratio": holder_band,
+                        "growth_trend": holder_growing, "side": side},
+            params=config,
+        ),
     ]

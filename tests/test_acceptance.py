@@ -21,8 +21,7 @@ from vaguelab.filters import (FilterPair, FractionalFilter, MSTApproxFilter,
                               OUFilter, unit_pair)
 from vaguelab.mra import WaveletSpec, check_cmf
 from vaguelab.procsim import (SynthesisPlan, covariance_kernel, dyadic_times,
-                              empirical_covariance, fbm_scaling, simulate,
-                              target_autocovariance)
+                              empirical_covariance, fbm_scaling, simulate)
 from vaguelab.riesz import (Truncation, biorthogonality_defect, bracket_sum,
                             gram, refinement_identity, riesz_bounds)
 from vaguelab.vaguelet import VagueletParams, vaguelet_suite
@@ -154,12 +153,11 @@ def test_acceptance_bracket_sums(meyer, ou_pair):
              "away from 0 and infinity for ou", ok)
 
 
-def test_acceptance_ou_process(ou_plan, ou_pair):
+def test_acceptance_ou_process(ou_plan):
     t = ou_plan.times
     diag = covariance_kernel(ou_plan, t, t)
     slice0 = covariance_kernel(ou_plan, t, np.zeros_like(t))
     target_diag = 0.5 * np.ones_like(t)
-    target_slice = np.array([target_autocovariance(ou_pair, u) for u in t])
     sup_err = max(float(np.max(np.abs(diag - target_diag))),
                   float(np.max(np.abs(slice0 - np.exp(-np.abs(t)) / 2.0))))
     ensemble = simulate(ou_plan)

@@ -8,7 +8,8 @@ from vaguelab.family import (FamilyBuilder, FamilyError, FamilyIndex,
                              time_samples)
 from vaguelab.filters import (ExpGammaFilter, FilterPair, FractionalFilter,
                               OUFilter, UnitFilter, unit_pair)
-from vaguelab.grids import inner_product, l2_norm
+from vaguelab.grids import (inner_product, inverse_transform, l2_norm,
+                            make_grid)
 from vaguelab.mra import WaveletSpec
 
 
@@ -80,7 +81,8 @@ def test_level_profile_matches_member(ou_builder):
     j = 1
     member = ou_builder.build_member(FamilyIndex(j, 0, "primal", "wavelet"))
     series = time_samples(member)
-    profile = ou_builder.level_profile(j, "primal", "wavelet")
+    profile = inverse_transform(ou_builder.level_spectrum(j, "primal",
+                                                          "wavelet"))
     # compare at t=0 and a few grid-aligned offsets
     n_half = len(series.values) // 2
     p_half = len(profile.values) // 2
@@ -95,8 +97,14 @@ def test_level_profile_matches_member(ou_builder):
 
 
 def test_level_profile_pad_refines(ou_builder):
-    coarse = ou_builder.level_profile(0, "primal", "wavelet")
-    fine = ou_builder.level_profile(0, "primal", "wavelet", pad_factor=2)
+    # the level spectrum on a grid twice as wide at the same dy samples
+    # the profile twice as finely
+    grid = ou_builder.grid
+    wide = make_grid(2.0 * grid.x_max, 2 * grid.n)
+    coarse = inverse_transform(ou_builder.level_spectrum(0, "primal",
+                                                         "wavelet"))
+    fine = inverse_transform(ou_builder.level_spectrum(0, "primal", "wavelet",
+                                                       wide))
     assert fine.dt == pytest.approx(coarse.dt / 2.0)
     # coarse samples appear among the fine ones
     assert np.max(np.abs(fine.values[::2][:len(coarse.values)]

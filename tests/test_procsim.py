@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vaguelab.family import FamilyBuilder, FamilyIndex, time_samples
+from vaguelab.grids import inverse_transform
 from vaguelab.filters import FilterPair, FractionalFilter, OUFilter, unit_pair
 from vaguelab.mra import WaveletSpec
 from vaguelab.procsim import (PathEnsemble, ProcsimError, SynthesisPlan,
@@ -194,7 +195,8 @@ def test_negative_level_terms_consistent(meyer, ou_pair):
     # level spectrum at a coarse level j < 0, where tau falls off any grid
     builder = FamilyBuilder(meyer, ou_pair)
     ks = np.array([-3, 0, 5])
-    profile = builder.level_profile(1, "primal", "wavelet")
+    profile = inverse_transform(builder.level_spectrum(1, "primal",
+                                                       "wavelet"))
     idx = np.array([5000, 32668, 32805, 33068])  # 32768 is tau = 0
     times = (profile.t0 + profile.dt * idx) / 2.0
     terms = _level_terms(builder, 1, "primal", "wavelet", ks, times)

@@ -1,17 +1,25 @@
+import math
+
 import numpy as np
 import pytest
 
-from vaguelab.family import FamilyBuilder
+from vaguelab import family
+from vaguelab.family import FamilyBuilder, member_at_scale_rescaled
 from vaguelab.filters import (ExpGammaFilter, FilterPair, FractionalFilter,
                               unit_pair)
-from vaguelab.grids import make_grid
+from vaguelab.grids import inverse_transform, make_grid
 from vaguelab.mra import WaveletSpec
 from vaguelab.report import dump_report, render_report
 from vaguelab.vaguelet import (VagueletParamError, VagueletParams,
-                               decay_statistic, holder_statistic, mean_check,
+                               _band, _growth_trend, _holder_sup,
                                synthesis_bound, vaguelet_suite)
 
 FAST = VagueletParams(j_min=0, j_max=5)
+
+
+def _check(builder, side, params, name):
+    return next(r for r in vaguelet_suite(builder, side, params)
+                if r.name == name)
 
 
 def test_params_validation():
@@ -28,13 +36,12 @@ def test_params_validation():
 
 def test_unit_filter_statistics_are_level_exact(unit_builder):
     # with h = 1 the rescaled statistics are identical across levels
-    result = decay_statistic(unit_builder, "primal", FAST)
-    assert result.passed
-    per_j = result.statistics["per_j"]
+    decay, _, holder = vaguelet_suite(unit_builder, "primal", FAST)
+    assert decay.passed
+    per_j = decay.statistics["per_j"]
     assert max(per_j) / min(per_j) < 1.0 + 1e-9
-    result = holder_statistic(unit_builder, "primal", FAST)
-    assert result.passed
-    per_j = result.statistics["per_j_refined"]
+    assert holder.passed
+    per_j = holder.statistics["per_j_refined"]
     assert max(per_j) / min(per_j) < 1.0 + 1e-9
 
 
@@ -47,19 +54,20 @@ def test_ou_suite_passes(ou_builder, side):
 
 
 def test_holder_refinement_stable(ou_builder):
-    result = holder_statistic(ou_builder, "primal", FAST)
+    result = _check(ou_builder, "primal", FAST, "holder_statistic")
     assert result.statistics["max_refinement_change"] < 0.20
 
 
 def test_mean_check(ou_builder):
-    result = mean_check(ou_builder, "primal", j_range=range(0, 6))
+    result = _check(ou_builder, "primal", FAST, "mean_check")
     assert result.passed
     assert result.statistics["max_scaled_value_at_zero"] < 1e-12
 
 
 def test_mean_check_daubechies_report_serializes(db4, ou_pair):
     builder = FamilyBuilder(db4, ou_pair, make_grid(16.0 * np.pi, 2**10))
-    result = mean_check(builder, "primal", j_range=range(1))
+    result = _check(builder, "primal", VagueletParams(j_min=0, j_max=0),
+                    "mean_check")
     assert type(result.passed) is bool
     dump_report(render_report([result], {}))
 
@@ -69,7 +77,7 @@ def test_exp_gamma_decay_fails(meyer):
     # the normalized decay statistic blows up: not a vaguelet family
     pair = FilterPair(ExpGammaFilter(1.0), ExpGammaFilter(1.0))
     builder = FamilyBuilder(meyer, pair)
-    result = decay_statistic(builder, "primal", FAST)
+    result = _check(builder, "primal", FAST, "decay_statistic")
     assert result.passed is False
 
 
@@ -92,3 +100,91 @@ def test_fractional_suite_passes(meyer):
     builder = FamilyBuilder(meyer, pair)
     for result in vaguelet_suite(builder, "dual", FAST):
         assert result.passed, (result.name, result.statistics)
+
+
+def _reference_statistics(builder, side, params):
+    """The per-statistic loops the one-pass suite replaced: decay and the
+    coarse Hoelder statistic from the base-grid profile, the refined one
+    from the profile of the level spectrum on a grid twice as wide, and
+    the mean from the 2^j-rescaled members."""
+    wide = make_grid(builder.grid.x_max * 2, builder.grid.n * 2)
+
+    def profile(j, grid):
+        series = inverse_transform(builder.level_spectrum(j, side, "wavelet",
+                                                          grid))
+        tau, vals = series.t, series.values
+        norm = math.sqrt(float(np.sum(np.abs(vals) ** 2)) * series.dt)
+        m = np.abs(tau) <= 2.0**j * params.t_window
+        return tau, vals, norm, m
+
+    decay, coarse, fine = [], [], []
+    for j in params.j_range:
+        tau, vals, norm, m = profile(j, builder.grid)
+        decay.append(float(np.max(np.abs(vals[m]) * (1.0 + np.abs(tau[m]))
+                                  ** (1.0 + params.alpha1))) / norm)
+        for grid, out in ((builder.grid, coarse), (wide, fine)):
+            tau, vals, norm, m = profile(j, grid)
+            out.append(_holder_sup(vals[m], tau[1] - tau[0], params.alpha2)
+                       / norm)
+    worst = 0.0
+    for j in params.j_range:
+        member = member_at_scale_rescaled(builder.wavelet, builder.pair, j,
+                                          side, "wavelet",
+                                          base_grid=builder.grid)
+        vals = member.spectrum.values
+        zero_idx = int(np.argmin(np.abs(member.spectrum.grid.x)))
+        worst = max(worst, abs(vals[zero_idx]) / float(np.max(np.abs(vals))))
+    changes = [abs(f - c) / max(c, 1e-300) for c, f in zip(coarse, fine)]
+    return {"decay_per_j": decay, "decay_band": _band(decay),
+            "decay_growth": _growth_trend(decay), "holder_per_j": coarse,
+            "holder_refined": fine, "holder_band": _band(fine),
+            "holder_growth": _growth_trend(fine),
+            "max_refinement_change": max(changes), "mean": worst}
+
+
+@pytest.mark.parametrize("side", ["primal", "dual"])
+def test_suite_bit_equals_per_statistic_loops(meyer, ou_pair, db4, side):
+    params = VagueletParams(j_min=0, j_max=3)
+    cases = [(FamilyBuilder(meyer, ou_pair), 0.0),
+             (FamilyBuilder(db4, ou_pair, make_grid(16.0 * np.pi, 2**10)),
+              1e-15)]
+    for builder, mean_rtol in cases:
+        ref = _reference_statistics(builder, side, params)
+        decay, mean, holder = vaguelet_suite(builder, side, params)
+        d, h = decay.statistics, holder.statistics
+        assert d["per_j"] == ref["decay_per_j"]
+        assert d["band_ratio"] == ref["decay_band"]
+        assert d["growth_trend"] == ref["decay_growth"]
+        assert h["per_j"] == ref["holder_per_j"]
+        assert h["per_j_refined"] == ref["holder_refined"]
+        assert h["band_ratio"] == ref["holder_band"]
+        assert h["growth_trend"] == ref["holder_growth"]
+        assert h["max_refinement_change"] == ref["max_refinement_change"]
+        got = mean.statistics["max_scaled_value_at_zero"]
+        assert abs(got - ref["mean"]) <= mean_rtol * ref["mean"]
+    # the db4 mean is roundoff, not 0, so the relative bound is a real test
+    assert ref["mean"] > 0.0
+
+
+def test_suite_evaluates_each_level_spectrum_twice(monkeypatch, meyer,
+                                                   ou_pair):
+    # one base-grid and one wide-grid spectrum per level, and no
+    # rescaled member: the mean ratio comes from the base-grid spectrum
+    calls = {"level_spectrum": 0, "member_at_scale_rescaled": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(FamilyBuilder, "level_spectrum",
+                        counted("level_spectrum",
+                                FamilyBuilder.level_spectrum))
+    monkeypatch.setattr(family, "member_at_scale_rescaled",
+                        counted("member_at_scale_rescaled",
+                                family.member_at_scale_rescaled))
+    builder = FamilyBuilder(meyer, ou_pair, make_grid(16.0 * np.pi, 2**10))
+    vaguelet_suite(builder, "primal", FAST)
+    assert calls == {"level_spectrum": 2 * len(FAST.j_range),
+                     "member_at_scale_rescaled": 0}
