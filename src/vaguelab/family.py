@@ -7,17 +7,16 @@ Spectra, with psi_jk(x)^ = 2^{-j/2} e^{-i 2^{-j} k x} psi^(2^{-j} x):
     primal approximation    h1(x)            * phi_jk^(x)
     dual approximation      conj(1 / h1(x))  * phi_jk^(x)
 
-Every spectrum here, the cached generators (k = 0) per (j, side, role),
-the level spectra H(2^j y) w(y) (whose inverse transforms are the level
-profiles g_j) and the rescaled members, comes from the one evaluator
-_spectrum on a y-grid with x = 2^j y. k-translates are pure phase
-factors. Norms are k-independent.
+Every spectrum here, the generators (k = 0) per (j, side, role), the
+level spectra H(2^j y) w(y) (whose inverse transforms are the level
+profiles g_j) and the rescaled members, is a mother w = psi^ or phi^ on
+a y-grid with x = 2^j y times a filter (_spectrum); a FamilyBuilder
+evaluates each w once per (role, grid). k-translates are pure phases.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -83,13 +82,21 @@ class FamilyMember:
             return math.inf
 
 
-def _spectrum(wavelet: WaveletSpec, pair: FilterPair, j: int, side: str,
-              role: str, grid: FourierGrid, scale: float):
+def _mother(wavelet: WaveletSpec, role: str, grid: FourierGrid) -> np.ndarray:
+    """The mother spectrum w on the y-grid, psi^ or phi^ by role; read only."""
+    w = wavelet.psi_hat if role == "wavelet" else wavelet.phi_hat
+    mother = np.asarray(w(grid.x), dtype=complex)
+    mother.flags.writeable = False
+    return mother
+
+
+def _spectrum(wavelet: WaveletSpec, pair: FilterPair, mother: np.ndarray,
+              j: int, side: str, role: str, grid: FourierGrid, scale: float):
     """scale * w(y) * H(2^j y)^{+-1} on the y-grid: (values, log_scale).
 
-    w is psi^ or phi^ by role; H is h2 or h1 by role, inverted and
-    conjugated on the dual side. The k = 0 member spectrum at x = 2^j y is
-    this with scale 2^{-j/2}, the level-profile spectrum this with scale 1.
+    mother is w = _mother(wavelet, role, grid); H is h2 or h1 by role,
+    inverted and conjugated on the dual side. The k = 0 member spectrum at
+    x = 2^j y is this with scale 2^{-j/2}, the level profile's scale 1.
     Grid points scaled by 2^{+-j} are exact in floating point, so every
     caller sees the same values at the same x.
 
@@ -97,18 +104,15 @@ def _spectrum(wavelet: WaveletSpec, pair: FilterPair, j: int, side: str,
     at y = 0 is absorbed (limiting value 0) when the vanishing order of w
     there exceeds |d|, and refused otherwise.
     """
-    y = grid.x
-    if role == "wavelet":
-        base, h, zero_order = wavelet.psi_hat(y), pair.h2, wavelet.n_moments
-    else:
-        base, h, zero_order = wavelet.phi_hat(y), pair.h1, 0.0
-    base = scale * np.asarray(base, dtype=complex)
+    h, zero_order = ((pair.h2, wavelet.n_moments) if role == "wavelet"
+                     else (pair.h1, 0.0))
+    base = scale * mother
     power = 1 if side == "primal" else -1
-    out = np.zeros(len(y), dtype=complex)
+    out = np.zeros_like(base)
     mask = base != 0.0
     if not np.any(mask):
         return out, 0.0
-    x = 2.0**j * y[mask]
+    x = 2.0**j * grid.x[mask]
     at_zero = x == 0.0
     pole_at_zero = False
     if np.any(at_zero):
@@ -139,9 +143,9 @@ class FamilyBuilder:
     """Builds family members and level spectra over one wavelet, filter
     pair and grid.
 
-    Generator spectra are cached per (j, side, role); the cache supports
-    concurrent reads with locked inserts. Level spectra are evaluated on
-    every call, on any grid. Members are immutable.
+    Mother spectra are cached per (role, grid), read only; generators and
+    level spectra (on any grid) are fresh arrays, the mother times a filter
+    evaluated on every call. Members are immutable.
     """
 
     def __init__(self, wavelet: WaveletSpec, pair: FilterPair,
@@ -149,8 +153,7 @@ class FamilyBuilder:
         self.wavelet = wavelet
         self.pair = pair
         self.grid = grid if grid is not None else default_grid()
-        self._cache: dict = {}
-        self._lock = threading.Lock()
+        self._mothers: dict = {}
 
     def config(self) -> dict:
         return {
@@ -159,23 +162,21 @@ class FamilyBuilder:
             "grid": {"x_max": self.grid.x_max, "n": self.grid.n},
         }
 
+    def _evaluate(self, j, side, role, grid, scale):
+        if (role, grid) not in self._mothers:
+            self._mothers[role, grid] = _mother(self.wavelet, role, grid)
+        return _spectrum(self.wavelet, self.pair, self._mothers[role, grid],
+                         j, side, role, grid, scale)
+
     def generator(self, j: int, side: str, role: str):
         """(values, log_scale) of the k = 0 member of (j, side, role)."""
-        key = (j, side, role)
-        cached = self._cache.get(key)
-        if cached is None:
-            y_grid = make_grid(self.grid.x_max * 2.0**-j, self.grid.n)
-            vals, log_scale = _spectrum(self.wavelet, self.pair, j, side,
-                                        role, y_grid, 2.0 ** (-j / 2.0))
-            with self._lock:
-                cached = self._cache.setdefault(key, (vals, log_scale))
-        return cached
+        y_grid = make_grid(self.grid.x_max * 2.0**-j, self.grid.n)
+        return self._evaluate(j, side, role, y_grid, 2.0 ** (-j / 2.0))
 
     def build_member(self, idx: FamilyIndex) -> FamilyMember:
         vals, log_scale = self.generator(idx.j, idx.side, idx.role)
-        if idx.k != 0:
-            phase = np.exp(-1j * 2.0 ** (-idx.j) * idx.k * self.grid.x)
-            vals = vals * phase
+        if idx.k != 0:  # vals is a fresh array
+            vals *= np.exp(-1j * 2.0 ** (-idx.j) * idx.k * self.grid.x)
         if idx.normalized:
             scaled_norm = l2_norm(SampledSpectrum(self.grid, vals))
             if scaled_norm <= 0.0:
@@ -193,7 +194,7 @@ class FamilyBuilder:
         g_j(2^j t - k) and the l2 norm of g_j equal to the scaled member
         norm; a grid wider at the same dy samples tau more finely."""
         grid = grid if grid is not None else self.grid
-        vals, _ = _spectrum(self.wavelet, self.pair, j, side, role, grid, 1.0)
+        vals, _ = self._evaluate(j, side, role, grid, 1.0)
         return SampledSpectrum(grid, vals)
 
 
@@ -211,8 +212,8 @@ def member_at_scale_rescaled(wavelet: WaveletSpec, pair: FilterPair, j: int,
         raise FamilyError(f"j={j} exceeds the supported range (j <= 30)")
     idx = FamilyIndex(j, 0, side, role)
     base = base_grid if base_grid is not None else default_grid()
-    vals, log_scale = _spectrum(wavelet, pair, j, side, role, base,
-                                2.0 ** (-j / 2.0))
+    vals, log_scale = _spectrum(wavelet, pair, _mother(wavelet, role, base),
+                                j, side, role, base, 2.0 ** (-j / 2.0))
     grid = make_grid(base.x_max * 2.0**j, base.n)
     return FamilyMember(idx, SampledSpectrum(grid, vals), log_scale)
 

@@ -118,7 +118,7 @@ class SampledSpectrum:
     def from_json(cls, text: str) -> "SampledSpectrum":
         payload = json.loads(text)
         grid = make_grid(payload["grid"]["x_max"], payload["grid"]["n"])
-        vals = np.array([complex(re, im) for re, im in payload["values"]])
+        vals = np.array(payload["values"], dtype=float).view(complex).ravel()
         return cls(grid, vals)
 
 

@@ -63,7 +63,8 @@ class GramMatrix:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
 
 
-def _inner_products(builder: FamilyBuilder, left, right) -> np.ndarray:
+def _inner_products(builder: FamilyBuilder, left, right,
+                    gens: dict | None = None) -> np.ndarray:
     """Un-normalized <m_a, m_b> for a in left, b in right (FamilyIndex lists).
 
     <m_{j,k}, m'_{j',k'}> equals the inverse transform of
@@ -82,13 +83,15 @@ def _inner_products(builder: FamilyBuilder, left, right) -> np.ndarray:
 
     grid = builder.grid
     out = np.zeros((len(left), len(right)), dtype=complex)
-    cols = by_generator(right)
-    for a, (rows_a, shifts_a) in by_generator(left).items():
-        ga, _ = builder.generator(*a)
+    rows, cols = by_generator(left), by_generator(right)
+    if gens is None:  # each generator evaluated once
+        gens = {key: builder.generator(*key)[0] for key in {**rows, **cols}}
+    for a, (rows_a, shifts_a) in rows.items():
+        ga = gens[a]
         for b, (rows_b, shifts_b) in cols.items():
             if left is right and rows_a[0] > rows_b[-1]:
                 continue
-            gb, _ = builder.generator(*b)
+            gb = gens[b]
             series = inverse_transform(SampledSpectrum(grid, ga * np.conj(gb)))
             lag = np.subtract.outer(shifts_a, shifts_b)
             pos = (-lag - series.t0) / series.dt
@@ -101,27 +104,27 @@ def _inner_products(builder: FamilyBuilder, left, right) -> np.ndarray:
     return out
 
 
-def _generator_norms(builder: FamilyBuilder, keys):
-    norms = {}
-    for key in set(keys):
-        vals, log_scale = builder.generator(*key)
+def _generators(builder: FamilyBuilder, keys):
+    gens, norms = {}, {}
+    for key in dict.fromkeys(keys):
+        gens[key], log_scale = builder.generator(*key)
         if log_scale != 0.0:
             raise RieszError("scaled spectra are not supported in Gram sections")
-        n = l2_norm(SampledSpectrum(builder.grid, vals))
+        n = l2_norm(SampledSpectrum(builder.grid, gens[key]))
         if n <= 0.0:
             raise FamilyError(f"zero-norm generator {key}")
         norms[key] = n
-    return norms
+    return gens, norms
 
 
 def gram(builder: FamilyBuilder, side: str, tr: Truncation) -> GramMatrix:
     """Conjugate-symmetric Gram matrix of the normalized truncated family."""
     idxs = tr.indices(side)
     keys = [(i.j, i.side, i.role) for i in idxs]
-    norms = _generator_norms(builder, keys)
+    gens, norms = _generators(builder, keys)
     norm = np.array([norms[k] for k in keys])
     scale = np.multiply.outer(norm, norm)
-    raw = _inner_products(builder, idxs, idxs)
+    raw = _inner_products(builder, idxs, idxs, gens)
     # parts divided apart, as Python's complex / float does: dividing a
     # complex array by a float array rounds differently
     normed = np.empty_like(raw)
@@ -219,12 +222,10 @@ def refinement_identity(wavelet: WaveletSpec, pair: FilterPair, j: int,
     if builder is None:
         builder = FamilyBuilder(wavelet, pair)
     grid = builder.grid
-    norms = _generator_norms(builder, [(j, "primal", "approximation"),
-                                       (j + 1, "primal", "approximation"),
-                                       (j, "primal", "wavelet")])
-    n_phi_j = norms[(j, "primal", "approximation")]
-    n_phi_j1 = norms[(j + 1, "primal", "approximation")]
-    n_psi_j = norms[(j, "primal", "wavelet")]
+    keys = [(j, "primal", "approximation"), (j + 1, "primal", "approximation"),
+            (j, "primal", "wavelet")]
+    gens, norms = _generators(builder, keys)
+    n_phi_j, n_phi_j1, n_psi_j = (norms[key] for key in keys)
 
     def u_symbol(xi):
         xi = _wrap_to_pi(xi)
@@ -236,9 +237,7 @@ def refinement_identity(wavelet: WaveletSpec, pair: FilterPair, j: int,
         return (n_phi_j1 / n_psi_j) * ratio * wavelet.v_hat(xi)
 
     # (a): pointwise residuals on the working grid
-    phi_j = builder.generator(j, "primal", "approximation")[0] / n_phi_j
-    phi_j1 = builder.generator(j + 1, "primal", "approximation")[0] / n_phi_j1
-    eta_j = builder.generator(j, "primal", "wavelet")[0] / n_psi_j
+    phi_j, phi_j1, eta_j = (gens[key] / norms[key] for key in keys)
     xi_grid = 2.0 ** (-(j + 1)) * grid.x
     on_support = np.abs(phi_j1) > support_tol * float(np.max(np.abs(phi_j1)))
     res_phi = float(np.max(np.abs(

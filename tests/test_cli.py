@@ -1,6 +1,8 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,6 +280,22 @@ def test_daubechies_verify_commands(tmp_path, capsys):
     assert abs(biorth["statistics"]["max_defect"] / 5.8187e-6 - 1.0) < 1e-3
     assert vaguelet["pass"] is True
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_readme_config_example_passes_verify_riesz(tmp_path, capsys):
+    # the README's example is a pair the theory covers: every Riesz check
+    # passes
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(block)
+    out = tmp_path / "out"
+    assert run_cli(["verify-riesz", "--config", str(cfg_path),
+                    "--out", str(out)]) == 0
+    report = json.loads((out / "riesz_report.json").read_text())
+    assert report["pass"] is True
+    assert all(c["pass"] is True for c in report["checks"])
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_console_script_entry_point(tmp_path):

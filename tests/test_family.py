@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from vaguelab.family import (FamilyBuilder, FamilyError, FamilyIndex,
-                             member_at_scale_rescaled, norm_band,
-                             time_samples)
+from vaguelab.family import (ROLES, SIDES, FamilyBuilder, FamilyError,
+                             FamilyIndex, member_at_scale_rescaled,
+                             norm_band, time_samples)
 from vaguelab.filters import (ExpGammaFilter, FilterPair, FractionalFilter,
                               OUFilter, UnitFilter, unit_pair)
 from vaguelab.grids import (inner_product, inverse_transform, l2_norm,
                             make_grid)
 from vaguelab.mra import WaveletSpec
+from vaguelab.riesz import Truncation, gram
+from vaguelab.vaguelet import VagueletParams, vaguelet_suite
 
 
 def test_index_validation():
@@ -152,3 +154,70 @@ def test_time_samples_unit_norm(unit_builder):
     assert abs(time_norm - 1.0) < 1e-9
     # real-valued generator in time: psi^ here is hermitian
     assert np.max(np.abs(series.values.imag)) < 1e-9
+
+
+def test_mother_cache_returns_fresh_bit_equal_arrays(meyer, ou_pair):
+    # results are the cached mother times a fresh filter evaluation: equal
+    # to a fresh builder's bit for bit, and never aliased to the cache
+    grid = make_grid(16.0 * np.pi, 2**10)
+    used = FamilyBuilder(meyer, ou_pair, grid)
+    for j in (0, 2, -1):
+        for side in SIDES:
+            used.level_spectrum(j, side, "wavelet").values[:] = 7.0
+            used.generator(max(j, 0), side, "approximation")[0][:] = 7.0
+    for j in (0, 1, 2):
+        for side in SIDES:
+            for role in ROLES:
+                got, log_scale = used.generator(j, side, role)
+                want, want_scale = FamilyBuilder(meyer, ou_pair,
+                                                 grid).generator(j, side, role)
+                assert got.tobytes() == want.tobytes()
+                assert log_scale == want_scale
+                got[:] = 7.0
+                fresh = FamilyBuilder(meyer, ou_pair, grid)
+                assert (used.level_spectrum(j - 1, side, role).values.tobytes()
+                        == fresh.level_spectrum(j - 1, side, role)
+                        .values.tobytes())
+
+
+def _mother_calls(monkeypatch):
+    """(name, n, x_max) of every psi_hat/phi_hat call from outside mra."""
+    calls, depth = [], [0]
+
+    def counted(name, method):
+        def wrapper(self, x):
+            if depth[0] == 0:
+                calls.append((name, len(x), -float(x[0])))
+            depth[0] += 1
+            try:
+                return method(self, x)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for name in ("psi_hat", "phi_hat"):
+        monkeypatch.setattr(WaveletSpec, name,
+                            counted(name, getattr(WaveletSpec, name)))
+    return calls
+
+
+def test_suite_evaluates_psi_hat_once_per_grid(monkeypatch, meyer, ou_pair):
+    # every level spectrum of both samplings reads one of two mothers
+    calls = _mother_calls(monkeypatch)
+    builder = FamilyBuilder(meyer, ou_pair)
+    vaguelet_suite(builder, "primal", VagueletParams(j_min=0, j_max=5))
+    n, x_max = builder.grid.n, builder.grid.x_max
+    assert calls == [("psi_hat", n, x_max), ("psi_hat", 2 * n, 2 * x_max)]
+
+
+def test_gram_evaluates_each_mother_once(monkeypatch, db4, ou_pair):
+    # both sides share psi^ on the y-grids of levels 0 and 1 and phi^ on
+    # the level-0 one
+    calls = _mother_calls(monkeypatch)
+    builder = FamilyBuilder(db4, ou_pair)
+    for side in SIDES:
+        gram(builder, side, Truncation(1, 8))
+    n, x_max = builder.grid.n, builder.grid.x_max
+    assert sorted(calls) == [("phi_hat", n, x_max),
+                             ("psi_hat", n, x_max / 2.0),
+                             ("psi_hat", n, x_max)]

@@ -105,6 +105,22 @@ def test_json_round_trip():
     assert spec.to_json() == clone.to_json()
 
 
+def test_json_round_trip_special_values():
+    # from_json reads the (re, im) rows as one array: bit-equal to the
+    # spectrum written and to a per-value complex(re, im) reference
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -1e-320,
+                        1e300])
+    values = np.empty(64, dtype=complex)
+    values.real = np.tile(special, 8)
+    values.imag = np.tile(special[::-1], 8)
+    text = SampledSpectrum(make_grid(16.0, 64), values).to_json()
+    clone = SampledSpectrum.from_json(text)
+    reference = np.array([complex(re, im)
+                          for re, im in json.loads(text)["values"]])
+    assert clone.values.tobytes() == values.tobytes()
+    assert clone.values.tobytes() == reference.tobytes()
+
+
 def test_csv_output():
     # cli._csv_text is the one CSV writer (counterexample.csv, paths.csv)
     from vaguelab.cli import _csv_text
