@@ -11,7 +11,7 @@ from .counterexample import (CounterexampleConfig, CounterexampleError,
                              ratio_exponent, run_counterexample,
                              vaguelet_violation)
 from .family import (FamilyBuilder, FamilyError, FamilyIndex, FamilyMember,
-                     member_at_scale_rescaled, norm_band, time_samples)
+                     norm_band, time_samples)
 from .filters import (ExpGammaFilter, Filter, FilterEvalError, FilterPair,
                       FractionalFilter, MSTApproxFilter, OUComplexFilter,
                       OUFilter, RationalFilter, UnitFilter,

@@ -23,7 +23,7 @@ from .counterexample import (CounterexampleConfig, default_window,
                              ratio_exponent, run_counterexample,
                              vaguelet_violation)
 from .family import SIDES, FamilyBuilder, FamilyIndex
-from .filters import FilterPair, filter_from_config
+from .filters import FilterEvalError, FilterPair, filter_from_config
 from .mra import WaveletSpec, check_cmf
 from .procsim import SynthesisPlan, dyadic_times, simulate
 from .report import CheckResult, dump_report, render_report, report_merge
@@ -61,15 +61,7 @@ def _merge_section(defaults: dict, overrides: dict, path: str) -> dict:
     unknown = sorted(set(overrides) - set(defaults))
     if unknown:
         raise ConfigError(f"{path}: unknown keys {unknown}")
-    out = copy.deepcopy(defaults)
-    for key, val in overrides.items():
-        if isinstance(out[key], dict) and path not in ("wavelet", "filters.h1",
-                                                       "filters.h2"):
-            out[key] = _merge_section(out[key], val, f"{path}.{key}"
-                                      if path else key)
-        else:
-            out[key] = copy.deepcopy(val)
-    return out
+    return copy.deepcopy({**defaults, **overrides})
 
 
 def resolve_config(document: dict) -> dict:
@@ -135,6 +127,14 @@ def _instantiate(cfg: dict) -> dict:
             raise ValueError("mst_approx poles at nonzero multiples of 2 pi "
                              "lie in the base function's Fourier support; "
                              "use it only as h1 with the Meyer wavelet")
+        # phi^(0) = 1, so no vanishing order absorbs a pole of h1 or 1/h1
+        # at x = 0: the approximation spectra could not be formed
+        for power in (1, -1):
+            try:
+                pair.h1.eval(np.array([0.0]), power=power)
+            except FilterEvalError as exc:
+                raise ValueError(f"h1: {exc}; phi^(0) = 1 cannot absorb a "
+                                 "pole of h1 or 1/h1 at x = 0") from exc
         # the refinement identity at level j needs phi^(y) h1(2^{j+1} y),
         # whose support |y| <= 4 pi / 3 reaches the pole at x = 2 pi for
         # every j >= 0
@@ -212,8 +212,8 @@ def cmd_build(cfg: dict) -> dict:
     # k-translates differ by a phase only: one spectrum and one norm per
     # generator (j, side, role), recorded for every k of the truncation
     for side in ("primal", "dual"):
-        generators = dict.fromkeys((idx.j, idx.role) for idx in
-                                   tr.indices(side, normalized=False))
+        generators = dict.fromkeys((idx.j, idx.role)
+                                   for idx in tr.indices(side))
         for j, role in generators:
             member = builder.build_member(FamilyIndex(j, 0, side, role))
             log_norm, norm = member.log_norm, member.norm
@@ -262,9 +262,8 @@ def cmd_verify_vaguelet(cfg: dict) -> dict:
 
 def cmd_verify_riesz(cfg: dict) -> dict:
     blocks = _instantiate(cfg)
-    wavelet, pair = blocks["wavelet"], blocks["filters"]
+    builder = FamilyBuilder(blocks["wavelet"], blocks["filters"])
     tr, levels = blocks["riesz"]
-    builder = FamilyBuilder(wavelet, pair)
     checks = []
     for side in ("primal", "dual"):
         g = gram(builder, side, tr)
@@ -277,9 +276,9 @@ def cmd_verify_riesz(cfg: dict) -> dict:
                         "dimension": g.dimension},
             params={"J": tr.J, "K": tr.K}))
     checks.append(biorthogonality_defect(builder, tr))
-    checks.append(bracket_sum(wavelet, pair))
+    checks.append(bracket_sum(builder))
     for j in levels:
-        c = refinement_identity(wavelet, pair, j, builder)
+        c = refinement_identity(builder, j)
         c.name = f"refinement_identity_j{j}"
         checks.append(c)
     return _write_report(cfg, checks,

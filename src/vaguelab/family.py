@@ -7,11 +7,13 @@ Spectra, with psi_jk(x)^ = 2^{-j/2} e^{-i 2^{-j} k x} psi^(2^{-j} x):
     primal approximation    h1(x)            * phi_jk^(x)
     dual approximation      conj(1 / h1(x))  * phi_jk^(x)
 
-Every spectrum here, the generators (k = 0) per (j, side, role), the
-level spectra H(2^j y) w(y) (whose inverse transforms are the level
-profiles g_j) and the rescaled members, is a mother w = psi^ or phi^ on
-a y-grid with x = 2^j y times a filter (_spectrum); a FamilyBuilder
-evaluates each w once per (role, grid). k-translates are pure phases.
+A FamilyBuilder owns one (wavelet, filter pair, grid). Every spectrum it
+gives, the generators (k = 0) per (j, side, role), the level spectra
+H(2^j y) w(y) (whose inverse transforms are the level profiles g_j) and
+the rescaled members, is a mother w = psi^ or phi^ on a y-grid with
+x = 2^j y times a filter (_spectrum); the builder evaluates each w once
+per (role, grid). k-translates are pure phases. The checks of this
+module, riesz and vaguelet take a builder, never a loose wavelet or pair.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ class FamilyIndex:
     k: int
     side: str
     role: str
-    normalized: bool = False
 
     def __post_init__(self):
         if self.j < 0:
@@ -82,19 +83,11 @@ class FamilyMember:
             return math.inf
 
 
-def _mother(wavelet: WaveletSpec, role: str, grid: FourierGrid) -> np.ndarray:
-    """The mother spectrum w on the y-grid, psi^ or phi^ by role; read only."""
-    w = wavelet.psi_hat if role == "wavelet" else wavelet.phi_hat
-    mother = np.asarray(w(grid.x), dtype=complex)
-    mother.flags.writeable = False
-    return mother
-
-
 def _spectrum(wavelet: WaveletSpec, pair: FilterPair, mother: np.ndarray,
               j: int, side: str, role: str, grid: FourierGrid, scale: float):
     """scale * w(y) * H(2^j y)^{+-1} on the y-grid: (values, log_scale).
 
-    mother is w = _mother(wavelet, role, grid); H is h2 or h1 by role,
+    mother is w = psi^ or phi^ by role on grid; H is h2 or h1 by role,
     inverted and conjugated on the dual side. The k = 0 member spectrum at
     x = 2^j y is this with scale 2^{-j/2}, the level profile's scale 1.
     Grid points scaled by 2^{+-j} are exact in floating point, so every
@@ -140,12 +133,12 @@ def _spectrum(wavelet: WaveletSpec, pair: FilterPair, mother: np.ndarray,
 
 
 class FamilyBuilder:
-    """Builds family members and level spectra over one wavelet, filter
-    pair and grid.
+    """Builds family members, level spectra and rescaled members over one
+    wavelet, filter pair and grid.
 
-    Mother spectra are cached per (role, grid), read only; generators and
-    level spectra (on any grid) are fresh arrays, the mother times a filter
-    evaluated on every call. Members are immutable.
+    Mother spectra are cached per (role, grid), read only; generators,
+    level spectra (on any grid) and rescaled members are fresh arrays, the
+    mother times a filter evaluated on every call. Members are immutable.
     """
 
     def __init__(self, wavelet: WaveletSpec, pair: FilterPair,
@@ -163,10 +156,15 @@ class FamilyBuilder:
         }
 
     def _evaluate(self, j, side, role, grid, scale):
-        if (role, grid) not in self._mothers:
-            self._mothers[role, grid] = _mother(self.wavelet, role, grid)
-        return _spectrum(self.wavelet, self.pair, self._mothers[role, grid],
-                         j, side, role, grid, scale)
+        mother = self._mothers.get((role, grid))
+        if mother is None:
+            w = (self.wavelet.psi_hat if role == "wavelet"
+                 else self.wavelet.phi_hat)
+            mother = np.asarray(w(grid.x), dtype=complex)
+            mother.flags.writeable = False
+            self._mothers[role, grid] = mother
+        return _spectrum(self.wavelet, self.pair, mother, j, side, role, grid,
+                         scale)
 
     def generator(self, j: int, side: str, role: str):
         """(values, log_scale) of the k = 0 member of (j, side, role)."""
@@ -177,12 +175,6 @@ class FamilyBuilder:
         vals, log_scale = self.generator(idx.j, idx.side, idx.role)
         if idx.k != 0:  # vals is a fresh array
             vals *= np.exp(-1j * 2.0 ** (-idx.j) * idx.k * self.grid.x)
-        if idx.normalized:
-            scaled_norm = l2_norm(SampledSpectrum(self.grid, vals))
-            if scaled_norm <= 0.0:
-                raise FamilyError(f"member {idx} has zero norm")
-            vals = vals / scaled_norm
-            log_scale = 0.0
         return FamilyMember(idx, SampledSpectrum(self.grid, vals), log_scale)
 
     def level_spectrum(self, j: int, side: str, role: str,
@@ -197,25 +189,20 @@ class FamilyBuilder:
         vals, _ = self._evaluate(j, side, role, grid, 1.0)
         return SampledSpectrum(grid, vals)
 
+    def rescaled_member(self, j: int, side: str, role: str) -> FamilyMember:
+        """k = 0 member on a grid whose x_max is the base grid's times 2^j.
 
-def member_at_scale_rescaled(wavelet: WaveletSpec, pair: FilterPair, j: int,
-                             side: str = "primal", role: str = "wavelet",
-                             base_grid: FourierGrid | None = None
-                             ) -> FamilyMember:
-    """k = 0 member on a grid whose x_max is scaled by 2^j.
-
-    Relative frequency resolution over the member's support is then
-    j-independent, so norms stay accurate at large j. The spectrum is
-    evaluated on the base grid in y = 2^{-j} x and relabelled.
-    """
-    if j > 30:
-        raise FamilyError(f"j={j} exceeds the supported range (j <= 30)")
-    idx = FamilyIndex(j, 0, side, role)
-    base = base_grid if base_grid is not None else default_grid()
-    vals, log_scale = _spectrum(wavelet, pair, _mother(wavelet, role, base),
-                                j, side, role, base, 2.0 ** (-j / 2.0))
-    grid = make_grid(base.x_max * 2.0**j, base.n)
-    return FamilyMember(idx, SampledSpectrum(grid, vals), log_scale)
+        Relative frequency resolution over the member's support is then
+        j-independent, so norms stay accurate at large j. The spectrum is
+        the base-grid mother in y = 2^{-j} x times the filter, relabelled.
+        """
+        if j > 30:
+            raise FamilyError(f"j={j} exceeds the supported range (j <= 30)")
+        idx = FamilyIndex(j, 0, side, role)
+        vals, log_scale = self._evaluate(j, side, role, self.grid,
+                                         2.0 ** (-j / 2.0))
+        grid = make_grid(self.grid.x_max * 2.0**j, self.grid.n)
+        return FamilyMember(idx, SampledSpectrum(grid, vals), log_scale)
 
 
 def time_samples(member: FamilyMember, edge_energy_tol: float = 1e-8) -> TimeSeries:
@@ -237,15 +224,14 @@ def time_samples(member: FamilyMember, edge_energy_tol: float = 1e-8) -> TimeSer
     return inverse_transform(member.spectrum)
 
 
-def norm_band(wavelet: WaveletSpec, pair: FilterPair, j_range=range(0, 9),
-              base_grid: FourierGrid | None = None) -> CheckResult:
+def norm_band(builder: FamilyBuilder, j_range=range(0, 9)) -> CheckResult:
     """2^{jd}-compensated norms of primal/dual wavelet generators across j.
 
     r_j = ||primal_j|| 2^{jd} and r'_j = ||dual_j|| 2^{-jd} should each stay
     in a fixed band when |h2| is quasi-homogeneous with exponent d.
     """
     from .filters import quasi_homogeneity_check
-    h2 = pair.h2
+    h2 = builder.pair.h2
     if h2.d is not None:
         d = h2.d
     else:
@@ -253,10 +239,8 @@ def norm_band(wavelet: WaveletSpec, pair: FilterPair, j_range=range(0, 9),
     log2 = math.log(2.0)
     log_r, log_rp = [], []
     for j in j_range:
-        primal = member_at_scale_rescaled(wavelet, pair, j, "primal", "wavelet",
-                                          base_grid=base_grid)
-        dual = member_at_scale_rescaled(wavelet, pair, j, "dual", "wavelet",
-                                        base_grid=base_grid)
+        primal = builder.rescaled_member(j, "primal", "wavelet")
+        dual = builder.rescaled_member(j, "dual", "wavelet")
         log_r.append(primal.log_norm + j * d * log2)
         log_rp.append(dual.log_norm - j * d * log2)
     def _band(vals):
@@ -276,6 +260,7 @@ def norm_band(wavelet: WaveletSpec, pair: FilterPair, j_range=range(0, 9),
             "band_primal": band_primal,
             "band_dual": band_dual,
         },
-        params={"wavelet": wavelet.config(), "filters": pair.config(),
+        params={"wavelet": builder.wavelet.config(),
+                "filters": builder.pair.config(),
                 "j_range": [min(j_range), max(j_range)]},
     )

@@ -17,6 +17,7 @@ both transforms are a plain FFT with no chirp factors.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,6 +171,22 @@ def forward_transform(series: TimeSeries, grid: FourierGrid) -> SampledSpectrum:
         raise GridError("time series does not match the grid's conjugate sampling")
     summed = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(series.values)))
     return SampledSpectrum(grid, grid.dt * summed)
+
+
+def fold_periods(grid: FourierGrid, values: np.ndarray) -> np.ndarray:
+    """values on grid as an (n / P, P) view, P = 2 pi / dx samples per period.
+
+    Row q holds the period starting at x = 2 pi (q - n / 2P), so column r
+    collects every sample at x = r dx mod 2 pi and a sum over rows is the
+    2 pi-periodization. The grid must hold whole 2 pi periods on each
+    side of x = 0.
+    """
+    period = round(TWO_PI / grid.dx)
+    if not math.isclose(period * grid.dx, TWO_PI) or \
+            (grid.n // 2) % period:
+        raise GridError("the grid must hold whole 2 pi periods on each side "
+                        "of x = 0")
+    return np.asarray(values).reshape(-1, period)
 
 
 DEFAULT_X_MAX = 64.0 * np.pi

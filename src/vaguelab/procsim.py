@@ -21,6 +21,7 @@ import numpy as np
 
 from .family import FamilyBuilder
 from .filters import FilterPair, FractionalFilter, OUFilter
+from .grids import fold_periods
 from .mra import WaveletSpec
 from .report import CheckResult
 
@@ -121,12 +122,8 @@ def _level_terms(builder: FamilyBuilder, j: int, side: str, role: str,
     g_j(tau -+ P) there.
     """
     grid = builder.grid
-    period = round(2.0 * np.pi / grid.dx)
-    if not math.isclose(period * grid.dx, 2.0 * np.pi) or \
-            (grid.n // 2) % period:
-        raise ProcsimError("the y-grid must hold whole 2 pi periods on "
-                           "each side of y = 0")
-    folded = builder.level_spectrum(j, side, role).values.reshape(-1, period)
+    folded = fold_periods(grid, builder.level_spectrum(j, side, role).values)
+    period = folded.shape[1]
     blocks = np.flatnonzero(np.any(folded != 0.0, axis=1))
     q = blocks - grid.n // (2 * period)
     s = 2.0**j * times

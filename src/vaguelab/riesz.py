@@ -1,9 +1,12 @@
-"""Finite-section Riesz analysis: Gram bounds, biorthogonality, bracket
-sums and the two-scale refinement identity.
+"""Finite-section Riesz analysis: Gram bounds, biorthogonality, the
+bracket sum and the two-scale refinement identity.
 
 Finite sections cannot certify an infinite Riesz basis; the contract here
 is bounded and stable sections plus exact biorthogonality plus the
-refinement identity, which is the numerically checkable content.
+refinement identity, which is the numerically checkable content. Every
+check reads its spectra from a FamilyBuilder. The bracket sum is the
+Gramian fiber of the single level-0 approximation generator: its samples
+on the build grid folded onto one 2 pi period (grids.fold_periods).
 """
 
 from __future__ import annotations
@@ -15,14 +18,17 @@ import numpy as np
 import scipy.linalg
 
 from .family import FamilyBuilder, FamilyError, FamilyIndex
-from .filters import FilterPair
-from .grids import SampledSpectrum, inverse_transform, l2_norm
-from .mra import WaveletSpec, _wrap_to_pi
+from .grids import SampledSpectrum, fold_periods, inverse_transform, l2_norm
+from .mra import _wrap_to_pi
 from .report import CheckResult
+
+RESIDUAL_TOL = 1e-8  # eigenpair residual accepted by riesz_bounds
+N_SYMBOL = 1024  # xi samples of the refinement determinant on [-pi, pi)
+SUPPORT_TOL = 1e-8  # relative |Phi_{j+1}| below which residuals are skipped
 
 
 class RieszError(ValueError):
-    """Invalid truncation or non-convergent computation."""
+    """Invalid truncation, or a section or bound that cannot be formed."""
 
 
 @dataclass(frozen=True)
@@ -38,14 +44,13 @@ class Truncation:
         if self.J < 0 or self.K < 1:
             raise RieszError(f"need J >= 0 and K >= 1, got J={self.J}, K={self.K}")
 
-    def indices(self, side: str, normalized: bool = True):
+    def indices(self, side: str):
         out = []
         ks = range(-self.K, self.K + 1)
         if self.include_approximation:
-            out.extend(FamilyIndex(0, k, side, "approximation", normalized)
-                       for k in ks)
+            out.extend(FamilyIndex(0, k, side, "approximation") for k in ks)
         for j in range(self.J + 1):
-            out.extend(FamilyIndex(j, k, side, "wavelet", normalized) for k in ks)
+            out.extend(FamilyIndex(j, k, side, "wavelet") for k in ks)
         return out
 
 
@@ -134,14 +139,14 @@ def gram(builder: FamilyBuilder, side: str, tr: Truncation) -> GramMatrix:
     return GramMatrix(np.where(upper, normed, normed.conj().T), tuple(idxs))
 
 
-def riesz_bounds(g: GramMatrix, residual_tol: float = 1e-8):
+def riesz_bounds(g: GramMatrix):
     """(C1, C2) = sqrt of extreme Gram eigenvalues, with residual check."""
     m = 0.5 * (g.matrix + g.matrix.conj().T)
     vals, vecs = scipy.linalg.eigh(m)
     for pick in (0, -1):
         v = vecs[:, pick]
         res = float(np.linalg.norm(m @ v - vals[pick] * v))
-        if res > residual_tol:
+        if res > RESIDUAL_TOL:
             raise RieszError(f"eigenpair residual {res:.2e} exceeds tolerance")
     lo, hi = float(vals[0]), float(vals[-1])
     return math.sqrt(max(lo, 0.0)), math.sqrt(max(hi, 0.0))
@@ -153,8 +158,8 @@ def biorthogonality_defect(builder: FamilyBuilder, tr: Truncation) -> CheckResul
     Computed on the un-normalized families, where the filters cancel
     exactly and the cross Gram reduces to the orthonormal one.
     """
-    duals = tr.indices("dual", normalized=False)
-    primals = tr.indices("primal", normalized=False)
+    duals = tr.indices("dual")
+    primals = tr.indices("primal")
     defect = np.abs(_inner_products(builder, duals, primals)
                     - np.eye(len(duals)))
     cross = np.not_equal.outer([i.role for i in duals],
@@ -171,46 +176,31 @@ def biorthogonality_defect(builder: FamilyBuilder, tr: Truncation) -> CheckResul
     )
 
 
-def bracket_sum(wavelet: WaveletSpec, pair: FilterPair, n_samples: int = 1024,
-                tail_tol: float = 1e-10, k_cap: int = 4096) -> CheckResult:
-    """min/max over [-pi, pi) of sum_k |h1 phi^ (x + 2 pi k)|^2.
+def bracket_sum(builder: FamilyBuilder) -> CheckResult:
+    """min/max over one 2 pi period of sum_k |h1 phi^ (x + 2 pi k)|^2.
 
-    The shift sum is truncated adaptively once an added ring of terms
-    contributes less than tail_tol.
+    The level-0 primal approximation generator is h1 phi^ on the build
+    grid, so the sum is its squared modulus folded onto one period: the
+    2 k_max = x_max / pi periods the grid holds, at n_samples = 2 pi / dx
+    points each.
     """
-    x = -np.pi + 2.0 * np.pi * np.arange(n_samples) / n_samples
-    total = np.abs(pair.h1.eval(x) * np.asarray(wavelet.phi_hat(x))) ** 2
-    k = 1
-    while True:
-        ring = np.zeros_like(total)
-        for sgn in (1, -1):
-            xs = x + 2.0 * np.pi * sgn * k
-            base = np.asarray(wavelet.phi_hat(xs), dtype=complex)
-            vals = np.zeros_like(base)
-            mask = base != 0.0
-            if np.any(mask):
-                vals[mask] = pair.h1.eval(xs[mask]) * base[mask]
-            ring += np.abs(vals) ** 2
-        total += ring
-        if float(np.max(ring)) < tail_tol:
-            break
-        k += 1
-        if k > k_cap:
-            raise RieszError("bracket sum tail did not converge")
+    key = (0, "primal", "approximation")
+    gens, _ = _generators(builder, [key])
+    folded = fold_periods(builder.grid, np.abs(gens[key]) ** 2)
+    total = np.sum(folded, axis=0)
     lower, upper = float(np.min(total)), float(np.max(total))
+    n_periods, n_samples = folded.shape
     return CheckResult(
         name="bracket_sum",
         passed=lower > 1e-6 and upper < 1e6,
-        statistics={"lower": lower, "upper": upper, "k_max": k,
+        statistics={"lower": lower, "upper": upper, "k_max": n_periods // 2,
                     "n_samples": n_samples},
-        params={"wavelet": wavelet.config(), "h1": pair.h1.config()},
+        params={"wavelet": builder.wavelet.config(),
+                "h1": builder.pair.h1.config()},
     )
 
 
-def refinement_identity(wavelet: WaveletSpec, pair: FilterPair, j: int,
-                        builder: FamilyBuilder | None = None,
-                        n_symbol: int = 1024,
-                        support_tol: float = 1e-8) -> CheckResult:
+def refinement_identity(builder: FamilyBuilder, j: int) -> CheckResult:
     """Two-scale identity for the normalized transformed families.
 
     (a) Phi_j^ = U_j Phi_{j+1}^ and eta_j^ = V_j Phi_{j+1}^ pointwise,
@@ -219,9 +209,7 @@ def refinement_identity(wavelet: WaveletSpec, pair: FilterPair, j: int,
         (|Phi#_{j+1}|^2 / (|Phi#_j| |Psi#_j|)) (h2/h1)(2^{j+1} xi) (-2 e^{-i xi});
     (c) min |det M| over xi in [-pi, pi).
     """
-    if builder is None:
-        builder = FamilyBuilder(wavelet, pair)
-    grid = builder.grid
+    wavelet, pair, grid = builder.wavelet, builder.pair, builder.grid
     keys = [(j, "primal", "approximation"), (j + 1, "primal", "approximation"),
             (j, "primal", "wavelet")]
     gens, norms = _generators(builder, keys)
@@ -239,7 +227,7 @@ def refinement_identity(wavelet: WaveletSpec, pair: FilterPair, j: int,
     # (a): pointwise residuals on the working grid
     phi_j, phi_j1, eta_j = (gens[key] / norms[key] for key in keys)
     xi_grid = 2.0 ** (-(j + 1)) * grid.x
-    on_support = np.abs(phi_j1) > support_tol * float(np.max(np.abs(phi_j1)))
+    on_support = np.abs(phi_j1) > SUPPORT_TOL * float(np.max(np.abs(phi_j1)))
     res_phi = float(np.max(np.abs(
         phi_j[on_support] - u_symbol(xi_grid[on_support]) * phi_j1[on_support])))
     res_eta = float(np.max(np.abs(
@@ -247,7 +235,8 @@ def refinement_identity(wavelet: WaveletSpec, pair: FilterPair, j: int,
     excluded = int(np.sum(~on_support))
 
     # (b), (c): determinant of the 2x2 refinement matrix on [-pi, pi)
-    xi = -np.pi + 2.0 * np.pi * np.arange(n_symbol) / n_symbol + 1.0 / 3.0 / n_symbol
+    xi = (-np.pi + 2.0 * np.pi * np.arange(N_SYMBOL) / N_SYMBOL
+          + 1.0 / 3.0 / N_SYMBOL)
     det = (u_symbol(xi) * v_symbol(xi + np.pi)
            - u_symbol(xi + np.pi) * v_symbol(xi))
     scale = n_phi_j1**2 / (n_phi_j * n_psi_j)

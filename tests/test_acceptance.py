@@ -70,9 +70,9 @@ def test_acceptance_unit_filter_orthonormality(unit_builder):
              "(gram = identity to 1e-8, bounds = 1 to 1e-4)", ok)
 
 
-def test_acceptance_norm_bands(meyer, ou_pair, frac_pair):
-    a = norm_band(meyer, ou_pair, j_range=range(0, 9))
-    b = norm_band(meyer, frac_pair, j_range=range(0, 9))
+def test_acceptance_norm_bands(ou_builder, frac_builder):
+    a = norm_band(ou_builder, j_range=range(0, 9))
+    b = norm_band(frac_builder, j_range=range(0, 9))
     bands = [a.statistics["band_primal"], a.statistics["band_dual"],
              b.statistics["band_primal"], b.statistics["band_dual"]]
     ok = a.passed and b.passed and max(bands) < 3.0
@@ -129,12 +129,12 @@ def test_acceptance_biorthogonality(meyer, ou_builder, mst_pair):
              "non-periodic quotient pair detected", ok)
 
 
-def test_acceptance_riesz_stability(meyer, ou_builder, ou_pair):
+def test_acceptance_riesz_stability(ou_builder):
     c1a, c2a = riesz_bounds(gram(ou_builder, "primal", Truncation(4, 16)))
     c1b, c2b = riesz_bounds(gram(ou_builder, "primal", Truncation(4, 32)))
     ok = c1a > 0.1 and c1b >= 0.9 * c1a and c2b <= 1.1 * c2a
     for j in range(0, 4):
-        r = refinement_identity(meyer, ou_pair, j)
+        r = refinement_identity(ou_builder, j)
         ok = (ok and r.passed
               and r.statistics["residual_phi"] < 1e-9
               and r.statistics["residual_eta"] < 1e-9)
@@ -142,9 +142,9 @@ def test_acceptance_riesz_stability(meyer, ou_builder, ou_pair):
              "two-scale refinement residuals < 1e-9 (ou, levels 0..3)", ok)
 
 
-def test_acceptance_bracket_sums(meyer, ou_pair):
-    u = bracket_sum(meyer, unit_pair())
-    o = bracket_sum(meyer, ou_pair)
+def test_acceptance_bracket_sums(unit_builder, ou_builder):
+    u = bracket_sum(unit_builder)
+    o = bracket_sum(ou_builder)
     ok = (u.passed and abs(u.statistics["lower"] - 1.0) < 1e-10
           and abs(u.statistics["upper"] - 1.0) < 1e-10
           and o.passed and 1e-3 < o.statistics["lower"]

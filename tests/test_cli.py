@@ -110,10 +110,12 @@ def test_mst_approx_on_support_exits_2_no_outputs(tmp_path, capsys, document):
     {"counterexample": {"alpha1": 2.0}},
     {"simulate": {"J_detail": -1}},
     {"simulate": {"resolution": -2000}},
+    {"filters": {"h1": {"kind": "fractional", "d": 0.7}}},
+    {"filters": {"h1": {"kind": "fractional", "d": -0.7}}},
 ], ids=["vaguelet.alpha1", "vaguelet.sides", "vaguelet.synthesis_K",
         "riesz.J", "riesz.refinement_levels", "build.K",
         "counterexample.gamma", "counterexample.alpha1", "simulate.J_detail",
-        "simulate.resolution"])
+        "simulate.resolution", "h1.fractional+", "h1.fractional-"])
 def test_all_refuses_any_bad_block_before_writing(tmp_path, capsys, document):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(document))

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from vaguelab.family import (ROLES, SIDES, FamilyBuilder, FamilyError,
-                             FamilyIndex, member_at_scale_rescaled,
-                             norm_band, time_samples)
+                             FamilyIndex, norm_band, time_samples)
 from vaguelab.filters import (ExpGammaFilter, FilterPair, FractionalFilter,
                               OUFilter, UnitFilter, unit_pair)
 from vaguelab.grids import (inner_product, inverse_transform, l2_norm,
@@ -113,20 +112,20 @@ def test_level_profile_pad_refines(ou_builder):
                          - coarse.values)) < 1e-9
 
 
-def test_member_at_scale_rescaled_matches_base_grid(meyer, ou_pair, ou_builder):
+def test_member_at_scale_rescaled_matches_base_grid(ou_builder):
     for j in (0, 3):
         direct = ou_builder.build_member(FamilyIndex(j, 0, "primal", "wavelet"))
-        rescaled = member_at_scale_rescaled(meyer, ou_pair, j)
+        rescaled = ou_builder.rescaled_member(j, "primal", "wavelet")
         assert abs(direct.norm - rescaled.norm) / direct.norm < 1e-9
 
 
-def test_member_at_scale_negative_j(meyer, ou_pair):
+def test_member_at_scale_negative_j(ou_builder):
     with pytest.raises(FamilyError):
-        member_at_scale_rescaled(meyer, ou_pair, -2)
+        ou_builder.rescaled_member(-2, "primal", "wavelet")
 
 
-def test_norm_band_ou(meyer, ou_pair):
-    result = norm_band(meyer, ou_pair)
+def test_norm_band_ou(ou_builder):
+    result = norm_band(ou_builder)
     assert result.passed
     assert result.statistics["band_primal"] < 3.0
     assert result.statistics["band_dual"] < 3.0
@@ -134,15 +133,16 @@ def test_norm_band_ou(meyer, ou_pair):
 
 def test_norm_band_exp_gamma_fails(meyer):
     pair = FilterPair(ExpGammaFilter(1.0), ExpGammaFilter(1.0))
-    result = norm_band(meyer, pair, j_range=range(0, 7))
+    result = norm_band(FamilyBuilder(meyer, pair), j_range=range(0, 7))
     assert result.passed is False
 
 
 def test_norm_scaling_fractional_high_level(meyer):
     # extrapolation: log-norm grows linearly with slope d log 2 in j
     pair = FilterPair(FractionalFilter(0.7), FractionalFilter(0.7))
-    lo = member_at_scale_rescaled(meyer, pair, 8).log_norm
-    hi = member_at_scale_rescaled(meyer, pair, 20).log_norm
+    builder = FamilyBuilder(meyer, pair)
+    lo = builder.rescaled_member(8, "primal", "wavelet").log_norm
+    hi = builder.rescaled_member(20, "primal", "wavelet").log_norm
     slope = (hi - lo) / (12.0 * math.log(2.0))
     assert abs(slope - 0.7) < 1e-3
 
@@ -208,6 +208,15 @@ def test_suite_evaluates_psi_hat_once_per_grid(monkeypatch, meyer, ou_pair):
     vaguelet_suite(builder, "primal", VagueletParams(j_min=0, j_max=5))
     n, x_max = builder.grid.n, builder.grid.x_max
     assert calls == [("psi_hat", n, x_max), ("psi_hat", 2 * n, 2 * x_max)]
+
+
+def test_norm_band_evaluates_psi_hat_once(monkeypatch, meyer, ou_pair):
+    # every rescaled member, both sides and all levels, reads the cached
+    # base-grid mother
+    calls = _mother_calls(monkeypatch)
+    builder = FamilyBuilder(meyer, ou_pair)
+    norm_band(builder, range(9))
+    assert calls == [("psi_hat", builder.grid.n, builder.grid.x_max)]
 
 
 def test_gram_evaluates_each_mother_once(monkeypatch, db4, ou_pair):

@@ -6,9 +6,10 @@ import pytest
 from vaguelab.family import FamilyBuilder
 from vaguelab.filters import (FilterPair, FractionalFilter, MSTApproxFilter,
                               OUFilter, UnitFilter, unit_pair)
-from vaguelab.grids import (SampledSpectrum, inner_product,
+from vaguelab.grids import (GridError, SampledSpectrum, inner_product,
                             inverse_transform, l2_norm, make_grid)
 from vaguelab.mra import WaveletSpec
+from vaguelab.procsim import _level_terms
 from vaguelab.riesz import (RieszError, Truncation, _inner_products,
                             biorthogonality_defect, bracket_sum, gram,
                             refinement_identity, riesz_bounds)
@@ -40,9 +41,13 @@ def test_gram_normalized_diagonal(ou_builder):
 
 
 def test_gram_matches_member_inner_products(ou_builder):
-    # oracle: one quadrature per pair of built, normalized member spectra
+    # oracle: one quadrature per pair of built member spectra, each
+    # divided by its norm
     g = gram(ou_builder, "dual", Truncation(2, 3))
-    spectra = [ou_builder.build_member(i).spectrum for i in g.index_map]
+    spectra = []
+    for i in g.index_map:
+        s = ou_builder.build_member(i).spectrum
+        spectra.append(SampledSpectrum(s.grid, s.values / l2_norm(s)))
     oracle = np.array([[inner_product(a, b) for b in spectra]
                        for a in spectra])
     assert np.max(np.abs(g.matrix - oracle)) < 1e-12
@@ -54,8 +59,8 @@ def test_biorthogonality_matches_member_inner_products(ou_builder, meyer):
     truncating = FamilyBuilder(meyer, unit_pair(),
                                make_grid(4.0 * np.pi, 2**10))
     tr = Truncation(1, 3)
-    duals = tr.indices("dual", normalized=False)
-    primals = tr.indices("primal", normalized=False)
+    duals = tr.indices("dual")
+    primals = tr.indices("primal")
     cross_role = np.not_equal.outer([i.role for i in duals],
                                     [i.role for i in primals])
     for builder in (ou_builder, truncating):
@@ -159,26 +164,77 @@ def test_biorthogonality_violating_pair(meyer):
     assert result.statistics["max_cross_block_defect"] > 0.1
 
 
-def test_bracket_sum_unit(meyer):
-    result = bracket_sum(meyer, unit_pair())
+def test_bracket_sum_unit(unit_builder):
+    result = bracket_sum(unit_builder)
     assert result.passed
     assert abs(result.statistics["lower"] - 1.0) < 1e-10
     assert abs(result.statistics["upper"] - 1.0) < 1e-10
 
 
-def test_bracket_sum_ou(meyer, ou_pair):
-    result = bracket_sum(meyer, ou_pair)
+def test_bracket_sum_ou(ou_builder):
+    result = bracket_sum(ou_builder)
     assert result.passed
     assert 1e-3 < result.statistics["lower"] <= result.statistics["upper"] < 1e3
 
 
 def test_bracket_sum_daubechies(db4, ou_pair):
-    result = bracket_sum(db4, ou_pair)
+    result = bracket_sum(FamilyBuilder(db4, ou_pair))
     assert result.passed
 
 
-def test_refinement_identity_unit(meyer):
-    result = refinement_identity(meyer, unit_pair(), j=0)
+def _ring_bracket_sum(wavelet, pair, n_samples=1024, tail_tol=1e-10,
+                      k_cap=4096):
+    """Reference: sum_k |h1 phi^ (x + 2 pi k)|^2 on n_samples points of
+    [-pi, pi), adding rings k = +-1, +-2, ... until a ring adds less than
+    tail_tol."""
+    x = -np.pi + 2.0 * np.pi * np.arange(n_samples) / n_samples
+    total = np.abs(pair.h1.eval(x) * np.asarray(wavelet.phi_hat(x))) ** 2
+    for k in range(1, k_cap + 1):
+        ring = np.zeros_like(total)
+        for sgn in (1, -1):
+            xs = x + 2.0 * np.pi * sgn * k
+            base = np.asarray(wavelet.phi_hat(xs), dtype=complex)
+            vals = np.zeros_like(base)
+            mask = base != 0.0
+            vals[mask] = pair.h1.eval(xs[mask]) * base[mask]
+            ring += np.abs(vals) ** 2
+        total += ring
+        if float(np.max(ring)) < tail_tol:
+            return total
+    raise AssertionError("reference bracket sum did not converge")
+
+
+@pytest.mark.parametrize("wavelet, h1, rtol", [
+    ("meyer", UnitFilter(), 1e-12), ("meyer", OUFilter(), 1e-12),
+    ("db4", OUFilter(), 1e-7)], ids=["meyer-unit", "meyer-ou", "db4-ou"])
+def test_bracket_sum_matches_ring_sum(request, wavelet, h1, rtol):
+    # the fold stops at the grid's 64 pi; the rings stop at a tail of
+    # 1e-10, which for db4 comes before 64 pi
+    wavelet = request.getfixturevalue(wavelet)
+    pair = FilterPair(h1, h1)
+    ref = _ring_bracket_sum(wavelet, pair)
+    stats = bracket_sum(FamilyBuilder(wavelet, pair)).statistics
+    for got, want in ((stats["lower"], np.min(ref)),
+                      (stats["upper"], np.max(ref))):
+        assert abs(got - want) <= rtol * want
+    assert stats["n_samples"] == 1024 and stats["k_max"] == 32
+
+
+@pytest.mark.parametrize("grid", [make_grid(48.0 * np.pi, 2**12),
+                                  make_grid(np.pi, 16)],
+                         ids=["fractional-period", "half-periods"])
+def test_period_fold_refuses_grids_without_whole_periods(meyer, grid):
+    # 48 pi / 2^11: 2 pi is 256/3 samples; pi: one period, centred on 0
+    builder = FamilyBuilder(meyer, unit_pair(), grid)
+    with pytest.raises(GridError):
+        bracket_sum(builder)
+    with pytest.raises(GridError):
+        _level_terms(builder, 0, "primal", "wavelet", np.arange(-2, 3),
+                     np.array([0.0, 0.5]))
+
+
+def test_refinement_identity_unit(unit_builder):
+    result = refinement_identity(unit_builder, j=0)
     assert result.passed
     assert result.statistics["residual_phi"] < 1e-9
     assert result.statistics["residual_eta"] < 1e-9
@@ -188,8 +244,8 @@ def test_refinement_identity_unit(meyer):
 
 
 @pytest.mark.parametrize("j", [0, 2])
-def test_refinement_identity_ou(meyer, ou_pair, j):
-    assert refinement_identity(meyer, ou_pair, j=j).passed
+def test_refinement_identity_ou(ou_builder, j):
+    assert refinement_identity(ou_builder, j=j).passed
 
 
 def test_refinement_identity_mst_pole_obstruction(meyer, mst_pair):
@@ -197,12 +253,12 @@ def test_refinement_identity_mst_pole_obstruction(meyer, mst_pair):
     # level-1 approximation support: the identity cannot be formed
     from vaguelab.filters import FilterEvalError
     with pytest.raises(FilterEvalError):
-        refinement_identity(meyer, mst_pair, j=0)
+        refinement_identity(FamilyBuilder(meyer, mst_pair), j=0)
 
 
 def test_refinement_identity_violating_pair(meyer):
     bad = FilterPair(OUFilter(), FractionalFilter(1.0))
-    result = refinement_identity(meyer, bad, j=0)
+    result = refinement_identity(FamilyBuilder(meyer, bad), j=0)
     assert result.passed is False
     assert result.statistics["residual_eta"] > 1e-3
 

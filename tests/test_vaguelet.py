@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vaguelab import family
-from vaguelab.family import FamilyBuilder, member_at_scale_rescaled
+from vaguelab.family import FamilyBuilder
 from vaguelab.filters import (ExpGammaFilter, FilterPair, FractionalFilter,
                               unit_pair)
 from vaguelab.grids import inverse_transform, make_grid
@@ -128,9 +127,7 @@ def _reference_statistics(builder, side, params):
                        / norm)
     worst = 0.0
     for j in params.j_range:
-        member = member_at_scale_rescaled(builder.wavelet, builder.pair, j,
-                                          side, "wavelet",
-                                          base_grid=builder.grid)
+        member = builder.rescaled_member(j, side, "wavelet")
         vals = member.spectrum.values
         zero_idx = int(np.argmin(np.abs(member.spectrum.grid.x)))
         worst = max(worst, abs(vals[zero_idx]) / float(np.max(np.abs(vals))))
@@ -170,7 +167,7 @@ def test_suite_evaluates_each_level_spectrum_twice(monkeypatch, meyer,
                                                    ou_pair):
     # one base-grid and one wide-grid spectrum per level, and no
     # rescaled member: the mean ratio comes from the base-grid spectrum
-    calls = {"level_spectrum": 0, "member_at_scale_rescaled": 0}
+    calls = {"level_spectrum": 0, "rescaled_member": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -181,10 +178,10 @@ def test_suite_evaluates_each_level_spectrum_twice(monkeypatch, meyer,
     monkeypatch.setattr(FamilyBuilder, "level_spectrum",
                         counted("level_spectrum",
                                 FamilyBuilder.level_spectrum))
-    monkeypatch.setattr(family, "member_at_scale_rescaled",
-                        counted("member_at_scale_rescaled",
-                                family.member_at_scale_rescaled))
+    monkeypatch.setattr(FamilyBuilder, "rescaled_member",
+                        counted("rescaled_member",
+                                FamilyBuilder.rescaled_member))
     builder = FamilyBuilder(meyer, ou_pair, make_grid(16.0 * np.pi, 2**10))
     vaguelet_suite(builder, "primal", FAST)
     assert calls == {"level_spectrum": 2 * len(FAST.j_range),
-                     "member_at_scale_rescaled": 0}
+                     "rescaled_member": 0}
