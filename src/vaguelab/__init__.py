@@ -11,14 +11,14 @@ from .counterexample import (CounterexampleConfig, CounterexampleError,
                              ratio_exponent, run_counterexample,
                              vaguelet_violation)
 from .family import (FamilyBuilder, FamilyError, FamilyIndex, FamilyMember,
-                     norm_band, time_samples)
+                     norm_band)
 from .filters import (ExpGammaFilter, Filter, FilterEvalError, FilterPair,
                       FractionalFilter, MSTApproxFilter, OUComplexFilter,
                       OUFilter, RationalFilter, UnitFilter,
                       filter_from_config, unit_pair)
 from .grids import (FourierGrid, GridError, SampledSpectrum, TimeSeries,
-                    default_grid, forward_transform, inner_product,
-                    inverse_transform, l2_norm, make_grid)
+                    default_grid, inner_product, inverse_transform, l2_norm,
+                    make_grid)
 from .mra import (MEYER_SUPPORT_RADIUS, WaveletSpec, check_cmf,
                   vanishing_moment_order)
 from .procsim import (PathEnsemble, ProcsimError, SynthesisPlan,

@@ -22,8 +22,9 @@ import numpy as np
 from .counterexample import (CounterexampleConfig, default_window,
                              ratio_exponent, run_counterexample,
                              vaguelet_violation)
-from .family import SIDES, FamilyBuilder, FamilyIndex
+from .family import SIDES, FamilyBuilder, FamilyIndex, FamilyMember
 from .filters import FilterEvalError, FilterPair, filter_from_config
+from .grids import SampledSpectrum
 from .mra import WaveletSpec, check_cmf
 from .procsim import SynthesisPlan, dyadic_times, simulate
 from .report import CheckResult, dump_report, render_report, report_merge
@@ -211,16 +212,16 @@ def cmd_build(cfg: dict) -> dict:
     indices, spectra = [], {}
     # k-translates differ by a phase only: one spectrum and one norm per
     # generator (j, side, role), recorded for every k of the truncation
-    for side in ("primal", "dual"):
-        generators = dict.fromkeys((idx.j, idx.role)
-                                   for idx in tr.indices(side))
-        for j, role in generators:
-            member = builder.build_member(FamilyIndex(j, 0, side, role))
-            log_norm, norm = member.log_norm, member.norm
-            indices.extend({"j": j, "k": k, "side": side, "role": role,
-                            "log_norm": log_norm, "norm": norm}
-                           for k in range(-tr.K, tr.K + 1))
-            spectra[f"member_{side}_{role}_j{j}"] = member.spectrum
+    keys = [(idx.j, side, idx.role)
+            for side in SIDES for idx in tr.indices(side)]
+    for (j, side, role), (vals, log_scale) in builder.generators(keys).items():
+        member = FamilyMember(FamilyIndex(j, 0, side, role),
+                              SampledSpectrum(grid, vals), log_scale)
+        log_norm, norm = member.log_norm, member.norm
+        indices.extend({"j": j, "k": k, "side": side, "role": role,
+                        "log_norm": log_norm, "norm": norm}
+                       for k in range(-tr.K, tr.K + 1))
+        spectra[f"member_{side}_{role}_j{j}"] = member.spectrum
     out_dir = Path(cfg["output_dir"])
     manifest = {
         "wavelet": wavelet.config(), "filters": pair.config(),

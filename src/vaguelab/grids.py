@@ -11,7 +11,7 @@ t_l = t0 + l dt with dt = pi / x_max, t0 = -n dt / 2 and n a power of two
 >= 16, so x_max dt = pi, t0 dx = -pi, dx dt = 2 pi / n and n is a
 multiple of 4. Then e^{i t_l x_m} = (-1)^{l+m} e^{2 pi i l m / n}, and
 the sign flips are exactly the half-length rotations fftshift/ifftshift:
-both transforms are a plain FFT with no chirp factors.
+the inverse transform is a plain FFT with no chirp factors.
 """
 
 from __future__ import annotations
@@ -163,14 +163,6 @@ def inverse_transform(f: SampledSpectrum) -> TimeSeries:
     summed = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(f.values)))
     # n dx / (2 pi) = 1 / dt turns ifft's 1/n into the quadrature weight
     return TimeSeries(grid.t0, grid.dt, summed / grid.dt)
-
-
-def forward_transform(series: TimeSeries, grid: FourierGrid) -> SampledSpectrum:
-    """Inverse of :func:`inverse_transform` on matching grids."""
-    if len(series.values) != grid.n or not np.isclose(series.dt, grid.dt):
-        raise GridError("time series does not match the grid's conjugate sampling")
-    summed = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(series.values)))
-    return SampledSpectrum(grid, grid.dt * summed)
 
 
 def fold_periods(grid: FourierGrid, values: np.ndarray) -> np.ndarray:

@@ -107,16 +107,33 @@ def daubechies_u_hat(n_moments: int, x):
     return _trig_poly(daubechies_coefficients(n_moments), x)
 
 
-def daubechies_phi_hat(n_moments: int, x, depth: int = 40):
-    """Truncated infinite product prod_{j=1..depth} u_hat(x / 2^j) / sqrt(2)."""
+def daubechies_phi_hat_levels(n_moments: int, x, levels, depth: int = 40):
+    """[phi_hat(x / 2^l) for l in levels], each the truncated product
+    prod_{k=1..depth} u_hat(x / 2^{l+k}) / sqrt(2).
+
+    x / 2^{l+k} is exact in floating point, so the factor of exponent
+    m = l + k is the same for every level whose product contains it: it is
+    evaluated once and multiplied into each of them. Every product still
+    starts from ones and takes its factors in ascending k, so each value is
+    bit-identical to a product evaluated on its own.
+    """
     if depth < 20:
         raise ValueError(f"product depth must be >= 20, got {depth}")
     x = np.asarray(x, dtype=float)
+    levels = list(levels)
     h = daubechies_coefficients(n_moments) / SQRT2
-    out = np.ones(x.shape, dtype=complex)
-    for j in range(1, depth + 1):
-        out *= _trig_poly(h, x / 2.0**j)
+    out = [np.ones(x.shape, dtype=complex) for _ in levels]
+    for m in range(min(levels) + 1, max(levels) + depth + 1):
+        factor = _trig_poly(h, x / 2.0**m)
+        for level, product in zip(levels, out):
+            if level < m <= level + depth:
+                product *= factor
     return out
+
+
+def daubechies_phi_hat(n_moments: int, x, depth: int = 40):
+    """Truncated infinite product prod_{j=1..depth} u_hat(x / 2^j) / sqrt(2)."""
+    return daubechies_phi_hat_levels(n_moments, x, (0,), depth)[0]
 
 
 @dataclass(frozen=True)
@@ -165,14 +182,26 @@ class WaveletSpec:
         x = np.asarray(x, dtype=float)
         return np.exp(-1j * x) * np.conj(self.u_hat(x + np.pi))
 
-    def phi_hat(self, x):
+    def phi_hat_levels(self, x, levels):
+        """[phi_hat(x / 2^l) for l in levels]; Daubechies levels share the
+        factors of one product pass (daubechies_phi_hat_levels)."""
         if self.kind == "meyer":
-            return np.asarray(meyer_phi_hat(x), dtype=complex)
-        return daubechies_phi_hat(self.n_moments, x, self.depth)
+            x = np.asarray(x, dtype=float)
+            return [np.asarray(meyer_phi_hat(x / 2.0**level), dtype=complex)
+                    for level in levels]
+        return daubechies_phi_hat_levels(self.n_moments, x, levels,
+                                         self.depth)
 
-    def psi_hat(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.v_hat(x / 2.0) * self.phi_hat(x / 2.0) / SQRT2
+    def phi_hat(self, x):
+        return self.phi_hat_levels(x, (0,))[0]
+
+    def psi_hat(self, x, phi_half=None):
+        """v_hat(x/2) phi_hat(x/2) / sqrt(2); phi_half, when given, is
+        phi_hat(x / 2) already evaluated."""
+        half = np.asarray(x, dtype=float) / 2.0
+        if phi_half is None:
+            phi_half = self.phi_hat(half)
+        return self.v_hat(half) * phi_half / SQRT2
 
     def config(self) -> dict:
         if self.kind == "meyer":

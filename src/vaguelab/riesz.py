@@ -77,6 +77,7 @@ def _inner_products(builder: FamilyBuilder, left, right,
     which lands exactly on the conjugate time grid for dyadic shifts: one
     transform per generator pair (j, side, role), one indexed read per block.
     When left is right, blocks wholly below the diagonal are left zero.
+    Generators come from _generators, so scaled spectra raise RieszError.
     """
     def by_generator(idxs):
         groups = {}
@@ -90,7 +91,7 @@ def _inner_products(builder: FamilyBuilder, left, right,
     out = np.zeros((len(left), len(right)), dtype=complex)
     rows, cols = by_generator(left), by_generator(right)
     if gens is None:  # each generator evaluated once
-        gens = {key: builder.generator(*key)[0] for key in {**rows, **cols}}
+        gens, _ = _generators(builder, {**rows, **cols})
     for a, (rows_a, shifts_a) in rows.items():
         ga = gens[a]
         for b, (rows_b, shifts_b) in cols.items():
@@ -110,15 +111,16 @@ def _inner_products(builder: FamilyBuilder, left, right,
 
 
 def _generators(builder: FamilyBuilder, keys):
+    """Generator values and l2 norms by (j, side, role) key, from one batch;
+    scaled spectra (log_scale != 0) are refused."""
     gens, norms = {}, {}
-    for key in dict.fromkeys(keys):
-        gens[key], log_scale = builder.generator(*key)
+    for key, (values, log_scale) in builder.generators(keys).items():
         if log_scale != 0.0:
             raise RieszError("scaled spectra are not supported in Gram sections")
-        n = l2_norm(SampledSpectrum(builder.grid, gens[key]))
+        n = l2_norm(SampledSpectrum(builder.grid, values))
         if n <= 0.0:
             raise FamilyError(f"zero-norm generator {key}")
-        norms[key] = n
+        gens[key], norms[key] = values, n
     return gens, norms
 
 

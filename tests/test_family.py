@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from vaguelab import mra
 from vaguelab.family import (ROLES, SIDES, FamilyBuilder, FamilyError,
-                             FamilyIndex, norm_band, time_samples)
+                             FamilyIndex, norm_band)
 from vaguelab.filters import (ExpGammaFilter, FilterPair, FractionalFilter,
                               OUFilter, UnitFilter, unit_pair)
 from vaguelab.grids import (inner_product, inverse_transform, l2_norm,
@@ -12,6 +14,8 @@ from vaguelab.grids import (inner_product, inverse_transform, l2_norm,
 from vaguelab.mra import WaveletSpec
 from vaguelab.riesz import Truncation, gram
 from vaguelab.vaguelet import VagueletParams, vaguelet_suite
+
+from transforms import time_samples
 
 
 def test_index_validation():
@@ -180,53 +184,99 @@ def test_mother_cache_returns_fresh_bit_equal_arrays(meyer, ou_pair):
                         .values.tobytes())
 
 
-def _mother_calls(monkeypatch):
-    """(name, n, x_max) of every psi_hat/phi_hat call from outside mra."""
-    calls, depth = [], [0]
-
-    def counted(name, method):
-        def wrapper(self, x):
-            if depth[0] == 0:
-                calls.append((name, len(x), -float(x[0])))
-            depth[0] += 1
-            try:
-                return method(self, x)
-            finally:
-                depth[0] -= 1
-        return wrapper
-
-    for name in ("psi_hat", "phi_hat"):
-        monkeypatch.setattr(WaveletSpec, name,
-                            counted(name, getattr(WaveletSpec, name)))
-    return calls
+@pytest.mark.parametrize("wavelet", [
+    WaveletSpec("meyer"), WaveletSpec("daubechies", n_moments=2),
+    WaveletSpec("daubechies", n_moments=4),
+    WaveletSpec("daubechies", n_moments=10)], ids=["meyer", "db2", "db4",
+                                                   "db10"])
+def test_batch_mothers_match_direct_evaluation(wavelet, ou_pair):
+    # oracle: phi_hat / psi_hat of each grid's own points, bit for bit, on
+    # the chain levels 0..5 of one batch and on the 2n wide grid
+    builder = FamilyBuilder(wavelet, ou_pair)
+    builder.generators((j, "primal", role) for j in range(6) for role in ROLES)
+    wide = make_grid(2.0 * builder.grid.x_max, 2 * builder.grid.n)
+    builder.level_spectrum(0, "primal", "wavelet", wide)
+    assert len(builder._mothers) == 13
+    for (role, grid), mother in builder._mothers.items():
+        direct = (wavelet.psi_hat(grid.x) if role == "wavelet"
+                  else wavelet.phi_hat(grid.x))
+        assert np.array_equal(mother, direct), (role, grid)
 
 
-def test_suite_evaluates_psi_hat_once_per_grid(monkeypatch, meyer, ou_pair):
-    # every level spectrum of both samplings reads one of two mothers
-    calls = _mother_calls(monkeypatch)
+def _psi_points(monkeypatch):
+    """The points of every WaveletSpec.psi_hat call, in call order."""
+    points = []
+    psi_hat = WaveletSpec.psi_hat
+
+    def recorded(self, x, phi_half=None):
+        points.append(np.array(x))
+        return psi_hat(self, x, phi_half)
+
+    monkeypatch.setattr(WaveletSpec, "psi_hat", recorded)
+    return points
+
+
+def test_suite_fills_each_mother_once(monkeypatch, meyer, ou_pair):
+    # every level spectrum of both samplings reads one of two mothers, each
+    # filled once: the psi^ evaluations cover each grid exactly once
+    points = _psi_points(monkeypatch)
     builder = FamilyBuilder(meyer, ou_pair)
     vaguelet_suite(builder, "primal", VagueletParams(j_min=0, j_max=5))
-    n, x_max = builder.grid.n, builder.grid.x_max
-    assert calls == [("psi_hat", n, x_max), ("psi_hat", 2 * n, 2 * x_max)]
+    wide = make_grid(2.0 * builder.grid.x_max, 2 * builder.grid.n)
+    assert np.array_equal(np.concatenate(points),
+                          np.concatenate([builder.grid.x, wide.x]))
 
 
-def test_norm_band_evaluates_psi_hat_once(monkeypatch, meyer, ou_pair):
+def test_norm_band_fills_psi_hat_once(monkeypatch, meyer, ou_pair):
     # every rescaled member, both sides and all levels, reads the cached
     # base-grid mother
-    calls = _mother_calls(monkeypatch)
+    points = _psi_points(monkeypatch)
     builder = FamilyBuilder(meyer, ou_pair)
     norm_band(builder, range(9))
-    assert calls == [("psi_hat", builder.grid.n, builder.grid.x_max)]
+    assert np.array_equal(np.concatenate(points), builder.grid.x)
 
 
-def test_gram_evaluates_each_mother_once(monkeypatch, db4, ou_pair):
-    # both sides share psi^ on the y-grids of levels 0 and 1 and phi^ on
-    # the level-0 one
-    calls = _mother_calls(monkeypatch)
+def test_gram_shares_product_factors_across_levels(monkeypatch, db4,
+                                                   ou_pair):
+    # both sides read phi^ on the level-0 y-grid G_0 and psi^ on G_0 and
+    # G_1. psi^ on G_l is formed from phi^ on G_{l+1}, and the products of
+    # phi^ on G_0, G_1, G_2 share their factors u^(x / 2^m) / sqrt 2 with
+    # m = 1..42: 42 factors per point, against 120 evaluated level by level
+    evaluated = {"factor": 0, "v_hat": 0}
+    trig_poly = mra._trig_poly
+
+    def counted(coeffs, x):
+        # product factors carry the filter divided by sqrt 2 (sum 1)
+        kind = "factor" if math.isclose(sum(coeffs), 1.0) else "v_hat"
+        evaluated[kind] += np.size(x)
+        return trig_poly(coeffs, x)
+
+    monkeypatch.setattr(mra, "_trig_poly", counted)
     builder = FamilyBuilder(db4, ou_pair)
     for side in SIDES:
         gram(builder, side, Truncation(1, 8))
-    n, x_max = builder.grid.n, builder.grid.x_max
-    assert sorted(calls) == [("phi_hat", n, x_max),
-                             ("psi_hat", n, x_max / 2.0),
-                             ("psi_hat", n, x_max)]
+    grid = builder.grid
+    assert evaluated == {"factor": 42 * grid.n, "v_hat": 2 * grid.n}
+    # the phi^ on G_1 and G_2 that only built a psi^ are not kept
+    half = make_grid(grid.x_max / 2.0, grid.n)
+    assert set(builder._mothers) == {("approximation", grid),
+                                     ("wavelet", grid), ("wavelet", half)}
+
+
+def test_mother_fill_peak_is_retained_mothers_plus_a_few_arrays(db4,
+                                                                ou_pair):
+    # block-wise evaluation: no full-length temporaries beyond the grid
+    # points and a few blocks
+    builder = FamilyBuilder(db4, ou_pair)
+    grid = builder.grid
+    requests = [("approximation", grid), ("wavelet", grid),
+                ("wavelet", make_grid(grid.x_max / 2.0, grid.n))]
+    tracemalloc.start()
+    try:
+        builder._fill(requests)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    retained = sum(mother.nbytes for mother in builder._mothers.values())
+    assert retained == 3 * 16 * grid.n
+    assert peak < retained + 2 * 16 * grid.n

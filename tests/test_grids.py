@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vaguelab.grids import (FourierGrid, GridError, SampledSpectrum,
-                            TimeSeries, default_grid, forward_transform,
-                            inner_product, inverse_transform, l2_norm,
-                            make_grid)
+                            TimeSeries, default_grid, inner_product,
+                            inverse_transform, l2_norm, make_grid)
+
+from transforms import forward_transform
 
 
 def test_grid_validation():

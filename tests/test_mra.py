@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vaguelab.grids import SampledSpectrum, default_grid, l2_norm
-from vaguelab.mra import (MEYER_SUPPORT_RADIUS, WaveletSpec, check_cmf,
-                          check_w3, check_w4, daubechies_coefficients,
-                          daubechies_phi_hat, daubechies_u_hat,
+from vaguelab.mra import (MEYER_SUPPORT_RADIUS, WaveletSpec, _trig_poly,
+                          check_cmf, check_w3, check_w4,
+                          daubechies_coefficients, daubechies_phi_hat,
+                          daubechies_phi_hat_levels, daubechies_u_hat,
                           meyer_nu, meyer_phi_hat, meyer_psi_abs,
                           vanishing_moment_order)
 
@@ -177,6 +178,22 @@ def test_daubechies_phi_hat_matches_outer_product_form(n):
         expected *= np.exp(-1j * np.multiply.outer(x / 2.0**j, taps)) @ h \
             / math.sqrt(2.0)
     assert np.max(np.abs(daubechies_phi_hat(n, x) - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4, 10])
+def test_daubechies_phi_hat_levels_match_one_level_products(n):
+    # oracle: each level's product on its own, factors in ascending order
+    # from ones, bit for bit; the levels need not be contiguous
+    x = default_grid().x
+    h = daubechies_coefficients(n) / math.sqrt(2.0)
+    levels = (0, 1, 2, 5)
+    for level, got in zip(levels, daubechies_phi_hat_levels(n, x, levels)):
+        y = x / 2**level
+        expected = np.ones(x.shape, dtype=complex)
+        for k in range(1, 41):
+            expected *= _trig_poly(h, y / 2.0**k)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(daubechies_phi_hat(n, y), expected)
 
 
 def test_daubechies_phi_hat_keeps_every_factor():

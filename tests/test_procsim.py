@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vaguelab.family import FamilyBuilder, FamilyIndex, time_samples
+from vaguelab.family import FamilyBuilder, FamilyIndex
 from vaguelab.grids import inverse_transform
 from vaguelab.filters import FilterPair, FractionalFilter, OUFilter, unit_pair
 from vaguelab.mra import WaveletSpec
@@ -11,6 +11,8 @@ from vaguelab.procsim import (PathEnsemble, ProcsimError, SynthesisPlan,
                               _level_terms, _term_matrix, covariance_kernel,
                               dyadic_times, empirical_covariance,
                               fbm_scaling, simulate, target_autocovariance)
+
+from transforms import time_samples
 
 
 def _plan(pair, meyer, **kw):

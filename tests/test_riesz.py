@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from vaguelab.family import FamilyBuilder
-from vaguelab.filters import (FilterPair, FractionalFilter, MSTApproxFilter,
-                              OUFilter, UnitFilter, unit_pair)
+from vaguelab.filters import (ExpGammaFilter, FilterPair, FractionalFilter,
+                              MSTApproxFilter, OUFilter, UnitFilter,
+                              unit_pair)
 from vaguelab.grids import (GridError, SampledSpectrum, inner_product,
                             inverse_transform, l2_norm, make_grid)
 from vaguelab.mra import WaveletSpec
@@ -162,6 +163,21 @@ def test_biorthogonality_violating_pair(meyer):
     result = biorthogonality_defect(builder, Truncation(2, 4))
     assert result.passed is False
     assert result.statistics["max_cross_block_defect"] > 0.1
+
+
+def test_scaled_generators_refused_in_every_entry_point(meyer):
+    # exp(|x|^2) on the dual side overflows without a log-scale; the
+    # defect of scaled spectra would be an artefact of the scale, so the
+    # biorthogonality check refuses them as the Gram matrix does
+    builder = FamilyBuilder(meyer, FilterPair(OUFilter(), ExpGammaFilter(2.0)))
+    tr = Truncation(2, 2)
+    with pytest.raises(RieszError, match="scaled spectra"):
+        gram(builder, "dual", tr)
+    with pytest.raises(RieszError, match="scaled spectra"):
+        biorthogonality_defect(builder, tr)
+    with pytest.raises(RieszError, match="scaled spectra"):
+        refinement_identity(builder, 4)
+    gram(builder, "primal", tr)  # primal spectra up to j = 2 are unscaled
 
 
 def test_bracket_sum_unit(unit_builder):
