@@ -10,8 +10,7 @@ from .counterexample import (CounterexampleConfig, CounterexampleError,
                              CounterexampleRun, default_window,
                              ratio_exponent, run_counterexample,
                              vaguelet_violation)
-from .family import (FamilyBuilder, FamilyError, FamilyIndex, FamilyMember,
-                     norm_band)
+from .family import FamilyBuilder, FamilyError, FamilyIndex, FamilyMember
 from .filters import (ExpGammaFilter, Filter, FilterEvalError, FilterPair,
                       FractionalFilter, MSTApproxFilter, OUComplexFilter,
                       OUFilter, RationalFilter, UnitFilter,

@@ -29,7 +29,7 @@ from .mra import WaveletSpec, check_cmf
 from .procsim import SynthesisPlan, dyadic_times, simulate
 from .report import CheckResult, dump_report, render_report, report_merge
 from .riesz import (Truncation, biorthogonality_defect, bracket_sum, gram,
-                    refinement_identity, riesz_bounds)
+                    refinement_identity, refinement_keys, riesz_bounds)
 from .vaguelet import VagueletParams, synthesis_bound, vaguelet_suite
 
 
@@ -265,8 +265,13 @@ def cmd_verify_riesz(cfg: dict) -> dict:
     blocks = _instantiate(cfg)
     builder = FamilyBuilder(blocks["wavelet"], blocks["filters"])
     tr, levels = blocks["riesz"]
+    # one fill for every mother the checks read: the phi^ that forms psi^
+    # on the level-0 y-grid is the level-1 approximation mother as well
+    builder.fill([(i.j, i.side, i.role) for side in SIDES
+                  for i in tr.indices(side)]
+                 + [key for j in levels for key in refinement_keys(j)])
     checks = []
-    for side in ("primal", "dual"):
+    for side in SIDES:
         g = gram(builder, side, tr)
         c1, c2 = riesz_bounds(g)
         checks.append(CheckResult(

@@ -8,12 +8,12 @@ Spectra, with psi_jk(x)^ = 2^{-j/2} e^{-i 2^{-j} k x} psi^(2^{-j} x):
     dual approximation      conj(1 / h1(x))  * phi_jk^(x)
 
 A FamilyBuilder owns one (wavelet, filter pair, grid). Every spectrum it
-gives, the generators (k = 0) per (j, side, role), the level spectra
-H(2^j y) w(y) (whose inverse transforms are the level profiles g_j) and
-the rescaled members, is a mother w = psi^ or phi^ on a y-grid with
-x = 2^j y times a filter (_spectrum); the builder evaluates each w once
-per (role, grid). k-translates are pure phases. The checks of this
-module, riesz and vaguelet take a builder, never a loose wavelet or pair.
+gives, the generators (k = 0) per (j, side, role) and the level spectra
+H(2^j y) w(y) (whose inverse transforms are the level profiles g_j), is
+a mother w = psi^ or phi^ on a y-grid with x = 2^j y times a filter
+(_spectrum); the builder evaluates each w once per (role, grid).
+k-translates are pure phases. The checks of riesz and vaguelet take a
+builder, never a loose wavelet or pair.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .filters import FilterEvalError, FilterPair
 from .grids import (FourierGrid, SampledSpectrum, default_grid, l2_norm,
                     make_grid)
 from .mra import WaveletSpec
-from .report import CheckResult
 
 SIDES = ("primal", "dual")
 ROLES = ("wavelet", "approximation")
@@ -134,14 +133,14 @@ def _spectrum(wavelet: WaveletSpec, pair: FilterPair, mother: np.ndarray,
 
 
 class FamilyBuilder:
-    """Builds family members, level spectra and rescaled members over one
-    wavelet, filter pair and grid.
+    """Builds family members and level spectra over one wavelet, filter
+    pair and grid.
 
     Mother spectra are cached per (role, grid), read only, and filled in
-    one shared-factor pass per batch (generators; a single request is a
-    batch of one); generators, level spectra (on any grid) and rescaled
-    members are fresh arrays, the mother times a filter evaluated on every
-    call. Members are immutable.
+    one shared-factor pass per batch (fill, generators; a single request
+    is a batch of one); generators and level spectra (on any grid) are
+    fresh arrays, the mother times a filter evaluated on every call.
+    Members are immutable.
     """
 
     def __init__(self, wavelet: WaveletSpec, pair: FilterPair,
@@ -211,11 +210,17 @@ class FamilyBuilder:
         return _spectrum(self.wavelet, self.pair, self._mothers[role, grid],
                          j, side, role, grid, scale)
 
+    def fill(self, keys) -> None:
+        """Fill the missing mothers of the generator keys (j, side, role) in
+        one pass, so that the generators asked for later share its product
+        factors; no spectrum is formed."""
+        self._fill((role, self._y_grid(j)) for j, _, role in keys)
+
     def generators(self, keys) -> dict:
         """{(j, side, role): (values, log_scale)} for each distinct key of
         keys, every missing mother filled in one pass first."""
         keys = list(dict.fromkeys(keys))
-        self._fill((role, self._y_grid(j)) for j, _, role in keys)
+        self.fill(keys)
         return {key: self.generator(*key) for key in keys}
 
     def generator(self, j: int, side: str, role: str):
@@ -240,60 +245,3 @@ class FamilyBuilder:
         grid = grid if grid is not None else self.grid
         vals, _ = self._evaluate(j, side, role, grid, 1.0)
         return SampledSpectrum(grid, vals)
-
-    def rescaled_member(self, j: int, side: str, role: str) -> FamilyMember:
-        """k = 0 member on a grid whose x_max is the base grid's times 2^j.
-
-        Relative frequency resolution over the member's support is then
-        j-independent, so norms stay accurate at large j. The spectrum is
-        the base-grid mother in y = 2^{-j} x times the filter, relabelled.
-        """
-        if j > 30:
-            raise FamilyError(f"j={j} exceeds the supported range (j <= 30)")
-        idx = FamilyIndex(j, 0, side, role)
-        vals, log_scale = self._evaluate(j, side, role, self.grid,
-                                         2.0 ** (-j / 2.0))
-        grid = make_grid(self.grid.x_max * 2.0**j, self.grid.n)
-        return FamilyMember(idx, SampledSpectrum(grid, vals), log_scale)
-
-
-def norm_band(builder: FamilyBuilder, j_range=range(0, 9)) -> CheckResult:
-    """2^{jd}-compensated norms of primal/dual wavelet generators across j.
-
-    r_j = ||primal_j|| 2^{jd} and r'_j = ||dual_j|| 2^{-jd} should each stay
-    in a fixed band when |h2| is quasi-homogeneous with exponent d.
-    """
-    from .filters import quasi_homogeneity_check
-    h2 = builder.pair.h2
-    if h2.d is not None:
-        d = h2.d
-    else:
-        d = quasi_homogeneity_check(h2).statistics.get("d_hat", 0.0)
-    log2 = math.log(2.0)
-    log_r, log_rp = [], []
-    for j in j_range:
-        primal = builder.rescaled_member(j, "primal", "wavelet")
-        dual = builder.rescaled_member(j, "dual", "wavelet")
-        log_r.append(primal.log_norm + j * d * log2)
-        log_rp.append(dual.log_norm - j * d * log2)
-    def _band(vals):
-        spread = max(vals) - min(vals)
-        try:
-            return math.exp(spread)
-        except OverflowError:
-            return math.inf
-    band_primal, band_dual = _band(log_r), _band(log_rp)
-    return CheckResult(
-        name="norm_band",
-        passed=band_primal < 10.0 and band_dual < 10.0,
-        statistics={
-            "d": d,
-            "log_r_primal": log_r,
-            "log_r_dual": log_rp,
-            "band_primal": band_primal,
-            "band_dual": band_dual,
-        },
-        params={"wavelet": builder.wavelet.config(),
-                "filters": builder.pair.config(),
-                "j_range": [min(j_range), max(j_range)]},
-    )

@@ -202,6 +202,13 @@ def bracket_sum(builder: FamilyBuilder) -> CheckResult:
     )
 
 
+def refinement_keys(j: int) -> list:
+    """Generator keys (j, side, role) that refinement_identity(_, j) reads:
+    Phi_j, Phi_{j+1} and eta_j, all primal."""
+    return [(j, "primal", "approximation"),
+            (j + 1, "primal", "approximation"), (j, "primal", "wavelet")]
+
+
 def refinement_identity(builder: FamilyBuilder, j: int) -> CheckResult:
     """Two-scale identity for the normalized transformed families.
 
@@ -212,8 +219,7 @@ def refinement_identity(builder: FamilyBuilder, j: int) -> CheckResult:
     (c) min |det M| over xi in [-pi, pi).
     """
     wavelet, pair, grid = builder.wavelet, builder.pair, builder.grid
-    keys = [(j, "primal", "approximation"), (j + 1, "primal", "approximation"),
-            (j, "primal", "wavelet")]
+    keys = refinement_keys(j)
     gens, norms = _generators(builder, keys)
     n_phi_j, n_phi_j1, n_psi_j = (norms[key] for key in keys)
 

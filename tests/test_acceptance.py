@@ -16,7 +16,7 @@ from vaguelab.cli import main as cli_main
 from vaguelab.counterexample import (CounterexampleConfig, default_window,
                                      ratio_exponent, run_counterexample,
                                      vaguelet_violation)
-from vaguelab.family import FamilyBuilder, norm_band
+from vaguelab.family import FamilyBuilder
 from vaguelab.filters import (FilterPair, FractionalFilter, MSTApproxFilter,
                               OUFilter, unit_pair)
 from vaguelab.mra import WaveletSpec, check_cmf
@@ -25,6 +25,8 @@ from vaguelab.procsim import (SynthesisPlan, covariance_kernel, dyadic_times,
 from vaguelab.riesz import (Truncation, biorthogonality_defect, bracket_sum,
                             gram, refinement_identity, riesz_bounds)
 from vaguelab.vaguelet import VagueletParams, vaguelet_suite
+
+from rescaled import norm_band
 
 
 def _verdict(label, ok):

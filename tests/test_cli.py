@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import subprocess
 import sys
@@ -7,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vaguelab import mra
 from vaguelab.cli import ConfigError, main, resolve_config
 from vaguelab.family import FamilyBuilder
 from vaguelab.filters import FilterPair, OUFilter
-from vaguelab.grids import SampledSpectrum, make_grid
+from vaguelab.grids import SampledSpectrum, default_grid, make_grid
 from vaguelab.mra import WaveletSpec
 
 
@@ -282,6 +284,30 @@ def test_daubechies_verify_commands(tmp_path, capsys):
     assert abs(biorth["statistics"]["max_defect"] / 5.8187e-6 - 1.0) < 1e-3
     assert vaguelet["pass"] is True
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_riesz_fills_each_product_factor_once(tmp_path, monkeypatch):
+    # gram forms psi^ on the level-0 y-grid G_0 from phi^ on G_1, which is
+    # also the level-1 approximation mother that refinement_identity_j0
+    # reads: one fill of phi^ on G_0, G_1, G_2 evaluates the factors
+    # u^(x / 2^m) / sqrt 2, m = 1..42, once per point (82 when filled twice)
+    factors = []
+    trig_poly = mra._trig_poly
+
+    def counted(coeffs, x):
+        # product factors carry the filter divided by sqrt 2 (sum 1)
+        if math.isclose(sum(coeffs), 1.0):
+            factors.append(np.size(x))
+        return trig_poly(coeffs, x)
+
+    monkeypatch.setattr(mra, "_trig_poly", counted)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "wavelet": {"kind": "daubechies", "n": 4},
+        "riesz": {"J": 1, "K": 8, "refinement_levels": 1}}))
+    assert run_cli(["verify-riesz", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "out")]) == 1
+    assert sum(factors) == 42 * default_grid().n
 
 
 def test_readme_config_example_passes_verify_riesz(tmp_path, capsys):

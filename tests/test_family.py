@@ -6,7 +6,7 @@ import pytest
 
 from vaguelab import mra
 from vaguelab.family import (ROLES, SIDES, FamilyBuilder, FamilyError,
-                             FamilyIndex, norm_band)
+                             FamilyIndex)
 from vaguelab.filters import (ExpGammaFilter, FilterPair, FractionalFilter,
                               OUFilter, UnitFilter, unit_pair)
 from vaguelab.grids import (inner_product, inverse_transform, l2_norm,
@@ -15,6 +15,7 @@ from vaguelab.mra import WaveletSpec
 from vaguelab.riesz import Truncation, gram
 from vaguelab.vaguelet import VagueletParams, vaguelet_suite
 
+from rescaled import norm_band, rescaled_member
 from transforms import time_samples
 
 
@@ -119,13 +120,13 @@ def test_level_profile_pad_refines(ou_builder):
 def test_member_at_scale_rescaled_matches_base_grid(ou_builder):
     for j in (0, 3):
         direct = ou_builder.build_member(FamilyIndex(j, 0, "primal", "wavelet"))
-        rescaled = ou_builder.rescaled_member(j, "primal", "wavelet")
+        rescaled = rescaled_member(ou_builder, j, "primal", "wavelet")
         assert abs(direct.norm - rescaled.norm) / direct.norm < 1e-9
 
 
 def test_member_at_scale_negative_j(ou_builder):
     with pytest.raises(FamilyError):
-        ou_builder.rescaled_member(-2, "primal", "wavelet")
+        rescaled_member(ou_builder, -2, "primal", "wavelet")
 
 
 def test_norm_band_ou(ou_builder):
@@ -145,8 +146,8 @@ def test_norm_scaling_fractional_high_level(meyer):
     # extrapolation: log-norm grows linearly with slope d log 2 in j
     pair = FilterPair(FractionalFilter(0.7), FractionalFilter(0.7))
     builder = FamilyBuilder(meyer, pair)
-    lo = builder.rescaled_member(8, "primal", "wavelet").log_norm
-    hi = builder.rescaled_member(20, "primal", "wavelet").log_norm
+    lo = rescaled_member(builder, 8, "primal", "wavelet").log_norm
+    hi = rescaled_member(builder, 20, "primal", "wavelet").log_norm
     slope = (hi - lo) / (12.0 * math.log(2.0))
     assert abs(slope - 0.7) < 1e-3
 

@@ -13,6 +13,8 @@ from vaguelab.vaguelet import (VagueletParamError, VagueletParams,
                                _band, _growth_trend, _holder_sup,
                                synthesis_bound, vaguelet_suite)
 
+from rescaled import rescaled_member
+
 FAST = VagueletParams(j_min=0, j_max=5)
 
 
@@ -127,7 +129,7 @@ def _reference_statistics(builder, side, params):
                        / norm)
     worst = 0.0
     for j in params.j_range:
-        member = builder.rescaled_member(j, side, "wavelet")
+        member = rescaled_member(builder, j, side, "wavelet")
         vals = member.spectrum.values
         zero_idx = int(np.argmin(np.abs(member.spectrum.grid.x)))
         worst = max(worst, abs(vals[zero_idx]) / float(np.max(np.abs(vals))))
@@ -165,9 +167,9 @@ def test_suite_bit_equals_per_statistic_loops(meyer, ou_pair, db4, side):
 
 def test_suite_evaluates_each_level_spectrum_twice(monkeypatch, meyer,
                                                    ou_pair):
-    # one base-grid and one wide-grid spectrum per level, and no
-    # rescaled member: the mean ratio comes from the base-grid spectrum
-    calls = {"level_spectrum": 0, "rescaled_member": 0}
+    # one base-grid and one wide-grid spectrum per level and no other
+    # spectrum: the mean ratio comes from the base-grid spectrum
+    calls = {"level_spectrum": 0, "_evaluate": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -175,13 +177,10 @@ def test_suite_evaluates_each_level_spectrum_twice(monkeypatch, meyer,
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(FamilyBuilder, "level_spectrum",
-                        counted("level_spectrum",
-                                FamilyBuilder.level_spectrum))
-    monkeypatch.setattr(FamilyBuilder, "rescaled_member",
-                        counted("rescaled_member",
-                                FamilyBuilder.rescaled_member))
+    for name in calls:
+        monkeypatch.setattr(FamilyBuilder, name,
+                            counted(name, getattr(FamilyBuilder, name)))
     builder = FamilyBuilder(meyer, ou_pair, make_grid(16.0 * np.pi, 2**10))
     vaguelet_suite(builder, "primal", FAST)
     assert calls == {"level_spectrum": 2 * len(FAST.j_range),
-                     "rescaled_member": 0}
+                     "_evaluate": 2 * len(FAST.j_range)}
