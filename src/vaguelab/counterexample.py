@@ -102,10 +102,12 @@ def _y_grid(cfg: CounterexampleConfig, j: int, u: float | None):
 
 
 def _integrate(values: np.ndarray, y: np.ndarray) -> float | complex:
-    """integral f(y) dy = integral f(e^s) e^s ds, composite Simpson in s."""
-    import scipy.integrate
+    """integral f(y) dy = integral f(e^s) e^s ds, composite Simpson in s
+    over the odd node count _y_grid returns."""
     s = np.log(y)
-    return scipy.integrate.simpson(values * y, dx=float(s[1] - s[0]))
+    f = values * y
+    dx = float(s[1] - s[0])
+    return np.sum(f[:-2:2] + 4.0 * f[1:-1:2] + f[2::2]) * (dx / 3.0)
 
 
 def _substituted(cfg: CounterexampleConfig, j: int, y: np.ndarray):

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .family import FamilyBuilder, FamilyError, FamilyIndex
 from .grids import SampledSpectrum, fold_periods, inverse_transform, l2_norm
@@ -144,7 +143,7 @@ def gram(builder: FamilyBuilder, side: str, tr: Truncation) -> GramMatrix:
 def riesz_bounds(g: GramMatrix):
     """(C1, C2) = sqrt of extreme Gram eigenvalues, with residual check."""
     m = 0.5 * (g.matrix + g.matrix.conj().T)
-    vals, vecs = scipy.linalg.eigh(m)
+    vals, vecs = np.linalg.eigh(m)
     for pick in (0, -1):
         v = vecs[:, pick]
         res = float(np.linalg.norm(m @ v - vals[pick] * v))

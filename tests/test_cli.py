@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -333,3 +334,28 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_all_loads_no_scipy(tmp_path):
+    # SciPy is a test dependency only: a whole `all` run must not import it
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "build": {"J": 1, "K": 2},
+        "vaguelet": {"j_max": 2, "synthesis_J": 1, "synthesis_K": 2},
+        "riesz": {"J": 1, "K": 2, "refinement_levels": 1},
+        "counterexample": {"gamma": 2.0},
+        "simulate": {"J_detail": 1, "K": 4, "n_paths": 2}}))
+    script = (
+        "import json, sys\n"
+        "from vaguelab import cli\n"
+        f"code = cli.main(['all', '--config', {str(cfg_path)!r},"
+        f" '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(json.dumps({'code': code, 'scipy': sorted(\n"
+        "    m for m in sys.modules if m.split('.')[0] == 'scipy')}))\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"code": 0, "scipy": []}

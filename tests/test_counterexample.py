@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vaguelab.counterexample import (CounterexampleConfig,
-                                     CounterexampleError, default_window,
-                                     ratio_exponent, run_counterexample,
-                                     scaled_norm, scaled_peak,
-                                     special_frequency, vaguelet_violation)
+                                     CounterexampleError, _integrate,
+                                     default_window, ratio_exponent,
+                                     run_counterexample, scaled_norm,
+                                     scaled_peak, special_frequency,
+                                     vaguelet_violation)
 from vaguelab.mra import MEYER_SUPPORT_RADIUS, meyer_psi_abs
 
 
@@ -148,3 +152,24 @@ def test_records_schema():
     records = list(run.records())
     assert [r["j"] for r in records] == list(range(6, 12))
     assert set(records[0]) == {"j", "scaled_norm", "scaled_peak", "ratio"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), half=st.integers(1, 2000),
+       y_cut=st.floats(1e-3, 40.0), complex_values=st.booleans())
+def test_simpson_sum_bit_equals_scipy(data, half, y_cut, complex_values):
+    # SciPy is only the oracle: the package sums Simpson itself
+    import scipy.integrate
+
+    n = 2 * half + 1  # _y_grid always returns an odd node count
+    elements = st.floats(-1e150, 1e150, allow_nan=False)
+    values = data.draw(hnp.arrays(np.float64, n, elements=elements))
+    if complex_values:
+        values = values + 1j * data.draw(hnp.arrays(np.float64, n,
+                                                    elements=elements))
+    y = np.geomspace(1e-8 * y_cut, y_cut, n)
+    s = np.log(y)
+    want = scipy.integrate.simpson(values * y, dx=float(s[1] - s[0]))
+    got = _integrate(values, y)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

@@ -2,17 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from vaguelab import vaguelet
 from vaguelab.family import FamilyBuilder
 from vaguelab.filters import (ExpGammaFilter, FilterPair, FractionalFilter,
-                              unit_pair)
-from vaguelab.grids import inverse_transform, make_grid
+                              MSTApproxFilter, OUComplexFilter, OUFilter,
+                              RationalFilter, UnitFilter, unit_pair)
+from vaguelab.grids import SampledSpectrum, inverse_transform, make_grid
 from vaguelab.mra import WaveletSpec
 from vaguelab.report import dump_report, render_report
 from vaguelab.vaguelet import (VagueletParamError, VagueletParams,
-                               _band, _growth_trend, _holder_sup,
+                               _band, _growth_trend, _holder_sup, _profile,
                                synthesis_bound, vaguelet_suite)
 
+from holder import holder_sup
 from rescaled import rescaled_member
 
 FAST = VagueletParams(j_min=0, j_max=5)
@@ -125,7 +131,7 @@ def _reference_statistics(builder, side, params):
                                   ** (1.0 + params.alpha1))) / norm)
         for grid, out in ((builder.grid, coarse), (wide, fine)):
             tau, vals, norm, m = profile(j, grid)
-            out.append(_holder_sup(vals[m], tau[1] - tau[0], params.alpha2)
+            out.append(holder_sup(vals[m], tau[1] - tau[0], params.alpha2)
                        / norm)
     worst = 0.0
     for j in params.j_range:
@@ -184,3 +190,145 @@ def test_suite_evaluates_each_level_spectrum_twice(monkeypatch, meyer,
     vaguelet_suite(builder, "primal", FAST)
     assert calls == {"level_spectrum": 2 * len(FAST.j_range),
                      "_evaluate": 2 * len(FAST.j_range)}
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+FILTERS = [UnitFilter(), OUFilter(), OUComplexFilter(), FractionalFilter(0.3),
+           RationalFilter([1.0], [1.0, 0.0, 1.0]), ExpGammaFilter(1.0)]
+
+
+def _holder_profiles(wavelet, grid):
+    """(label, g, dtau) of level profiles of every filter kind, on the
+    builder grid and on the one twice as wide, both sides.
+
+    Six kinds enter as h2 through the wavelet profiles. mst_approx has a
+    pole inside the support of every psi^ and of the Daubechies phi^, so
+    it enters only as h1 with Meyer, through the approximation profiles of
+    the levels whose phi^ stays clear of 2 pi.
+    """
+    cases = [(FilterPair(UnitFilter(), h2), "wavelet", range(0, 4))
+             for h2 in FILTERS]
+    if wavelet.kind == "meyer":
+        cases.append((FilterPair(MSTApproxFilter(0.7), UnitFilter()),
+                      "approximation", range(-1, 1)))
+    for pair, role, levels in cases:
+        builder = FamilyBuilder(wavelet, pair, grid)
+        wide = make_grid(2.0 * builder.grid.x_max, 2 * builder.grid.n)
+        for j in levels:
+            for side in ("primal", "dual"):
+                for g in (builder.grid, wide):
+                    spectrum = builder.level_spectrum(j, side, role, g)
+                    _, vals, dtau, _ = _profile(spectrum, j, 32.0)
+                    yield (f"{pair.config()} {role} j={j} {side} n={g.n}",
+                           vals, dtau)
+
+
+@pytest.mark.parametrize("wavelet, grid", [
+    (WaveletSpec("meyer"), None),
+    (WaveletSpec("daubechies", n_moments=4), make_grid(16.0 * np.pi, 2**10)),
+], ids=["meyer", "db4"])
+# the fractional dual's pole at 0 is absorbed by db4's vanishing moments,
+# as designed, and family warns about it
+@pytest.mark.filterwarnings("ignore:filter pole at x=0 absorbed")
+def test_pruned_holder_scan_bit_equals_full_scan(wavelet, grid):
+    count = 0
+    for label, g, dtau in _holder_profiles(wavelet, grid):
+        for alpha2 in (0.1, 0.5, 0.9):
+            got, want = _holder_sup(g, dtau, alpha2), holder_sup(g, dtau, alpha2)
+            assert _bits(got) == _bits(want), (label, alpha2, got, want)
+        count += 1
+    # levels x sides x grids, per filter kind
+    assert count == 6 * 4 * 2 * 2 + (2 * 2 * 2 if wavelet.kind == "meyer"
+                                     else 0)
+
+
+_SPECIALS = st.sampled_from([0.0, -0.0, 1.0, -1e300, 1e300, 5e-324,
+                             math.nan, math.inf, -math.inf])
+_REALS = st.one_of(st.floats(allow_nan=True, allow_infinity=True), _SPECIALS)
+
+
+@st.composite
+def _series(draw):
+    n = draw(st.integers(0, 300))
+    kind = draw(st.sampled_from(["random", "walk", "ramp", "zero",
+                                 "constant", "spike"]))
+    if kind == "random":
+        re = draw(hnp.arrays(np.float64, n, elements=_REALS))
+    elif kind == "walk":
+        # smooth series take their sup at wide separations, where the
+        # pruning bound is tightest
+        re = np.cumsum(draw(hnp.arrays(np.float64, n,
+                                       elements=st.floats(-1e3, 1e3))))
+    elif kind == "ramp":
+        ends = draw(_REALS), draw(_REALS)
+        with np.errstate(all="ignore"):
+            re = np.linspace(*ends, n)
+    else:
+        re = np.full(n, 0.0 if kind == "zero" else draw(_REALS))
+        if kind == "spike" and n:
+            re[draw(st.integers(0, n - 1))] = draw(_REALS)
+    if draw(st.booleans()):
+        return re
+    g = np.empty(n, dtype=complex)
+    g.real, g.imag = re, draw(hnp.arrays(np.float64, n, elements=_REALS))
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=_series(), dtau=st.floats(1e-6, 1e3),
+       alpha2=st.floats(0.01, 0.99))
+@example(g=np.zeros(64), dtau=0.5, alpha2=0.5)
+@example(g=np.full(64, 3.0 - 1.0j), dtau=0.5, alpha2=0.5)
+@example(g=np.eye(1, 64, 17).ravel(), dtau=0.5, alpha2=0.5)
+@example(g=np.where(np.arange(64) == 9, math.nan, 1.0), dtau=0.5, alpha2=0.5)
+@example(g=np.where(np.arange(64) == 9, math.inf, 1.0), dtau=0.5, alpha2=0.5)
+@example(g=np.full(8, 5e-324 + 5e-324j), dtau=0.5, alpha2=0.5)
+# the sup is the full swing 2 max|g| at the widest separation
+@example(g=np.linspace(-1.0, 1.0, 65), dtau=0.5, alpha2=0.99)
+def test_pruned_holder_scan_bit_equals_full_scan_on_arrays(g, dtau, alpha2):
+    with np.errstate(all="ignore"):
+        got, want = _holder_sup(g, dtau, alpha2), holder_sup(g, dtau, alpha2)
+    assert _bits(got) == _bits(want)
+
+
+def test_nan_profile_level_never_passes(monkeypatch, ou_builder):
+    # a NaN in the middle level's profile: the built-in max/min that read
+    # per_j would skip it and let the decay check PASS
+    profile = vaguelet._profile
+
+    def poisoned(spectrum, j, t_window):
+        tau, g, dtau, norm = profile(spectrum, j, t_window)
+        if j == 2:
+            g = g.copy()
+            g[len(g) // 2] = math.nan
+        return tau, g, dtau, norm
+
+    clean = vaguelet_suite(ou_builder, "primal", FAST)
+    monkeypatch.setattr(vaguelet, "_profile", poisoned)
+    results = vaguelet_suite(ou_builder, "primal", FAST)
+    decay, mean, holder = results
+    assert math.isnan(decay.statistics["per_j"][2])
+    assert decay.passed is None and holder.passed is None
+    assert mean.passed is True
+    # no new statistic keys: finite runs keep their bytes
+    assert ([sorted(r.statistics) for r in results]
+            == [sorted(r.statistics) for r in clean])
+
+
+def test_nan_level_spectrum_never_passes(monkeypatch, ou_builder):
+    level_spectrum = FamilyBuilder.level_spectrum
+
+    def poisoned(self, j, side, role, grid=None):
+        spectrum = level_spectrum(self, j, side, role, grid)
+        if j == 3:
+            vals = spectrum.values.copy()
+            vals[len(vals) // 2] = math.nan
+            spectrum = SampledSpectrum(spectrum.grid, vals)
+        return spectrum
+
+    monkeypatch.setattr(FamilyBuilder, "level_spectrum", poisoned)
+    for result in vaguelet_suite(ou_builder, "primal", FAST):
+        assert result.passed is None, (result.name, result.statistics)
