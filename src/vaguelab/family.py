@@ -84,14 +84,16 @@ class FamilyMember:
 
 
 def _spectrum(wavelet: WaveletSpec, pair: FilterPair, mother: np.ndarray,
-              j: int, side: str, role: str, grid: FourierGrid, scale: float):
+              band: slice, j: int, side: str, role: str, grid: FourierGrid,
+              scale: float):
     """scale * w(y) * H(2^j y)^{+-1} on the y-grid: (values, log_scale).
 
-    mother is w = psi^ or phi^ by role on grid; H is h2 or h1 by role,
-    inverted and conjugated on the dual side. The k = 0 member spectrum at
-    x = 2^j y is this with scale 2^{-j/2}, the level profile's scale 1.
-    Grid points scaled by 2^{+-j} are exact in floating point, so every
-    caller sees the same values at the same x.
+    mother is w = psi^ or phi^ by role on the index band of grid outside
+    which w is 0; H is h2 or h1 by role, inverted and conjugated on the
+    dual side. The k = 0 member spectrum at x = 2^j y is this with scale
+    2^{-j/2}, the level profile's scale 1. Grid points scaled by 2^{+-j}
+    are exact in floating point, so every caller sees the same values at
+    the same x.
 
     Where w vanishes the value is 0 and H is never evaluated. A pole of H
     at y = 0 is absorbed (limiting value 0) when the vanishing order of w
@@ -99,13 +101,13 @@ def _spectrum(wavelet: WaveletSpec, pair: FilterPair, mother: np.ndarray,
     """
     h, zero_order = ((pair.h2, wavelet.n_moments) if role == "wavelet"
                      else (pair.h1, 0.0))
-    base = scale * mother
     power = 1 if side == "primal" else -1
-    out = np.zeros_like(base)
+    out = np.zeros(grid.n, dtype=complex)
+    base = scale * mother
     mask = base != 0.0
     if not np.any(mask):
         return out, 0.0
-    x = 2.0**j * grid.x[mask]
+    x = 2.0**j * grid.points(np.arange(band.start, band.stop)[mask])
     at_zero = x == 0.0
     pole_at_zero = False
     if np.any(at_zero):
@@ -128,7 +130,7 @@ def _spectrum(wavelet: WaveletSpec, pair: FilterPair, mother: np.ndarray,
         vals = np.where(at_zero, 0.0, vals)
     if side == "dual":
         vals = np.conj(vals)
-    out[mask] = base[mask] * vals
+    out[band][mask] = base[mask] * vals
     return out, float(log_scale)
 
 
@@ -136,9 +138,10 @@ class FamilyBuilder:
     """Builds family members and level spectra over one wavelet, filter
     pair and grid.
 
-    Mother spectra are cached per (role, grid), read only, and filled in
-    one shared-factor pass per batch (fill, generators; a single request
-    is a batch of one); generators and level spectra (on any grid) are
+    Mother spectra are cached per (role, grid), read only, stored on the
+    index band outside which they are exactly 0, and filled in one
+    shared-factor pass per batch (fill, generators; a single request is a
+    batch of one); generators and level spectra (on any grid) are
     fresh arrays, the mother times a filter evaluated on every call.
     Members are immutable.
     """
@@ -148,7 +151,8 @@ class FamilyBuilder:
         self.wavelet = wavelet
         self.pair = pair
         self.grid = grid if grid is not None else default_grid()
-        self._mothers: dict = {}
+        self._mothers: dict = {}  # (role, grid) -> values on the band
+        self._bands: dict = {}  # (role, grid) -> index slice of the band
 
     def config(self) -> dict:
         return {
@@ -169,6 +173,10 @@ class FamilyBuilder:
         psi^ on level l is formed from phi^ on level l + 1, and phi^ of
         every level needed comes from one multi-level product, evaluated
         in blocks of FILL_BLOCK points that are written into the mothers.
+        phi^ on level l is evaluated only on its band, the index range of
+        |y| < R on that level's grid (R = phi_support_radius; the whole
+        grid for Daubechies), and each mother is stored on the band of the
+        phi^ it is read from; levels with the same band share one product.
         Only the requested mothers are kept; a phi^ needed only for a psi^
         lives for one block.
         """
@@ -179,22 +187,42 @@ class FamilyBuilder:
                 chains.setdefault((grid.n, mantissa), []).append((role, grid))
         for chain in chains.values():
             top = max((grid for _, grid in chain), key=lambda g: g.x_max)
-            level_of = {grid: int(math.log2(top.x_max / grid.x_max))
-                        for _, grid in chain}
-            levels = sorted({level_of[grid] + (role == "wavelet")
-                             for role, grid in chain})
-            mothers = {key: np.empty(top.n, dtype=complex) for key in chain}
+            # the phi^ level each mother reads: its own, or the next for psi^
+            level_of = {(role, grid): int(math.log2(top.x_max / grid.x_max))
+                        + (role == "wavelet") for role, grid in chain}
             x = top.x
-            for start in range(0, top.n, FILL_BLOCK):
-                block = slice(start, start + FILL_BLOCK)
-                phi = dict(zip(levels, self.wavelet.phi_hat_levels(x[block],
-                                                                   levels)))
+            bands = {}
+            for level in sorted(set(level_of.values())):
+                radius = 2.0**level * self.wavelet.phi_support_radius
+                bands[level] = slice(int(np.searchsorted(x, -radius, "right")),
+                                     int(np.searchsorted(x, radius)))
+            mothers = {key: np.empty(bands[level].stop - bands[level].start,
+                                     dtype=complex)
+                       for key, level in level_of.items()}
+            first = min(band.start for band in bands.values())
+            stop = max(band.stop for band in bands.values())
+            for start in range(first, stop, FILL_BLOCK):
+                end = min(start + FILL_BLOCK, stop)
+                shared: dict = {}
+                for level, band in bands.items():
+                    lo, hi = max(start, band.start), min(end, band.stop)
+                    if lo < hi:
+                        shared.setdefault((lo, hi), []).append(level)
+                phi = {}
+                for (lo, hi), levels in shared.items():
+                    phi.update((level, (lo, hi, values)) for level, values in
+                               zip(levels, self.wavelet.phi_hat_levels(
+                                   x[lo:hi], levels)))
                 for (role, grid), mother in mothers.items():
-                    level = level_of[grid]
-                    mother[block] = (
-                        phi[level] if role == "approximation"
-                        else self.wavelet.psi_hat(x[block] / 2.0**level,
-                                                  phi[level + 1]))
+                    level = level_of[role, grid]
+                    if level not in phi:
+                        continue
+                    lo, hi, values = phi[level]
+                    offset = bands[level].start
+                    mother[lo - offset:hi - offset] = (
+                        values if role == "approximation"
+                        else self.wavelet.psi_hat(x[lo:hi] / 2.0**(level - 1),
+                                                  values))
             while mothers:
                 # keep a copy made last: the array it was filled in is
                 # then freed under the long-lived mother, and the spectra
@@ -204,11 +232,13 @@ class FamilyBuilder:
                 mother = mother.copy()
                 mother.flags.writeable = False
                 self._mothers[key] = mother
+                self._bands[key] = bands[level_of[key]]
 
     def _evaluate(self, j, side, role, grid, scale):
-        self._fill([(role, grid)])
-        return _spectrum(self.wavelet, self.pair, self._mothers[role, grid],
-                         j, side, role, grid, scale)
+        key = (role, grid)
+        self._fill([key])
+        return _spectrum(self.wavelet, self.pair, self._mothers[key],
+                         self._bands[key], j, side, role, grid, scale)
 
     def fill(self, keys) -> None:
         """Fill the missing mothers of the generator keys (j, side, role) in

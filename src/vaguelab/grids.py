@@ -56,7 +56,11 @@ class FourierGrid:
 
     @property
     def x(self) -> np.ndarray:
-        return -self.x_max + self.dx * np.arange(self.n)
+        return self.points(np.arange(self.n))
+
+    def points(self, index) -> np.ndarray:
+        """x_m at the integer indices m, each bit for bit as in x."""
+        return -self.x_max + self.dx * np.asarray(index)
 
     @property
     def dt(self) -> float:
@@ -173,6 +177,23 @@ def inverse_transform(f: SampledSpectrum) -> TimeSeries:
     summed = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(f.values)))
     # n dx / (2 pi) = 1 / dt turns ifft's 1/n into the quadrature weight
     return TimeSeries(grid.t0, grid.dt, summed / grid.dt)
+
+
+def inverse_transform_at(f: SampledSpectrum, q) -> np.ndarray:
+    """f(q dt) for an integer array q, without the full transform.
+
+    e^{i q dt x_m} = (-1)^q e^{2 pi i q m / n}, so with s = gcd(n, every q)
+    the phase repeats every n / s samples: F folds onto n / s points (a
+    reshape-sum, as in fold_periods) and one FFT of that length gives
+    f(q dt) = (dx / 2 pi) (-1)^q sum_c fold_c e^{2 pi i (q / s) c / (n / s)}.
+    f is n dt periodic, so q is read modulo n.
+    """
+    grid = f.grid
+    q = np.asarray(q)
+    s = int(np.gcd.reduce(q, axis=None, initial=grid.n))
+    folded = f.values.reshape(s, -1).sum(axis=0)
+    sums = np.fft.ifft(folded, norm="forward")[q // s % (grid.n // s)]
+    return np.where(q % 2, -1.0, 1.0) * (grid.dx / TWO_PI) * sums
 
 
 def fold_periods(grid: FourierGrid, values: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ import numpy as np
 from .report import CheckResult
 
 SQRT2 = math.sqrt(2.0)
+MEYER_PHI_RADIUS = 4.0 * np.pi / 3.0  # meyer_phi_hat is 0 for |x| >= this
 MEYER_SUPPORT_RADIUS = 8.0 * np.pi / 3.0
 
 
@@ -32,7 +33,7 @@ def meyer_phi_hat(x):
     ax = np.abs(np.asarray(x, dtype=float))
     out = np.zeros_like(ax)
     out[ax <= 2.0 * np.pi / 3.0] = 1.0
-    mid = (ax > 2.0 * np.pi / 3.0) & (ax < 4.0 * np.pi / 3.0)
+    mid = (ax > 2.0 * np.pi / 3.0) & (ax < MEYER_PHI_RADIUS)
     # cos(pi/2 nu(s)) = sin(pi/2 nu(1-s)): the complementary form stays
     # accurate at the outer support edge where nu(s) -> 1
     out[mid] = np.sin(0.5 * np.pi * meyer_nu(2.0 - 3.0 * ax[mid] / (2.0 * np.pi)))
@@ -153,8 +154,9 @@ class WaveletSpec:
     """An orthonormal MRA exposing phi_hat, psi_hat, u_hat, v_hat and metadata.
 
     kind is "meyer" or "daubechies"; for Meyer the vanishing-moment count is
-    infinite (psi_hat vanishes identically near 0) and the Fourier support
-    radius is 8 pi / 3; for Daubechies the support radius is infinite.
+    infinite (psi_hat vanishes identically near 0) and phi_hat is exactly 0
+    for |x| >= 4 pi / 3, so psi_hat for |x| >= 8 pi / 3; for Daubechies
+    that radius is infinite.
     """
 
     kind: str
@@ -170,8 +172,10 @@ class WaveletSpec:
                 raise ValueError("daubechies requires integer n_moments in 2..10")
 
     @property
-    def support_radius(self) -> float:
-        return MEYER_SUPPORT_RADIUS if self.kind == "meyer" else math.inf
+    def phi_support_radius(self) -> float:
+        """R with phi_hat(x) exactly 0 wherever |x| >= R, so psi_hat(x),
+        formed from phi_hat(x / 2), wherever |x| >= 2 R."""
+        return MEYER_PHI_RADIUS if self.kind == "meyer" else math.inf
 
     def u_hat(self, x):
         if self.kind == "meyer":

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .family import FamilyBuilder, FamilyError, FamilyIndex
-from .grids import SampledSpectrum, fold_periods, inverse_transform, l2_norm
+from .grids import (SampledSpectrum, fold_periods, inverse_transform_at,
+                    l2_norm)
 from .mra import _wrap_to_pi
 from .report import CheckResult
 
@@ -73,8 +74,10 @@ def _inner_products(builder: FamilyBuilder, left, right,
 
     <m_{j,k}, m'_{j',k'}> equals the inverse transform of
     gen_{j} * conj(gen'_{j'}) evaluated at t = -(2^{-j}k - 2^{-j'}k'),
-    which lands exactly on the conjugate time grid for dyadic shifts: one
-    transform per generator pair (j, side, role), one indexed read per block.
+    which lands exactly on the conjugate time grid for dyadic shifts. Only
+    those lag samples are read: per generator pair (j, side, role) the
+    product is folded onto one period of the lag lattice and transformed
+    there (grids.inverse_transform_at), one indexed read per block.
     When left is right, blocks wholly below the diagonal are left zero.
     Generators come from _generators, so scaled spectra raise RieszError.
     """
@@ -96,16 +99,16 @@ def _inner_products(builder: FamilyBuilder, left, right,
         for b, (rows_b, shifts_b) in cols.items():
             if left is right and rows_a[0] > rows_b[-1]:
                 continue
-            gb = gens[b]
-            series = inverse_transform(SampledSpectrum(grid, ga * np.conj(gb)))
             lag = np.subtract.outer(shifts_a, shifts_b)
-            pos = (-lag - series.t0) / series.dt
+            pos = (-lag - grid.t0) / grid.dt
             ell = np.rint(pos).astype(int)
             off = (np.abs(pos - ell) > 1e-9) | (ell < 0) | (ell >= grid.n)
             if np.any(off):
                 raise RieszError(f"lag {lag[off][0]} not on the conjugate "
                                  "time grid")
-            out[np.ix_(rows_a, rows_b)] = series.values[ell]
+            product = SampledSpectrum(grid, ga * np.conj(gens[b]))
+            out[np.ix_(rows_a, rows_b)] = inverse_transform_at(
+                product, ell - grid.n // 2)
     return out
 
 

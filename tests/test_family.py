@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from vaguelab import mra
+from vaguelab.cli import main
 from vaguelab.family import (ROLES, SIDES, FamilyBuilder, FamilyError,
                              FamilyIndex)
 from vaguelab.filters import (ExpGammaFilter, FilterPair, FractionalFilter,
@@ -201,7 +202,45 @@ def test_batch_mothers_match_direct_evaluation(wavelet, ou_pair):
     for (role, grid), mother in builder._mothers.items():
         direct = (wavelet.psi_hat(grid.x) if role == "wavelet"
                   else wavelet.phi_hat(grid.x))
-        assert np.array_equal(mother, direct), (role, grid)
+        full = np.zeros(grid.n, dtype=complex)
+        full[builder._bands[role, grid]] = mother
+        assert np.array_equal(full, direct), (role, grid)
+
+
+def test_meyer_mothers_of_all_live_on_their_bands(tmp_path, monkeypatch):
+    # every mother a default `vaguelab all` fills, on every chain grid and
+    # for both roles, bit-equals phi_hat / psi_hat of the whole grid inside
+    # its band and is zero outside it: the band is |y| < 4 pi / 3 for phi^
+    # and |y| < 8 pi / 3 for psi^
+    builders = []
+    init = FamilyBuilder.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        builders.append(self)
+
+    monkeypatch.setattr(FamilyBuilder, "__init__", recorded)
+    assert main(["all", "--out", str(tmp_path / "out")]) == 0
+    meyer = WaveletSpec("meyer")
+    seen = set()
+    for builder in builders:
+        for (role, grid), mother in builder._mothers.items():
+            wavelet_role = role == "wavelet"
+            direct = meyer.psi_hat(grid.x) if wavelet_role else \
+                meyer.phi_hat(grid.x)
+            band = builder._bands[role, grid]
+            radius = (2.0 if wavelet_role else 1.0) * mra.MEYER_PHI_RADIUS
+            inside = np.flatnonzero(np.abs(grid.x) < radius)
+            assert (band.start, band.stop) == (inside[0], inside[-1] + 1)
+            assert mother.tobytes() == direct[band].tobytes(), (role, grid)
+            assert not np.any(direct[:band.start])
+            assert not np.any(direct[band.stop:])
+            seen.add((role, grid))
+    default = builders[0].grid
+    chain = {make_grid(default.x_max / 2.0**j, default.n) for j in range(5)}
+    wide = make_grid(2.0 * default.x_max, 2 * default.n)
+    assert seen == ({("approximation", g) for g in chain}
+                    | {("wavelet", g) for g in chain} | {("wavelet", wide)})
 
 
 def _psi_points(monkeypatch):
@@ -217,15 +256,22 @@ def _psi_points(monkeypatch):
     return points
 
 
+def _psi_band(grid):
+    """The points of grid where the Meyer psi^ is evaluated: |y| < 8 pi / 3."""
+    x = grid.x
+    return x[np.abs(x) < 2.0 * mra.MEYER_PHI_RADIUS]
+
+
 def test_suite_fills_each_mother_once(monkeypatch, meyer, ou_pair):
     # every level spectrum of both samplings reads one of two mothers, each
-    # filled once: the psi^ evaluations cover each grid exactly once
+    # filled once: the psi^ evaluations cover each grid's band exactly once
     points = _psi_points(monkeypatch)
     builder = FamilyBuilder(meyer, ou_pair)
     vaguelet_suite(builder, "primal", VagueletParams(j_min=0, j_max=5))
     wide = make_grid(2.0 * builder.grid.x_max, 2 * builder.grid.n)
     assert np.array_equal(np.concatenate(points),
-                          np.concatenate([builder.grid.x, wide.x]))
+                          np.concatenate([_psi_band(builder.grid),
+                                          _psi_band(wide)]))
 
 
 def test_norm_band_fills_psi_hat_once(monkeypatch, meyer, ou_pair):
@@ -234,7 +280,7 @@ def test_norm_band_fills_psi_hat_once(monkeypatch, meyer, ou_pair):
     points = _psi_points(monkeypatch)
     builder = FamilyBuilder(meyer, ou_pair)
     norm_band(builder, range(9))
-    assert np.array_equal(np.concatenate(points), builder.grid.x)
+    assert np.array_equal(np.concatenate(points), _psi_band(builder.grid))
 
 
 def test_gram_shares_product_factors_across_levels(monkeypatch, db4,

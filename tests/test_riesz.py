@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from vaguelab.family import FamilyBuilder
+from vaguelab.family import ROLES, SIDES, FamilyBuilder, FamilyIndex
 from vaguelab.filters import (ExpGammaFilter, FilterPair, FractionalFilter,
                               MSTApproxFilter, OUFilter, UnitFilter,
                               unit_pair)
 from vaguelab.grids import (GridError, SampledSpectrum, inner_product,
-                            inverse_transform, l2_norm, make_grid)
+                            inverse_transform, inverse_transform_at, l2_norm,
+                            make_grid)
 from vaguelab.mra import WaveletSpec
 from vaguelab.procsim import _level_terms
 from vaguelab.riesz import (RieszError, Truncation, _inner_products,
@@ -80,35 +83,127 @@ def test_biorthogonality_matches_member_inner_products(ou_builder, meyer):
     assert stats["max_cross_block_defect"] < 1e-12
 
 
-def test_gram_bit_equals_entry_by_entry_reference(ou_builder):
-    # reference: one transform and one Python complex division per entry,
-    # upper triangle and its conjugate below and on the diagonal
-    g = gram(ou_builder, "dual", Truncation(1, 2))
-    grid, idxs = ou_builder.grid, g.index_map
-    gens = [ou_builder.generator(i.j, i.side, i.role)[0] for i in idxs]
-    norms = [l2_norm(SampledSpectrum(grid, v)) for v in gens]
-    ref = np.empty_like(g.matrix)
-    for ia, a in enumerate(idxs):
-        for ib in range(ia, len(idxs)):
-            b = idxs[ib]
-            series = inverse_transform(
-                SampledSpectrum(grid, gens[ia] * np.conj(gens[ib])))
+def _full_transform_entries(builder, left, right):
+    """<m_a, m_b> read off one full inverse transform per generator pair."""
+    grid = builder.grid
+    gens = {(i.j, i.side, i.role): builder.generator(i.j, i.side, i.role)[0]
+            for i in left + right}
+    series = {}
+    out = np.empty((len(left), len(right)), dtype=complex)
+    for ia, a in enumerate(left):
+        for ib, b in enumerate(right):
+            pair = ((a.j, a.side, a.role), (b.j, b.side, b.role))
+            if pair not in series:
+                series[pair] = inverse_transform(SampledSpectrum(
+                    grid, gens[pair[0]] * np.conj(gens[pair[1]])))
             lag = 2.0 ** (-a.j) * a.k - 2.0 ** (-b.j) * b.k
-            val = complex(series.values[round((-lag - series.t0) / series.dt)])
-            val /= norms[ia] * norms[ib]
-            ref[ia, ib], ref[ib, ia] = val, val.conjugate()
-    assert g.matrix.tobytes() == ref.tobytes()
+            out[ia, ib] = series[pair].values[round((-lag - grid.t0)
+                                                    / grid.dt)]
+    return out
+
+
+def test_gram_bit_equals_entry_by_entry_reference(meyer, db4, ou_pair):
+    # reference: one Python complex division per raw entry, the upper
+    # triangle and its conjugate below and on the diagonal; the raw folded
+    # entries themselves lie within 2 ulp of the largest entry of one full
+    # transform per pair, on both sides and for the cross product
+    tr = Truncation(1, 2)
+    duals, primals = tr.indices("dual"), tr.indices("primal")
+    for wavelet in (meyer, db4):
+        builder = FamilyBuilder(wavelet, ou_pair)
+        cross = _inner_products(builder, duals, primals)
+        full = _full_transform_entries(builder, duals, primals)
+        assert (np.max(np.abs(cross - full))
+                <= 2 * np.spacing(np.max(np.abs(full))))
+        for side in SIDES:
+            g = gram(builder, side, tr)
+            idxs = list(g.index_map)
+            raw = _inner_products(builder, idxs, list(idxs))
+            full = _full_transform_entries(builder, idxs, idxs)
+            assert (np.max(np.abs(raw - full))
+                    <= 2 * np.spacing(np.max(np.abs(full))))
+            norms = [l2_norm(SampledSpectrum(builder.grid, builder.generator(
+                i.j, i.side, i.role)[0])) for i in idxs]
+            ref = np.empty_like(g.matrix)
+            for ia in range(len(idxs)):
+                for ib in range(ia, len(idxs)):
+                    val = complex(raw[ia, ib]) / (norms[ia] * norms[ib])
+                    ref[ia, ib], ref[ib, ia] = val, val.conjugate()
+            assert g.matrix.tobytes() == ref.tobytes()
+
+
+@pytest.fixture(scope="session")
+def fold_builders(ou_builder, db4, ou_pair):
+    # on 48 pi / 2^12, dt = 1/48 and s = gcd(n, q) is 16 for level-0
+    # pairs and 1 at level 4, not the 2^(6 - max j) of the default grid
+    grid = make_grid(48.0 * np.pi, 2**12)
+    return {"meyer": ou_builder,
+            "meyer 48pi": FamilyBuilder(ou_builder.wavelet, ou_pair, grid),
+            "db4 48pi": FamilyBuilder(db4, ou_pair, grid)}
+
+
+@st.composite
+def _fold_case(draw):
+    """A builder name and two index lists whose lags are on the time grid."""
+    name = draw(st.sampled_from(["meyer", "meyer 48pi", "db4 48pi"]))
+    # |lag| <= 2 k_max stays inside the time window n dt / 2: 512 or 42.7
+    k_max = 255 if name == "meyer" else 21
+
+    def index(side):
+        j = draw(st.integers(0, 4))
+        return FamilyIndex(j, draw(st.integers(-k_max, k_max)), side,
+                           draw(st.sampled_from(ROLES)))
+
+    sides = draw(st.sampled_from([("primal", "primal"), ("dual", "dual"),
+                                  ("dual", "primal")]))
+    left = draw(st.lists(st.builds(index, st.just(sides[0])), min_size=1,
+                         max_size=4))
+    right = draw(st.lists(st.builds(index, st.just(sides[1])), min_size=1,
+                          max_size=4))
+    return name, left, right
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_fold_case())
+# lag +n dt / 2 = 512 on the default grid: q = -n / 2, the first sample
+@example(case=("meyer", [FamilyIndex(0, 256, "primal", "wavelet"),
+                         FamilyIndex(0, 0, "primal", "approximation")],
+               [FamilyIndex(0, -256, "primal", "wavelet"),
+                FamilyIndex(1, -512, "primal", "wavelet")]))
+def test_folded_entries_match_the_full_transform(fold_builders, case):
+    # each entry is a sum of n products: roundoff of its FFT is bounded by
+    # a few eps log2(n) times the l1 mass (dx / 2 pi) sum |ga gb|
+    name, left, right = case
+    builder = fold_builders[name]
+    grid = builder.grid
+    got = _inner_products(builder, left, right)
+    want = _full_transform_entries(builder, left, right)
+    for ia, a in enumerate(left):
+        ga = builder.generator(a.j, a.side, a.role)[0]
+        for ib, b in enumerate(right):
+            gb = builder.generator(b.j, b.side, b.role)[0]
+            mass = np.sum(np.abs(ga * gb)) * grid.dx / (2.0 * np.pi)
+            tol = 4.0 * np.log2(grid.n) * np.finfo(float).eps * mass
+            assert abs(got[ia, ib] - want[ia, ib]) <= tol, (a, b)
+
+
+def test_lag_of_minus_half_the_window_is_refused(ou_builder):
+    # lag -n dt / 2 is t = +n dt / 2, one past the last time sample
+    with pytest.raises(RieszError):
+        _inner_products(ou_builder,
+                        [FamilyIndex(0, -256, "primal", "wavelet")],
+                        [FamilyIndex(0, 256, "primal", "wavelet")])
 
 
 def test_gram_skips_blocks_below_the_diagonal(ou_builder, monkeypatch):
     # 5 generators: the 10 blocks below the diagonal are never read
     calls = []
 
-    def counting(spectrum):
+    def counting(spectrum, q):
         calls.append(1)
-        return inverse_transform(spectrum)
+        return inverse_transform_at(spectrum, q)
 
-    monkeypatch.setattr("vaguelab.riesz.inverse_transform", counting)
+    monkeypatch.setattr("vaguelab.riesz.inverse_transform_at", counting)
     idxs = Truncation(4, 2, False).indices("primal")
     raw = _inner_products(ou_builder, idxs, idxs)
     assert len(calls) == 15

@@ -14,6 +14,7 @@ from vaguelab.filters import (ExpGammaFilter, FilterPair, FractionalFilter,
 from vaguelab.grids import SampledSpectrum, inverse_transform, make_grid
 from vaguelab.mra import WaveletSpec
 from vaguelab.report import dump_report, render_report
+from vaguelab.riesz import Truncation, gram
 from vaguelab.vaguelet import (VagueletParamError, VagueletParams,
                                _band, _growth_trend, _holder_sup, _profile,
                                synthesis_bound, vaguelet_suite)
@@ -100,6 +101,24 @@ def test_synthesis_bound_ou(ou_builder):
     result = synthesis_bound(ou_builder, "primal", J=2, K=8, trials=50)
     assert result.passed
     assert result.statistics["max_R"] <= result.statistics["lambda_max"] + 1e-9
+
+
+def test_synthesis_bound_trials_match_one_draw_per_trial(ou_builder):
+    # oracle: one standard_normal draw and one d^H G d / d^H d per trial,
+    # from the same seed stream; the block of trials moves only roundoff
+    J, K, trials, seed = 2, 4, 50, 3
+    result = synthesis_bound(ou_builder, "dual", J=J, K=K, trials=trials,
+                             seed=seed).statistics
+    g = gram(ou_builder, "dual", Truncation(J, 2 * K, False))
+    keep = [i for i, idx in enumerate(g.index_map) if abs(idx.k) <= K]
+    for matrix, width, name in ((g.matrix[np.ix_(keep, keep)], K, "max_R"),
+                                (g.matrix, 2 * K, "max_R_doubled_K")):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, width)))
+        quotients = []
+        for _ in range(trials):
+            d = rng.standard_normal(len(matrix))
+            quotients.append(float((d @ matrix @ d).real / (d @ d)))
+        assert abs(result[name] - max(quotients)) <= 1e-13 * max(quotients)
 
 
 def test_fractional_suite_passes(meyer):
@@ -277,6 +296,57 @@ def _series(draw):
     return g
 
 
+def _ripple(n, width, level):
+    """A slow Gaussian core at 0 and, from 3.04 widths on, where it is
+    under 1e-4, an alternating ripple of level 2^-10 of its peak: outside
+    the core, but its steps (2 level 2^-10) can exceed every core step."""
+    i = np.arange(n, dtype=float)
+    g = np.exp(-(i / width) ** 2)
+    tail = i >= 3.04 * width
+    g[tail] += level * 2.0**-10 * (-1.0) ** i[tail]
+    return g
+
+
+@st.composite
+def _fallback_series(draw):
+    """Profiles that send the scan to the full window: flat (slowly
+    varying, where the core's max can fall below the bound outside it), a
+    ripple outside a slow core, two distant bumps, oscillating, and any of
+    these holding NaN or inf."""
+    kind = draw(st.sampled_from(["flat", "ramp", "ripple", "bumps",
+                                 "oscillating"]))
+    # slow: samples under 2^-10 of the peak lie outside the core while the
+    # core's steps stay under twice them, so short separations read the
+    # full window
+    slow = kind in ("flat", "ramp", "ripple")
+    n = draw(st.integers(1024 if slow else 32, 4096))
+    i = np.arange(n, dtype=float)
+    if kind == "ripple":
+        g = _ripple(n, draw(st.floats(256.0, n / 4.0)),
+                    draw(st.floats(0.5, 0.9)))
+    elif kind == "flat":
+        width = draw(st.floats(n / 8.0, n / 2.0))
+        g = np.exp(-((i - draw(st.floats(0.0, n))) / width) ** 2)
+    elif kind == "ramp":
+        g = np.clip((i - draw(st.integers(0, n // 2)))
+                    / draw(st.floats(2048.0, 4.0 * n)), 0.0, 1.0)
+    elif kind == "bumps":
+        width = draw(st.floats(0.5, n / 12.0))
+        ratio = draw(st.floats(1e-6, 1.0))  # below or above 2^-10
+        g = (np.exp(-((i - n / 8.0) / width) ** 2)
+             + ratio * np.exp(-((i - 7.0 * n / 8.0) / width) ** 2))
+    else:
+        g = (np.cos(draw(st.floats(1e-4, np.pi)) * i)
+             * np.exp(-((i - n / 2.0) / (n / 4.0)) ** 2))
+    g = draw(st.floats(1e-300, 1e300)) * g
+    if draw(st.booleans()):
+        g = g * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+    if draw(st.booleans()):
+        g[draw(st.integers(0, n - 1))] = draw(st.sampled_from(
+            [math.nan, math.inf, -math.inf]))
+    return g
+
+
 @settings(max_examples=300, deadline=None)
 @given(g=_series(), dtau=st.floats(1e-6, 1e3),
        alpha2=st.floats(0.01, 0.99))
@@ -289,6 +359,21 @@ def _series(draw):
 # the sup is the full swing 2 max|g| at the widest separation
 @example(g=np.linspace(-1.0, 1.0, 65), dtau=0.5, alpha2=0.99)
 def test_pruned_holder_scan_bit_equals_full_scan_on_arrays(g, dtau, alpha2):
+    with np.errstate(all="ignore"):
+        got, want = _holder_sup(g, dtau, alpha2), holder_sup(g, dtau, alpha2)
+    assert _bits(got) == _bits(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_fallback_series(), dtau=st.floats(1e-6, 1e3),
+       alpha2=st.floats(0.01, 0.99))
+# a ramp: at separation 1 the core's max, 1/4095, is under the bound
+# 2 (1 + 1e-12) 3/4095 set by the four samples outside the core
+@example(g=np.linspace(0.0, 1.0, 4096), dtau=0.5, alpha2=0.5)
+# the sup is a ripple step outside the core, at separation 1
+@example(g=_ripple(4096, 700.0, 0.9), dtau=0.5, alpha2=0.99)
+def test_core_first_holder_scan_bit_equals_full_scan_on_fallbacks(
+        g, dtau, alpha2):
     with np.errstate(all="ignore"):
         got, want = _holder_sup(g, dtau, alpha2), holder_sup(g, dtau, alpha2)
     assert _bits(got) == _bits(want)
