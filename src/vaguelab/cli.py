@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import io
 import json
 import os
 import sys
@@ -24,12 +25,13 @@ from .counterexample import (CounterexampleConfig, default_window,
                              vaguelet_violation)
 from .family import SIDES, FamilyBuilder, FamilyIndex, FamilyMember
 from .filters import FilterEvalError, FilterPair, filter_from_config
-from .grids import SampledSpectrum
+from .grids import SampledSpectrum, default_grid
 from .mra import WaveletSpec, check_cmf
 from .procsim import SynthesisPlan, dyadic_times, simulate
 from .report import CheckResult, dump_report, render_report, report_merge
-from .riesz import (Truncation, biorthogonality_defect, bracket_sum, gram,
-                    refinement_identity, refinement_keys, riesz_bounds)
+from .riesz import (Truncation, biorthogonality_defect, bracket_sum,
+                    check_level, gram, refinement_identity, refinement_keys,
+                    riesz_bounds)
 from .vaguelet import VagueletParams, synthesis_bound, vaguelet_suite
 
 
@@ -148,8 +150,14 @@ def _instantiate(cfg: dict) -> dict:
         if not set(sides) <= set(SIDES):
             raise ValueError(f"vaguelet.sides: each side must be one of "
                              f"{SIDES}, got {list(sides)}")
-        # synthesis_bound's sections (K and 2K)
+        # every command builds on the default grid
+        grid = default_grid()
+        check_level(cfg["build"]["J"], grid)
+        riesz = Truncation(rb["J"], rb["K"])
+        riesz.check_grid(grid)
+        # synthesis_bound's sections (K and 2K): the 2K one holds both
         Truncation(vb["synthesis_J"], vb["synthesis_K"])
+        Truncation(vb["synthesis_J"], 2 * vb["synthesis_K"]).check_grid(grid)
         alpha1 = float(ce["alpha1"])
         if not 0.0 < alpha1 < 1.0:
             raise ValueError("counterexample.alpha1 must be in (0, 1), "
@@ -162,7 +170,7 @@ def _instantiate(cfg: dict) -> dict:
             "vaguelet": (VagueletParams(vb["alpha1"], vb["alpha2"],
                                         vb["j_min"], vb["j_max"],
                                         vb["t_window"]), sides),
-            "riesz": (Truncation(rb["J"], rb["K"]), levels),
+            "riesz": (riesz, levels),
             "counterexample": (CounterexampleConfig(
                 gamma, j_min if ce["j_min"] is None else int(ce["j_min"]),
                 j_max if ce["j_max"] is None else int(ce["j_max"])), alpha1),
@@ -171,12 +179,12 @@ def _instantiate(cfg: dict) -> dict:
         raise ConfigError(str(exc)) from exc
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, data: str | bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -209,34 +217,34 @@ def cmd_build(cfg: dict) -> dict:
     wavelet, pair, tr = blocks["wavelet"], blocks["filters"], blocks["build"]
     builder = FamilyBuilder(wavelet, pair)
     grid = builder.grid
-    indices, spectra = [], {}
+    indices = []
     # k-translates differ by a phase only: one spectrum and one norm per
     # generator (j, side, role), recorded for every k of the truncation
-    keys = [(idx.j, side, idx.role)
-            for side in SIDES for idx in tr.indices(side)]
-    for (j, side, role), (vals, log_scale) in builder.generators(keys).items():
+    generators = builder.generators([(idx.j, side, idx.role) for side in SIDES
+                                     for idx in tr.indices(side)])
+    for (j, side, role), (vals, log_scale) in generators.items():
         member = FamilyMember(FamilyIndex(j, 0, side, role),
                               SampledSpectrum(grid, vals), log_scale)
         log_norm, norm = member.log_norm, member.norm
         indices.extend({"j": j, "k": k, "side": side, "role": role,
                         "log_norm": log_norm, "norm": norm}
                        for k in range(-tr.K, tr.K + 1))
-        spectra[f"member_{side}_{role}_j{j}"] = member.spectrum
     out_dir = Path(cfg["output_dir"])
     manifest = {
         "wavelet": wavelet.config(), "filters": pair.config(),
         "grid": {"x_max": grid.x_max, "n": grid.n},
         "indices": indices,
     }
-    for key, spectrum in spectra.items():
-        _atomic_write(out_dir / f"{key}.json", spectrum.to_json() + "\n")
+    for (j, side, role), (vals, _) in generators.items():
+        buffer = io.BytesIO()
+        np.save(buffer, vals, allow_pickle=False)
+        _atomic_write(out_dir / f"member_{side}_{role}_j{j}.npy",
+                      buffer.getvalue())
     checks = [check_cmf(wavelet),
               CheckResult("build_manifest", True,
                           statistics={"n_members": len(indices)},
                           params={"J": tr.J, "K": tr.K})]
-    report = render_report(checks, cfg)
-    report["manifest"] = manifest
-    _atomic_write(out_dir / "build_report.json", dump_report(report))
+    report = _write_report(cfg, checks, out_dir / "build_report.json")
     _atomic_write(out_dir / "manifest.json",
                   json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return report

@@ -45,6 +45,9 @@ class CounterexampleConfig:
             raise CounterexampleError(f"gamma must be positive, got {self.gamma}")
         if not 0 <= self.j_min <= self.j_max:
             raise CounterexampleError("need 0 <= j_min <= j_max")
+        if len(self.j_range) < 5:
+            raise CounterexampleError("the slope fit needs at least 5 levels, "
+                                      f"got {self.j_min}..{self.j_max}")
         if self.n_points < 64:
             raise CounterexampleError("need at least 64 quadrature points")
 
@@ -196,8 +199,6 @@ def run_counterexample(cfg: CounterexampleConfig) -> CounterexampleRun:
 
 def ratio_exponent(cfg: CounterexampleConfig) -> CheckResult:
     """Fitted slope of log2(p_j / n_j) vs j; the target is -gamma/2."""
-    if len(list(cfg.j_range)) < 5:
-        raise CounterexampleError("need at least 5 levels for the fit")
     run = run_counterexample(cfg)
     target = -cfg.gamma / 2.0
     ok = abs(run.ratio_slope - target) < 0.1 * abs(target)

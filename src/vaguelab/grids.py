@@ -16,7 +16,6 @@ the inverse transform is a plain FFT with no chirp factors.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -110,31 +109,6 @@ class SampledSpectrum:
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return self.hermitian_defect() < tol
-
-    def to_json(self) -> str:
-        """{"grid": {...}, "values": [[re, im], ...]}, compact, sorted keys.
-
-        Written run by run: a maximal run of +0.0 pairs is the literal
-        [0.0,0.0] repeated, every other run one json.dumps of its rows, so
-        the text is what one json.dumps of the whole payload gives.
-        """
-        pairs = np.column_stack((self.values.real, self.values.imag))
-        # +0.0 is the all-zero bit pattern; -0.0, NaN and inf are not
-        zero = ~pairs.view(np.uint64).any(axis=1)
-        bounds = [0, *(np.flatnonzero(zero[1:] != zero[:-1]) + 1), len(zero)]
-        runs = [",".join(["[0.0,0.0]"] * (b - a)) if zero[a] else
-                json.dumps(pairs[a:b].tolist(), separators=(",", ":"))[1:-1]
-                for a, b in zip(bounds[:-1], bounds[1:])]
-        grid = json.dumps({"x_max": self.grid.x_max, "n": self.grid.n},
-                          sort_keys=True, separators=(",", ":"))
-        return f'{{"grid":{grid},"values":[{",".join(runs)}]}}'
-
-    @classmethod
-    def from_json(cls, text: str) -> "SampledSpectrum":
-        payload = json.loads(text)
-        grid = make_grid(payload["grid"]["x_max"], payload["grid"]["n"])
-        vals = np.array(payload["values"], dtype=float).view(complex).ravel()
-        return cls(grid, vals)
 
 
 @dataclass(frozen=True)

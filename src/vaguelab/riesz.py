@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .family import FamilyBuilder, FamilyError, FamilyIndex
-from .grids import (SampledSpectrum, fold_periods, inverse_transform_at,
-                    l2_norm)
+from .grids import (FourierGrid, SampledSpectrum, fold_periods,
+                    inverse_transform_at, l2_norm)
 from .mra import _wrap_to_pi
 from .report import CheckResult
 
@@ -29,6 +29,14 @@ SUPPORT_TOL = 1e-8  # relative |Phi_{j+1}| below which residuals are skipped
 
 class RieszError(ValueError):
     """Invalid truncation, or a section or bound that cannot be formed."""
+
+
+def check_level(J: int, grid: FourierGrid) -> None:
+    """Refuse J unless the shifts 2^-J k are multiples of dt = pi / x_max."""
+    steps = 2.0**-J / grid.dt
+    if steps < 1 or abs(steps - round(steps)) > 1e-9:
+        raise RieszError(f"level J = {J}: shifts 2^-J k are off the "
+                         f"conjugate time grid (dt = {grid.dt})")
 
 
 @dataclass(frozen=True)
@@ -52,6 +60,14 @@ class Truncation:
         for j in range(self.J + 1):
             out.extend(FamilyIndex(j, k, side, "wavelet") for k in ks)
         return out
+
+    def check_grid(self, grid: FourierGrid) -> None:
+        """Refuse a section whose lags, up to 2K, leave the conjugate time
+        grid, as _inner_products does lag by lag: 2K < n dt / 2."""
+        check_level(self.J, grid)
+        if 2 * self.K >= grid.time_window / 2:
+            raise RieszError(f"K = {self.K}: lags up to 2K leave the time "
+                             f"window |t| < {grid.time_window / 2}")
 
 
 @dataclass(frozen=True)

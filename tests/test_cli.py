@@ -13,7 +13,7 @@ from vaguelab import mra
 from vaguelab.cli import ConfigError, main, resolve_config
 from vaguelab.family import FamilyBuilder
 from vaguelab.filters import FilterPair, OUFilter
-from vaguelab.grids import SampledSpectrum, default_grid, make_grid
+from vaguelab.grids import default_grid, make_grid
 from vaguelab.mra import WaveletSpec
 
 
@@ -115,10 +115,25 @@ def test_mst_approx_on_support_exits_2_no_outputs(tmp_path, capsys, document):
     {"simulate": {"resolution": -2000}},
     {"filters": {"h1": {"kind": "fractional", "d": 0.7}}},
     {"filters": {"h1": {"kind": "fractional", "d": -0.7}}},
+    {"counterexample": {"j_min": 6, "j_max": 8}},
+    # levels and lags past the default grid (dt = 1/64, window +-512)
+    {"riesz": {"J": 7}},
+    {"wavelet": {"kind": "daubechies", "n": 4}, "riesz": {"J": 7}},
+    {"vaguelet": {"synthesis_J": 7}},
+    {"wavelet": {"kind": "daubechies", "n": 4},
+     "vaguelet": {"synthesis_J": 7}},
+    {"riesz": {"K": 256}},
+    {"riesz": {"K": 300}},
+    {"vaguelet": {"synthesis_K": 128}},
+    {"build": {"J": 7}},
+    {"wavelet": {"kind": "daubechies", "n": 4}, "build": {"J": 7}},
 ], ids=["vaguelet.alpha1", "vaguelet.sides", "vaguelet.synthesis_K",
         "riesz.J", "riesz.refinement_levels", "build.K",
         "counterexample.gamma", "counterexample.alpha1", "simulate.J_detail",
-        "simulate.resolution", "h1.fractional+", "h1.fractional-"])
+        "simulate.resolution", "h1.fractional+", "h1.fractional-",
+        "counterexample.window", "riesz.J7", "riesz.J7-db4",
+        "vaguelet.synthesis_J7", "vaguelet.synthesis_J7-db4", "riesz.K256",
+        "riesz.K300", "vaguelet.synthesis_K128", "build.J7", "build.J7-db4"])
 def test_all_refuses_any_bad_block_before_writing(tmp_path, capsys, document):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(document))
@@ -130,8 +145,16 @@ def test_all_refuses_any_bad_block_before_writing(tmp_path, capsys, document):
     assert list(out_dir.iterdir()) == []
 
 
-@pytest.mark.parametrize("flags", [["--gamma", "-1"], ["--alpha1", "2"]],
-                         ids=["gamma", "alpha1"])
+def test_deepest_level_and_widest_sections_accepted():
+    # the last values on the default grid: 2^-6 = dt, 2K = 510 and
+    # 4K = 508 lags inside the window |t| < 512
+    resolve_config({"build": {"J": 6}, "riesz": {"J": 6, "K": 255},
+                    "vaguelet": {"synthesis_J": 6, "synthesis_K": 127}})
+
+
+@pytest.mark.parametrize("flags", [["--gamma", "-1"], ["--alpha1", "2"],
+                                   ["--jmin", "6", "--jmax", "8"]],
+                         ids=["gamma", "alpha1", "window"])
 def test_counterexample_bad_flag_exits_2_no_outputs(tmp_path, capsys, flags):
     out_dir = tmp_path / "out"
     out_dir.mkdir()
@@ -154,20 +177,18 @@ def test_build_outputs(tmp_path):
     assert len(manifest["indices"]) == 2 * 3 * 5
     assert all({"j", "k", "side", "role", "norm", "log_norm"} == set(r)
                for r in manifest["indices"])
-    # one JSON spectrum per generator (j, side, role), no CSV spectra
+    # one .npy spectrum per generator (j, side, role), no CSV spectra
     generators = {(r["j"], r["side"], r["role"]) for r in manifest["indices"]}
     assert len(generators) == 2 * 3
     assert sorted(p.name for p in out.iterdir()) == sorted(
         ["manifest.json", "build_report.json"]
-        + [f"member_{side}_{role}_j{j}.json" for j, side, role in generators])
-    spectrum = SampledSpectrum.from_json(
-        (out / "member_primal_wavelet_j0.json").read_text())
+        + [f"member_{side}_{role}_j{j}.npy" for j, side, role in generators])
+    values = np.load(out / "member_primal_wavelet_j0.npy", allow_pickle=False)
     grid = make_grid(manifest["grid"]["x_max"], manifest["grid"]["n"])
     builder = FamilyBuilder(WaveletSpec("meyer"),
                             FilterPair(OUFilter(), OUFilter()), grid)
-    assert np.array_equal(spectrum.grid.x, grid.x)
-    assert np.array_equal(spectrum.values,
-                          builder.generator(0, "primal", "wavelet")[0])
+    assert values.tobytes() == builder.generator(0, "primal",
+                                                 "wavelet")[0].tobytes()
     # norms are k-independent: one log_norm per generator
     log_norms = {}
     for r in manifest["indices"]:
@@ -177,6 +198,37 @@ def test_build_outputs(tmp_path):
     report = json.loads((out / "build_report.json").read_text())
     assert report["pass"] is True
     assert report["schema"] == "1"
+    # the manifest is written once, to manifest.json
+    assert "manifest" not in report
+
+
+def test_build_reruns_byte_identical(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"build": {"J": 1, "K": 2}}))
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert run_cli(["build", "--config", str(cfg_path),
+                        "--out", str(out)]) == 0
+    names = sorted(p.name for p in outs[0].glob("member_*.npy"))
+    assert len(names) == 6
+    assert all((outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+               for name in names)
+
+
+def test_readme_member_reader(tmp_path, monkeypatch):
+    # the README's reader, run against a fresh `build` in out/
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = [b for b in re.findall(r"```python\n(.*?)```", readme,
+                                      re.DOTALL) if "np.load" in b]
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["build", "--out", "out"]) == 0
+    namespace = {}
+    exec(block, namespace)
+    builder = FamilyBuilder(WaveletSpec("meyer"),
+                            FilterPair(OUFilter(), OUFilter()))
+    assert namespace["spectrum"].grid == builder.grid
+    assert namespace["spectrum"].values.tobytes() == builder.generator(
+        0, "primal", "wavelet")[0].tobytes()
 
 
 def test_simulate_paths_csv(tmp_path):
