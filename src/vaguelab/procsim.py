@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -53,8 +54,15 @@ class SynthesisPlan:
     j_coarse: int = 0  # lowest detail level; negative = coarser than base
 
     def __post_init__(self):
-        if self.J_detail < 0 or self.K < 1 or self.n_paths < 1:
-            raise ProcsimError("need J_detail >= 0, K >= 1, n_paths >= 1")
+        for name in ("J_detail", "K", "n_paths", "j_coarse", "resolution",
+                     "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ProcsimError(f"{name} must be an integer, got {value!r}")
+        if (self.J_detail < 0 or self.K < 1 or self.n_paths < 1
+                or self.seed < 0):
+            raise ProcsimError("need J_detail >= 0, K >= 1, n_paths >= 1, "
+                               "seed >= 0")
         if self.j_coarse > 0 or self.j_coarse < -20:
             raise ProcsimError("j_coarse must be in -20..0")
         if self.j_coarse < 0 and self.include_approximation:
@@ -72,14 +80,15 @@ class SynthesisPlan:
                 f"times must lie on the dyadic grid of step 2^-{self.resolution}")
         object.__setattr__(self, "times", snapped)
 
+    def levels(self):
+        """(block, j) of each level block, in term order."""
+        approx = [("approximation", 0)] if self.include_approximation else []
+        return approx + [("wavelet", j)
+                         for j in range(self.j_coarse, self.J_detail + 1)]
+
     def term_keys(self):
-        keys = []
         ks = range(-self.K, self.K + 1)
-        if self.include_approximation:
-            keys.extend(("approximation", 0, k) for k in ks)
-        for j in range(self.j_coarse, self.J_detail + 1):
-            keys.extend(("wavelet", j, k) for k in ks)
-        return keys
+        return [(block, j, k) for block, j in self.levels() for k in ks]
 
     def config(self) -> dict:
         return {
@@ -136,22 +145,27 @@ def _level_terms(builder: FamilyBuilder, j: int, side: str, role: str,
     return 2.0 ** (j / 2.0) * grid.dx / (2.0 * np.pi) * terms
 
 
-def _term_matrix(plan: SynthesisPlan) -> np.ndarray:
-    """Dense matrix term[(block, j, k), t] on plan.times, rows in
-    term_keys() order; the approximation block uses h1 = h2 so the kernel
-    is the two-sided filtered completeness sum."""
+def _level_blocks(plan: SynthesisPlan):
+    """(keys, terms) of each level block in term_keys() order, terms the
+    (2K+1) x n_t block term[(block, j, k), t] on plan.times; the
+    approximation block uses h1 = h2 so the kernel is the two-sided
+    filtered completeness sum."""
     ks = np.arange(-plan.K, plan.K + 1)
-    side = plan.synthesis_side
-    rows = []
+    builders = {"wavelet": FamilyBuilder(plan.wavelet, plan.pair)}
     if plan.include_approximation:
         h2 = plan.pair.h2
-        approx = FamilyBuilder(plan.wavelet, FilterPair(h2, h2))
-        rows.append(_level_terms(approx, 0, side, "approximation", ks,
-                                 plan.times))
-    detail = FamilyBuilder(plan.wavelet, plan.pair)
-    rows.extend(_level_terms(detail, j, side, "wavelet", ks, plan.times)
-                for j in range(plan.j_coarse, plan.J_detail + 1))
-    return np.vstack(rows)
+        builders["approximation"] = FamilyBuilder(plan.wavelet,
+                                                  FilterPair(h2, h2))
+    for block, j in plan.levels():
+        keys = [(block, j, k) for k in range(-plan.K, plan.K + 1)]
+        yield keys, _level_terms(builders[block], j, plan.synthesis_side,
+                                 block, ks, plan.times)
+
+
+def _term_matrix(plan: SynthesisPlan) -> np.ndarray:
+    """Dense matrix term[(block, j, k), t] on plan.times, rows in
+    term_keys() order."""
+    return np.vstack([terms for _, terms in _level_blocks(plan)])
 
 
 def covariance_kernel(plan: SynthesisPlan, t, s) -> np.ndarray:
@@ -166,37 +180,42 @@ def covariance_kernel(plan: SynthesisPlan, t, s) -> np.ndarray:
     return np.einsum("rt,rt->t", mt, ms)
 
 
-def _coefficients(plan: SynthesisPlan, forced: dict | None) -> np.ndarray:
-    """n_paths x n_terms coefficient matrix from per-(block, j, k) streams.
+def _coefficient_rows(plan: SynthesisPlan, keys: list,
+                      forced: dict) -> np.ndarray:
+    """len(keys) x n_paths coefficients, one row per term key.
 
     Each term key owns one counter-based stream seeded by
     (seed, block, j, k), so generation order over terms is irrelevant
     and results are bit-exact for a given plan.
     """
-    keys = plan.term_keys()
-    coeffs = np.empty((plan.n_paths, len(keys)))
+    rows = np.empty((len(keys), plan.n_paths))
     block_id = {"approximation": 0, "wavelet": 1}
-    for col, (block, j, k) in enumerate(keys):
-        if forced is not None and (block, j, k) in forced:
-            coeffs[:, col] = forced[(block, j, k)]
+    for row, (block, j, k) in zip(rows, keys):
+        if (block, j, k) in forced:
+            row[:] = forced[(block, j, k)]
             continue
         seq = np.random.SeedSequence((plan.seed, block_id[block],
                                       j + 2**31, k + 2**31))
-        gen = np.random.Generator(np.random.Philox(seq))
-        coeffs[:, col] = gen.standard_normal(plan.n_paths)
-    return coeffs
+        np.random.Generator(np.random.Philox(seq)).standard_normal(out=row)
+    return rows
 
 
 def simulate(plan: SynthesisPlan, forced: dict | None = None) -> PathEnsemble:
-    """Draw the coefficient matrix and form the paths.
+    """Draw the coefficients and form the paths, one level block at a
+    time: memory is O(n_paths x (n_times + 2K + 1)).
 
     forced maps (block, j, k) term keys to constant coefficient values,
     overriding the random draw for those terms (test hook; also realizes
     linearity checks).
     """
-    m = _term_matrix(plan)
-    coeffs = _coefficients(plan, forced)
-    values = coeffs @ m
+    forced = {} if forced is None else forced
+    unknown = set(forced) - set(plan.term_keys())
+    if unknown:
+        raise ProcsimError("forced keys not in the plan: "
+                           f"{sorted(unknown, key=repr)}")
+    values = np.zeros((plan.n_paths, len(plan.times)))
+    for keys, terms in _level_blocks(plan):
+        values += _coefficient_rows(plan, keys, forced).T @ terms
     return PathEnsemble(plan.times, values, plan.config())
 
 

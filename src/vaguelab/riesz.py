@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -49,6 +50,9 @@ class Truncation:
     include_approximation: bool = True
 
     def __post_init__(self):
+        for name, value in (("J", self.J), ("K", self.K)):
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise RieszError(f"{name} must be an integer, got {value!r}")
         if self.J < 0 or self.K < 1:
             raise RieszError(f"need J >= 0 and K >= 1, got J={self.J}, K={self.K}")
 

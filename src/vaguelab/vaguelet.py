@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -33,6 +34,10 @@ class VagueletParams:
     t_window: float = 32.0
 
     def __post_init__(self):
+        for name, value in (("j_min", self.j_min), ("j_max", self.j_max)):
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise VagueletParamError(
+                    f"{name} must be an integer, got {value!r}")
         if not 0.0 < self.alpha2 < self.alpha1 < 1.0:
             raise VagueletParamError(
                 f"need 0 < alpha2 < alpha1 < 1, got alpha1={self.alpha1}, "

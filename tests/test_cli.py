@@ -145,6 +145,44 @@ def test_all_refuses_any_bad_block_before_writing(tmp_path, capsys, document):
     assert list(out_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, document", [
+    ("verify-riesz", {"riesz": {"K": 1.5}}),
+    ("verify-riesz", {"riesz": {"J": 1.5}}),
+    ("verify-riesz", {"riesz": {"K": True}}),
+    ("build", {"build": {"K": 1.5}}),
+    ("build", {"build": {"J": True}}),
+    ("verify-vaguelet", {"vaguelet": {"synthesis_K": 1.5}}),
+    ("verify-vaguelet", {"vaguelet": {"j_max": 2.5}}),
+    ("verify-vaguelet", {"vaguelet": {"j_min": True}}),
+    ("simulate", {"simulate": {"n_paths": 1.5}}),
+    ("simulate", {"simulate": {"n_paths": True}}),
+    ("simulate", {"simulate": {"J_detail": 1.5}}),
+    ("simulate", {"simulate": {"K": 2.5}}),
+    ("simulate", {"simulate": {"j_coarse": -1.0,
+                               "include_approximation": False}}),
+    ("simulate", {"simulate": {"resolution": 10.0}}),
+    ("simulate", {"seed": 1.5}),
+    ("simulate", {"seed": -1}),
+], ids=["riesz.K", "riesz.J", "riesz.K-bool", "build.K", "build.J-bool",
+        "vaguelet.synthesis_K", "vaguelet.j_max", "vaguelet.j_min-bool",
+        "simulate.n_paths", "simulate.n_paths-bool",
+        "simulate.J_detail", "simulate.K", "simulate.j_coarse",
+        "simulate.resolution", "seed", "seed-negative"])
+def test_non_integer_counts_exit_2_no_outputs(tmp_path, capsys, command,
+                                              document):
+    # these used to end in a TypeError or IndexError traceback at run time
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(document))
+    for cmd in (command, "all"):
+        out_dir = tmp_path / cmd
+        out_dir.mkdir()
+        code = run_cli([cmd, "--config", str(cfg_path), "--out",
+                        str(out_dir)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
+
 def test_deepest_level_and_widest_sections_accepted():
     # the last values on the default grid: 2^-6 = dt, 2K = 510 and
     # 4K = 508 lags inside the window |t| < 512

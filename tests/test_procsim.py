@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from vaguelab.grids import inverse_transform
 from vaguelab.filters import FilterPair, FractionalFilter, OUFilter, unit_pair
 from vaguelab.mra import WaveletSpec
 from vaguelab.procsim import (PathEnsemble, ProcsimError, SynthesisPlan,
-                              _level_terms, _term_matrix, covariance_kernel,
+                              _coefficient_rows, _level_blocks, _level_terms,
+                              _term_matrix, covariance_kernel,
                               dyadic_times, empirical_covariance,
                               fbm_scaling, simulate, target_autocovariance)
 
@@ -38,6 +40,32 @@ def test_plan_validation(meyer, ou_pair):
     with pytest.raises(ProcsimError):
         # coarse detail levels overlap the approximation block
         _plan(ou_pair, meyer, j_coarse=-2, include_approximation=True)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("J_detail", 1.5), ("K", 2.5), ("K", 4.0), ("n_paths", 1.5),
+    ("n_paths", True), ("j_coarse", -1.0), ("resolution", 6.0),
+    ("seed", 0.5), ("seed", False), ("seed", -1)])
+def test_plan_refuses_non_integer_counts(meyer, ou_pair, field, value):
+    kw = {field: value}
+    if field == "j_coarse":
+        kw["include_approximation"] = False
+    with pytest.raises(ProcsimError):
+        _plan(ou_pair, meyer, **kw)
+
+
+def test_plan_accepts_numpy_integers(meyer, ou_pair):
+    plan = _plan(ou_pair, meyer, K=np.int64(4), n_paths=np.int32(3),
+                 seed=np.uint64(7))
+    assert len(plan.term_keys()) == 4 * 9
+
+
+def test_forced_key_outside_the_plan_is_refused(meyer, ou_pair):
+    plan = _plan(ou_pair, meyer, n_paths=2)
+    for key in (("wavelet", 3, 0), ("wavelet", 2, 5), ("Wavelet", 0, 0),
+                ("approximation", 1, 0)):
+        with pytest.raises(ProcsimError, match="not in the plan"):
+            simulate(plan, forced={("wavelet", 0, 0): 1.0, key: 1.0})
 
 
 def test_forced_zero_coefficients_give_zero_paths(meyer, ou_pair):
@@ -228,3 +256,57 @@ def test_terms_vanish_outside_profile_window(meyer, ou_pair):
     row = plan.term_keys().index(("wavelet", 9, 0))
     assert abs(m[row, 0]) > 1e-3
     assert m[row, 1] == 0.0
+
+
+def _dense_synthesis(plan):
+    """The dense reference: every term key's stream drawn into one column
+    of an n_paths x n_terms matrix, then one product with all terms."""
+    keys = plan.term_keys()
+    coeffs = np.empty((plan.n_paths, len(keys)))
+    block_id = {"approximation": 0, "wavelet": 1}
+    for col, (block, j, k) in enumerate(keys):
+        seq = np.random.SeedSequence((plan.seed, block_id[block],
+                                      j + 2**31, k + 2**31))
+        gen = np.random.Generator(np.random.Philox(seq))
+        coeffs[:, col] = gen.standard_normal(plan.n_paths)
+    return coeffs, coeffs @ _term_matrix(plan)
+
+
+@pytest.mark.parametrize("wavelet_name, overrides", [
+    ("meyer", {}),
+    ("meyer", dict(j_coarse=-2, include_approximation=False)),
+    ("db4", dict(J_detail=1)),
+], ids=["meyer", "meyer-coarse", "db4"])
+def test_simulate_matches_dense_synthesis(request, ou_pair, wavelet_name,
+                                          overrides):
+    wavelet = request.getfixturevalue(wavelet_name)
+    plan = _plan(ou_pair, wavelet, n_paths=300, seed=9, **overrides)
+    coeffs, dense = _dense_synthesis(plan)
+    assert np.max(np.abs(simulate(plan).values - dense)) < 1e-12
+    # the level blocks partition the term keys in order, and each block's
+    # coefficient rows are its keys' streams, bit for bit
+    start = 0
+    for keys, terms in _level_blocks(plan):
+        stop = start + len(keys)
+        assert keys == plan.term_keys()[start:stop]
+        assert terms.shape == (2 * plan.K + 1, len(plan.times))
+        rows = _coefficient_rows(plan, keys, {})
+        assert np.array_equal(rows, coeffs[:, start:stop].T)
+        start = stop
+    assert start == coeffs.shape[1]
+
+
+def test_simulate_peak_memory_is_one_level_of_coefficients(meyer, ou_pair):
+    times = dyadic_times(-2.0, 2.0, 10)
+    times = times[np.abs(times / 0.25 - np.round(times / 0.25)) < 1e-9]
+    plan = SynthesisPlan(ou_pair, meyer, times=times, J_detail=6, K=64,
+                         n_paths=4000)
+    dense_bytes = 8 * plan.n_paths * len(plan.term_keys())  # 33.0 MB
+    simulate(plan)  # the first call also allocates one-time caches
+    tracemalloc.start()
+    try:
+        simulate(plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 4

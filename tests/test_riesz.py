@@ -28,6 +28,11 @@ def test_truncation_validation_and_size():
         Truncation(-1, 3)
     with pytest.raises(RieszError):
         Truncation(2, 0)
+    # np.int64 counts are integers; floats and bools are not
+    assert len(Truncation(np.int64(1), np.int64(2)).indices("dual")) == 15
+    for j, k in ((2, 1.5), (2, 2.0), (1.5, 3), (2, True), (False, 3)):
+        with pytest.raises(RieszError, match="must be an integer"):
+            Truncation(j, k)
 
 
 def test_unit_gram_is_identity(unit_builder):
