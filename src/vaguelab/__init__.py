@@ -15,9 +15,8 @@ from .filters import (ExpGammaFilter, Filter, FilterEvalError, FilterPair,
                       FractionalFilter, MSTApproxFilter, OUComplexFilter,
                       OUFilter, RationalFilter, UnitFilter,
                       filter_from_config, unit_pair)
-from .grids import (FourierGrid, GridError, SampledSpectrum, TimeSeries,
-                    default_grid, inner_product, inverse_transform, l2_norm,
-                    make_grid)
+from .grids import (FourierGrid, GridError, SampledSpectrum, default_grid,
+                    inner_product, l2_norm, make_grid)
 from .mra import (MEYER_SUPPORT_RADIUS, WaveletSpec, check_cmf,
                   vanishing_moment_order)
 from .procsim import (PathEnsemble, ProcsimError, SynthesisPlan,

@@ -172,8 +172,8 @@ def _instantiate(cfg: dict) -> dict:
                                         vb["t_window"]), sides),
             "riesz": (riesz, levels),
             "counterexample": (CounterexampleConfig(
-                gamma, j_min if ce["j_min"] is None else int(ce["j_min"]),
-                j_max if ce["j_max"] is None else int(ce["j_max"])), alpha1),
+                gamma, j_min if ce["j_min"] is None else ce["j_min"],
+                j_max if ce["j_max"] is None else ce["j_max"]), alpha1),
             "simulate": _synthesis_plan(cfg, wavelet, pair)}
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -43,6 +44,11 @@ class CounterexampleConfig:
     def __post_init__(self):
         if self.gamma <= 0:
             raise CounterexampleError(f"gamma must be positive, got {self.gamma}")
+        for name in ("j_min", "j_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise CounterexampleError(
+                    f"{name} must be an integer, got {value!r}")
         if not 0 <= self.j_min <= self.j_max:
             raise CounterexampleError("need 0 <= j_min <= j_max")
         if len(self.j_range) < 5:

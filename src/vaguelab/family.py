@@ -265,13 +265,14 @@ class FamilyBuilder:
         return FamilyMember(idx, SampledSpectrum(self.grid, vals), log_scale)
 
     def level_spectrum(self, j: int, side: str, role: str,
-                       grid: FourierGrid | None = None) -> SampledSpectrum:
-        """Spectrum of the level profile g_j on the base y-grid, or on grid:
-        H(2^j y) w(y) with the side/role filter H and mother spectrum w,
-        divided by e^{log_scale}, for any integer j (negative included).
-        Its inverse transform is g_j, with member(j,k)(t) = 2^{j/2}
-        g_j(2^j t - k) and the l2 norm of g_j equal to the scaled member
-        norm; a grid wider at the same dy samples tau more finely."""
+                       grid: FourierGrid | None = None):
+        """(spectrum, log_scale) of the level profile g_j on the base
+        y-grid, or on grid: H(2^j y) w(y), with the side/role filter H and
+        mother spectrum w, is spectrum * e^{log_scale}, for any integer j
+        (negative included). Its inverse transform is g_j, with
+        member(j,k)(t) = 2^{j/2} g_j(2^j t - k) and the l2 norm of g_j equal
+        to the scaled member norm; a grid wider at the same dy samples tau
+        more finely."""
         grid = grid if grid is not None else self.grid
-        vals, _ = self._evaluate(j, side, role, grid, 1.0)
-        return SampledSpectrum(grid, vals)
+        vals, log_scale = self._evaluate(j, side, role, grid, 1.0)
+        return SampledSpectrum(grid, vals), log_scale

@@ -6,18 +6,17 @@ Conventions used throughout the package:
     inverse:  f(t) = (2 pi)^{-1} integral e^{i t x} F(x) dx
     inner product:  <f, g> = (2 pi)^{-1} integral F(x) conj(G(x)) dx
 
-Grid invariant behind the transforms: x_m = -x_max + m dx and
-t_l = t0 + l dt with dt = pi / x_max, t0 = -n dt / 2 and n a power of two
->= 16, so x_max dt = pi, t0 dx = -pi, dx dt = 2 pi / n and n is a
-multiple of 4. Then e^{i t_l x_m} = (-1)^{l+m} e^{2 pi i l m / n}, and
-the sign flips are exactly the half-length rotations fftshift/ifftshift:
-the inverse transform is a plain FFT with no chirp factors.
+Grid invariant behind the transforms: x_m = -x_max + m dx and t = q dt
+for integer q, with dt = pi / x_max and n a power of two >= 16, so
+x_max dt = pi and dx dt = 2 pi / n. Then e^{i q dt x_m} =
+(-1)^q e^{2 pi i q m / n}: samples of the inverse transform are a plain
+FFT with a sign flip and no chirp factors (inverse_transform_at).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,10 +70,6 @@ class FourierGrid:
         return -0.5 * self.n * self.dt
 
     @property
-    def t(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n)
-
-    @property
     def time_window(self) -> float:
         return self.n * self.dt
 
@@ -111,24 +106,6 @@ class SampledSpectrum:
         return self.hermitian_defect() < tol
 
 
-@dataclass(frozen=True)
-class TimeSeries:
-    """Complex samples f(t0 + l dt), l = 0..n-1."""
-
-    t0: float
-    dt: float
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if not (self.dt > 0):
-            raise GridError(f"dt must be positive, got {self.dt}")
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
-
-    @property
-    def t(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(len(self.values))
-
-
 def _check_same_grid(f: SampledSpectrum, g: SampledSpectrum) -> None:
     if f.grid != g.grid:
         raise GridError("spectra live on different grids")
@@ -145,16 +122,8 @@ def l2_norm(f: SampledSpectrum) -> float:
     return float(np.sqrt(max(sq, 0.0)))
 
 
-def inverse_transform(f: SampledSpectrum) -> TimeSeries:
-    """Sample f(t) = (2 pi)^{-1} integral e^{itx} F(x) dx on the conjugate grid."""
-    grid = f.grid
-    summed = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(f.values)))
-    # n dx / (2 pi) = 1 / dt turns ifft's 1/n into the quadrature weight
-    return TimeSeries(grid.t0, grid.dt, summed / grid.dt)
-
-
 def inverse_transform_at(f: SampledSpectrum, q) -> np.ndarray:
-    """f(q dt) for an integer array q, without the full transform.
+    """f(q dt) for an integer array q, by one FFT of n / s points.
 
     e^{i q dt x_m} = (-1)^q e^{2 pi i q m / n}, so with s = gcd(n, every q)
     the phase repeats every n / s samples: F folds onto n / s points (a
@@ -165,7 +134,8 @@ def inverse_transform_at(f: SampledSpectrum, q) -> np.ndarray:
     grid = f.grid
     q = np.asarray(q)
     s = int(np.gcd.reduce(q, axis=None, initial=grid.n))
-    folded = f.values.reshape(s, -1).sum(axis=0)
+    # s = 1 needs no fold, and no copy of F
+    folded = f.values if s == 1 else f.values.reshape(s, -1).sum(axis=0)
     sums = np.fft.ifft(folded, norm="forward")[q // s % (grid.n // s)]
     return np.where(q % 2, -1.0, 1.0) * (grid.dx / TWO_PI) * sums
 
@@ -191,5 +161,7 @@ DEFAULT_N = 2**16
 
 
 def default_grid() -> FourierGrid:
-    """Grid resolving Meyer supports up to level j = 5 without aliasing."""
+    """Grid resolving Meyer supports up to level j = 4 without aliasing:
+    the level-j member's spectrum reaches |x| = 2^j 8 pi / 3, which is
+    <= x_max = 64 pi only for j <= 4."""
     return make_grid(DEFAULT_X_MAX, DEFAULT_N)

@@ -170,6 +170,10 @@ class WaveletSpec:
         if self.kind == "daubechies":
             if not (isinstance(self.n_moments, int) and 2 <= self.n_moments <= 10):
                 raise ValueError("daubechies requires integer n_moments in 2..10")
+        # a bool is an int below 20
+        if not (isinstance(self.depth, int) and self.depth >= 20):
+            raise ValueError(f"product depth must be an integer >= 20, got "
+                             f"{self.depth!r}")
 
     @property
     def phi_support_radius(self) -> float:
@@ -220,8 +224,8 @@ class WaveletSpec:
         if kind == "meyer":
             spec = cls("meyer")
         elif kind == "daubechies":
-            spec = cls("daubechies", n_moments=int(cfg.pop("n")),
-                       depth=int(cfg.pop("depth", 40)))
+            spec = cls("daubechies", n_moments=cfg.pop("n"),
+                       depth=cfg.pop("depth", 40))
         else:
             raise ValueError(f"unknown wavelet kind {kind!r}")
         if cfg:

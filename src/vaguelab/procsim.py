@@ -128,10 +128,18 @@ def _level_terms(builder: FamilyBuilder, j: int, side: str, role: str,
     over r give every k. Phases are reduced to [0, 1) cycles before the
     exp, exactly for dyadic s. Terms whose tau lies outside the profile's
     window [-pi/dy, pi/dy) are 0; the fold alone would return
-    g_j(tau -+ P) there.
+    g_j(tau -+ P) there. The spectrum's factor e^{log_scale} is multiplied
+    back into the terms: a level where it underflows contributes 0, one
+    where it overflows is refused.
     """
     grid = builder.grid
-    folded = fold_periods(grid, builder.level_spectrum(j, side, role).values)
+    spectrum, log_scale = builder.level_spectrum(j, side, role)
+    try:
+        scale = math.exp(log_scale)
+    except OverflowError:
+        raise ProcsimError(f"level {j}: the {side} {role} terms overflow "
+                           f"(filter scale e^{log_scale:.6g})") from None
+    folded = fold_periods(grid, spectrum.values)
     period = folded.shape[1]
     blocks = np.flatnonzero(np.any(folded != 0.0, axis=1))
     q = blocks - grid.n // (2 * period)
@@ -142,7 +150,7 @@ def _level_terms(builder: FamilyBuilder, j: int, side: str, role: str,
     terms = np.fft.fft(summed, axis=1)[:, ks % period].real.T
     tau = s[None, :] - ks[:, None]
     terms[(tau < -period / 2) | (tau >= period / 2)] = 0.0
-    return 2.0 ** (j / 2.0) * grid.dx / (2.0 * np.pi) * terms
+    return scale * 2.0 ** (j / 2.0) * grid.dx / (2.0 * np.pi) * terms
 
 
 def _level_blocks(plan: SynthesisPlan):

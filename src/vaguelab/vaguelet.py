@@ -17,7 +17,8 @@ from numbers import Integral
 import numpy as np
 
 from .family import FamilyBuilder
-from .grids import SampledSpectrum, inverse_transform, make_grid
+from .grids import (SampledSpectrum, inverse_transform_at, l2_norm,
+                    make_grid)
 from .report import CheckResult
 
 
@@ -58,21 +59,35 @@ class VagueletParams:
 
 
 def _profile(spectrum: SampledSpectrum, j: int, t_window: float):
-    """g_j samples and tau axis in the window |tau| <= 2^j t_window, the
-    tau spacing, and ||g_j||.
-
-    g_j is the inverse transform of a level spectrum. Its L2 norm over tau
-    equals the (scaled) member norm, so ratios of sup statistics to it are
-    invariant under the internal rescaling used for overflow-prone filters.
+    """Indices q in [-n/2, n/2) with |q dt| <= 2^j t_window, the samples
+    g_j(q dt) of the inverse transform of a level spectrum there, and
+    ||g_j||, taken from the spectrum by Plancherel. It equals the (scaled)
+    member norm, so ratios of sup statistics to it are invariant under the
+    internal rescaling used for overflow-prone filters.
     """
-    series = inverse_transform(spectrum)
-    tau = series.t
-    vals = series.values
-    norm = math.sqrt(float(np.sum(np.abs(vals) ** 2)) * series.dt)
+    grid = spectrum.grid
+    norm = l2_norm(spectrum)
     if norm <= 0.0:
         raise VagueletParamError(f"zero-norm level profile at j={j}")
-    m = np.abs(tau) <= 2.0**j * t_window
-    return tau[m], vals[m], tau[1] - tau[0], norm
+    q = np.arange(-grid.n // 2, grid.n // 2)
+    q = q[np.abs(q * grid.dt) <= 2.0**j * t_window]
+    return q, inverse_transform_at(spectrum, q), norm
+
+
+def _level_statistics(spectrum: SampledSpectrum, j: int,
+                      params: VagueletParams) -> tuple:
+    """(decay, Hoelder, refined Hoelder, mean) statistics of level j from
+    its level spectrum on the wide grid. Each is a ratio, so the
+    spectrum's scale e^{log_scale} drops out."""
+    q, g, norm = _profile(spectrum, j, params.t_window)
+    dtau = spectrum.grid.dt
+    even = slice(q[0] % 2, None, 2)  # the builder grid's tau
+    weight = (1.0 + np.abs(q[even] * dtau)) ** (1.0 + params.alpha1)
+    vals = spectrum.values
+    return (float(np.max(np.abs(g[even]) * weight)) / norm,
+            _holder_sup(g[even], 2 * dtau, params.alpha2) / norm,
+            _holder_sup(g, dtau, params.alpha2) / norm,
+            abs(vals[len(vals) // 2]) / float(np.max(np.abs(vals))))
 
 
 def _holder_sup(g: np.ndarray, dtau: float, alpha2: float) -> float:
@@ -176,36 +191,29 @@ def synthesis_bound(builder: FamilyBuilder, side: str, J: int = 4, K: int = 16,
 def vaguelet_suite(builder: FamilyBuilder, side: str,
                    params: VagueletParams = VagueletParams()) -> list:
     """The decay, mean and Hoelder checks of one side in one pass over the
-    levels. Each level spectrum G_j is evaluated on the base y-grid and on
-    a grid twice as wide at the same dy, whose profile g_j samples tau
-    twice as finely.
+    levels. Each level spectrum G_j is evaluated once, on a y-grid twice
+    as wide as the builder's at the same dy, and its profile g_j is read
+    once, on the window |tau| <= 2^j t_window at half the builder grid's
+    tau spacing: the even samples are the builder grid's tau.
 
     decay_statistic: S_j = sup_tau |g_j(tau)| (1 + |tau|)^{1 + alpha1} /
-    ||g_j||, i.e. sup_t |member_{j,0}(t)| (1 + |2^j t|)^{1+alpha1} 2^{-j/2}
-    for the L2-normalized member.
+    ||g_j|| over the even samples, i.e. sup_t |member_{j,0}(t)|
+    (1 + |2^j t|)^{1+alpha1} 2^{-j/2} for the L2-normalized member.
     mean_check: max_j |G_j(0)| / sup |G_j|, the member's |Psi^(0)| / sup
     |Psi^| with every level's support resolved by the same y-grid.
     holder_statistic: H_j = sup |g_j(tau') - g_j(tau)| / (|tau' - tau|^alpha2
     ||g_j||), i.e. sup |member(t') - member(t)| 2^{-j(1/2+alpha2)} /
     |t'-t|^alpha2 after normalization, over sample pairs at graded
-    separations (two per octave up to the window width). It is a lower
-    bound of the continuum sup, trusted only if the finer sampling changes
-    it by < 20%; else the verdict is inconclusive.
+    separations (two per octave up to the window width). per_j reads the
+    even samples, per_j_refined every sample: a lower bound of the
+    continuum sup, trusted only if the finer sampling changes it by < 20%;
+    else the verdict is inconclusive.
     """
     wide = make_grid(2.0 * builder.grid.x_max, 2 * builder.grid.n)
-    decay, holder, holder_fine, means = [], [], [], []
-    for j in params.j_range:
-        spectrum = builder.level_spectrum(j, side, "wavelet")
-        tau, g, dtau, norm = _profile(spectrum, j, params.t_window)
-        decay.append(float(np.max(np.abs(g) * (1.0 + np.abs(tau))
-                                  ** (1.0 + params.alpha1))) / norm)
-        holder.append(_holder_sup(g, dtau, params.alpha2) / norm)
-        vals = spectrum.values
-        means.append(abs(vals[len(vals) // 2]) / float(np.max(np.abs(vals))))
-        _, g, dtau, norm = _profile(
-            builder.level_spectrum(j, side, "wavelet", wide), j,
-            params.t_window)
-        holder_fine.append(_holder_sup(g, dtau, params.alpha2) / norm)
+    # one call per level: its arrays are freed before the next level's
+    decay, holder, holder_fine, means = map(list, zip(*(
+        _level_statistics(builder.level_spectrum(j, side, "wavelet", wide)[0],
+                          j, params) for j in params.j_range)))
     rel_changes = [abs(fine - coarse) / max(coarse, 1e-300)
                    for coarse, fine in zip(holder, holder_fine)]
     # the built-in max/min skip a NaN that is not first, so a non-finite

@@ -163,14 +163,25 @@ def test_all_refuses_any_bad_block_before_writing(tmp_path, capsys, document):
     ("simulate", {"simulate": {"resolution": 10.0}}),
     ("simulate", {"seed": 1.5}),
     ("simulate", {"seed": -1}),
+    ("verify-riesz", {"wavelet": {"kind": "daubechies", "n": 4,
+                                  "depth": 1.5}}),
+    ("verify-riesz", {"wavelet": {"kind": "daubechies", "n": 4,
+                                  "depth": 10}}),
+    ("verify-riesz", {"wavelet": {"kind": "daubechies", "n": 4.5}}),
+    ("counterexample", {"counterexample": {"j_min": 2.7, "j_max": 9.9}}),
+    ("counterexample", {"counterexample": {"j_min": True, "j_max": 12}}),
 ], ids=["riesz.K", "riesz.J", "riesz.K-bool", "build.K", "build.J-bool",
         "vaguelet.synthesis_K", "vaguelet.j_max", "vaguelet.j_min-bool",
         "simulate.n_paths", "simulate.n_paths-bool",
         "simulate.J_detail", "simulate.K", "simulate.j_coarse",
-        "simulate.resolution", "seed", "seed-negative"])
+        "simulate.resolution", "seed", "seed-negative", "wavelet.depth",
+        "wavelet.depth-shallow", "wavelet.n", "counterexample.window",
+        "counterexample.j_min-bool"])
 def test_non_integer_counts_exit_2_no_outputs(tmp_path, capsys, command,
                                               document):
-    # these used to end in a TypeError or IndexError traceback at run time
+    # these used to end in a traceback at run time (a TypeError, an
+    # IndexError, or a product depth cast from 1.5 to 1), or to run on
+    # values cast by int(): the window 2.7..9.9 ran as 2..9 and exited 0
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(document))
     for cmd in (command, "all"):

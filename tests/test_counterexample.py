@@ -69,6 +69,10 @@ def test_config_validation():
         CounterexampleConfig(-1.0, 6, 12)
     with pytest.raises(CounterexampleError):
         CounterexampleConfig(1.0, 12, 6)
+    # a window is never cast: 2.7..9.9 used to run as 2..9
+    for window in ((2.7, 9.9), (6, 12.0), (True, 12)):
+        with pytest.raises(CounterexampleError):
+            CounterexampleConfig(1.0, *window)
 
 
 def test_default_windows():

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vaguelab.grids import (FourierGrid, GridError, SampledSpectrum,
-                            TimeSeries, default_grid, inner_product,
-                            inverse_transform, l2_norm, make_grid)
+                            default_grid, inner_product, inverse_transform_at,
+                            l2_norm, make_grid)
 
-from transforms import forward_transform
+from transforms import TimeSeries, forward_transform, inverse_transform
 
 
 def test_grid_validation():
@@ -47,6 +47,22 @@ def test_round_trip_forward_inverse(g):
     spec = SampledSpectrum(g, vals)
     back = forward_transform(inverse_transform(spec), g)
     assert np.max(np.abs(back.values - vals)) < 1e-13
+
+
+@pytest.mark.parametrize("q", [np.arange(-128, 128), np.arange(-37, 52),
+                               np.array([-128, -64, 0, 32, 96]),
+                               np.array([-3, 0, 127, 128, 300])],
+                         ids=["whole", "window", "strided", "wrapped"])
+def test_inverse_transform_at_reads_the_full_transform(q):
+    # f(q dt) is the sample q + n / 2 of the full transform, q read
+    # modulo n; a strided q folds the spectrum first
+    g = make_grid(16.0, 256)
+    rng = np.random.default_rng(1)
+    spec = SampledSpectrum(g, rng.standard_normal(g.n)
+                           + 1j * rng.standard_normal(g.n))
+    full = inverse_transform(spec).values
+    want = full[(q + g.n // 2) % g.n]
+    assert np.max(np.abs(inverse_transform_at(spec, q) - want)) < 1e-13
 
 
 @settings(max_examples=25, deadline=None)

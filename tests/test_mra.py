@@ -127,6 +127,12 @@ def test_spec_validation():
         WaveletSpec("daubechies", n_moments=1)
     with pytest.raises(ValueError):
         WaveletSpec("daubechies", n_moments=2.5)
+    for depth in (1.5, 19, 40.0, True):
+        with pytest.raises(ValueError, match="depth"):
+            WaveletSpec("daubechies", n_moments=4, depth=depth)
+    for cfg in ({"n": 4.0}, {"n": 4, "depth": 1.5}, {"n": 4, "depth": False}):
+        with pytest.raises(ValueError):
+            WaveletSpec.from_config({"kind": "daubechies", **cfg})
 
 
 def test_config_round_trip(meyer, db4):

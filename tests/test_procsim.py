@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from vaguelab.family import FamilyBuilder, FamilyIndex
-from vaguelab.grids import inverse_transform
-from vaguelab.filters import FilterPair, FractionalFilter, OUFilter, unit_pair
+from vaguelab.filters import (ExpGammaFilter, FilterPair, FractionalFilter,
+                              OUFilter, unit_pair)
 from vaguelab.mra import WaveletSpec
 from vaguelab.procsim import (PathEnsemble, ProcsimError, SynthesisPlan,
                               _coefficient_rows, _level_blocks, _level_terms,
@@ -14,7 +14,7 @@ from vaguelab.procsim import (PathEnsemble, ProcsimError, SynthesisPlan,
                               dyadic_times, empirical_covariance,
                               fbm_scaling, simulate, target_autocovariance)
 
-from transforms import time_samples
+from transforms import inverse_transform, time_samples
 
 
 def _plan(pair, meyer, **kw):
@@ -226,7 +226,7 @@ def test_negative_level_terms_consistent(meyer, ou_pair):
     builder = FamilyBuilder(meyer, ou_pair)
     ks = np.array([-3, 0, 5])
     profile = inverse_transform(builder.level_spectrum(1, "primal",
-                                                       "wavelet"))
+                                                       "wavelet")[0])
     idx = np.array([5000, 32668, 32805, 33068])  # 32768 is tau = 0
     times = (profile.t0 + profile.dt * idx) / 2.0
     terms = _level_terms(builder, 1, "primal", "wavelet", ks, times)
@@ -238,7 +238,7 @@ def test_negative_level_terms_consistent(meyer, ou_pair):
 
     j = -3
     times = np.array([-1.5, 0.0, 0.25, 3.0])
-    spec = builder.level_spectrum(j, "primal", "wavelet")
+    spec, _ = builder.level_spectrum(j, "primal", "wavelet")
     tau = 2.0**j * times[None, :] - ks[:, None]
     quad = (np.exp(1j * np.multiply.outer(tau, spec.grid.x)) @ spec.values
             * spec.grid.dx / (2.0 * np.pi))
@@ -256,6 +256,34 @@ def test_terms_vanish_outside_profile_window(meyer, ou_pair):
     row = plan.term_keys().index(("wavelet", 9, 0))
     assert abs(m[row, 0]) > 1e-3
     assert m[row, 1] == 0.0
+
+
+def test_level_scale_is_multiplied_back(meyer):
+    # exp_gamma 1 level spectra past |x| = 300 are stored divided by
+    # e^{log_scale}; the terms must carry that factor, not drop the level
+    pair = FilterPair(ExpGammaFilter(1.0), ExpGammaFilter(1.0))
+    builder = FamilyBuilder(meyer, pair)
+    ks, times = np.arange(-4, 5), np.array([-0.5, 0.0, 0.25])
+    for j in (5, 8):
+        # primal: the quadrature weighs at most 4 pi / dy samples of
+        # |G| <= e^{-2^j 2 pi / 3} (Meyer support |y| >= 2 pi / 3) by
+        # dy / 2 pi; level 8 is stored divided by e^{-536}, level 5 is not
+        terms = _level_terms(builder, j, "primal", "wavelet", ks, times)
+        bound = 2.0 ** (j / 2.0) * 2.0 * math.exp(-2.0**j * 2.0 * np.pi / 3.0)
+        assert 0.0 < np.max(np.abs(terms)) <= bound
+    # dual: level 6 adds term(t)^2 > 0 to K(t, t), level 7's factor
+    # e^{1072} overflows
+    t = np.array([0.0, 0.25])
+
+    def diagonal(J_detail):
+        plan = _plan(pair, meyer, J_detail=J_detail, K=8,
+                     synthesis_side="dual", include_approximation=False)
+        return covariance_kernel(plan, t, t)
+
+    with np.errstate(over="ignore"):
+        assert np.all(diagonal(6) > diagonal(5))
+    with pytest.raises(ProcsimError, match="level 7"):
+        diagonal(7)
 
 
 def _dense_synthesis(plan):

@@ -10,13 +10,14 @@ from vaguelab.filters import (ExpGammaFilter, FilterPair, FractionalFilter,
                               MSTApproxFilter, OUFilter, UnitFilter,
                               unit_pair)
 from vaguelab.grids import (GridError, SampledSpectrum, inner_product,
-                            inverse_transform, inverse_transform_at, l2_norm,
-                            make_grid)
+                            inverse_transform_at, l2_norm, make_grid)
 from vaguelab.mra import WaveletSpec
 from vaguelab.procsim import _level_terms
 from vaguelab.riesz import (RieszError, Truncation, _inner_products,
                             biorthogonality_defect, bracket_sum, gram,
                             refinement_identity, riesz_bounds)
+
+from transforms import inverse_transform
 
 
 def test_truncation_validation_and_size():

@@ -11,7 +11,8 @@ from vaguelab.family import FamilyBuilder
 from vaguelab.filters import (ExpGammaFilter, FilterPair, FractionalFilter,
                               MSTApproxFilter, OUComplexFilter, OUFilter,
                               RationalFilter, UnitFilter, unit_pair)
-from vaguelab.grids import SampledSpectrum, inverse_transform, make_grid
+from vaguelab.grids import (SampledSpectrum, inverse_transform_at, l2_norm,
+                            make_grid)
 from vaguelab.mra import WaveletSpec
 from vaguelab.report import dump_report, render_report
 from vaguelab.riesz import Truncation, gram
@@ -129,29 +130,33 @@ def test_fractional_suite_passes(meyer):
 
 
 def _reference_statistics(builder, side, params):
-    """The per-statistic loops the one-pass suite replaced: decay and the
-    coarse Hoelder statistic from the base-grid profile, the refined one
-    from the profile of the level spectrum on a grid twice as wide, and
-    the mean from the 2^j-rescaled members."""
+    """The per-statistic loops the one-pass suite replaced, on the profile
+    of each level spectrum on a grid twice as wide as the builder's,
+    sampled over the whole grid and then cut to the window: decay and the
+    coarse Hoelder statistic from the even samples (the builder grid's
+    tau), the refined one from every sample, and the mean from the
+    2^j-rescaled members."""
     wide = make_grid(builder.grid.x_max * 2, builder.grid.n * 2)
+    q = np.arange(-wide.n // 2, wide.n // 2)
 
-    def profile(j, grid):
-        series = inverse_transform(builder.level_spectrum(j, side, "wavelet",
-                                                          grid))
-        tau, vals = series.t, series.values
-        norm = math.sqrt(float(np.sum(np.abs(vals) ** 2)) * series.dt)
-        m = np.abs(tau) <= 2.0**j * params.t_window
-        return tau, vals, norm, m
+    def profile(j):
+        spectrum, _ = builder.level_spectrum(j, side, "wavelet", wide)
+        m = np.abs(q * wide.dt) <= 2.0**j * params.t_window
+        vals = inverse_transform_at(spectrum, q)[m]
+        even = q[m] % 2 == 0
+        return q[m] * wide.dt, vals, even, l2_norm(spectrum)
 
     decay, coarse, fine = [], [], []
     for j in params.j_range:
-        tau, vals, norm, m = profile(j, builder.grid)
-        decay.append(float(np.max(np.abs(vals[m]) * (1.0 + np.abs(tau[m]))
+        tau, vals, even, norm = profile(j)
+        decay.append(float(np.max(np.abs(vals[even])
+                                  * (1.0 + np.abs(tau[even]))
                                   ** (1.0 + params.alpha1))) / norm)
-        for grid, out in ((builder.grid, coarse), (wide, fine)):
-            tau, vals, norm, m = profile(j, grid)
-            out.append(holder_sup(vals[m], tau[1] - tau[0], params.alpha2)
-                       / norm)
+    for j in params.j_range:
+        tau, vals, even, norm = profile(j)
+        coarse.append(holder_sup(vals[even], 2.0 * wide.dt, params.alpha2)
+                      / norm)
+        fine.append(holder_sup(vals, wide.dt, params.alpha2) / norm)
     worst = 0.0
     for j in params.j_range:
         member = rescaled_member(builder, j, side, "wavelet")
@@ -190,10 +195,10 @@ def test_suite_bit_equals_per_statistic_loops(meyer, ou_pair, db4, side):
     assert ref["mean"] > 0.0
 
 
-def test_suite_evaluates_each_level_spectrum_twice(monkeypatch, meyer,
-                                                   ou_pair):
-    # one base-grid and one wide-grid spectrum per level and no other
-    # spectrum: the mean ratio comes from the base-grid spectrum
+def test_suite_evaluates_each_level_spectrum_once(monkeypatch, meyer,
+                                                 ou_pair):
+    # one wide-grid spectrum per level and side and no other spectrum:
+    # the base grid's samples are the even ones of its profile
     calls = {"level_spectrum": 0, "_evaluate": 0}
 
     def counted(name, fn):
@@ -206,7 +211,8 @@ def test_suite_evaluates_each_level_spectrum_twice(monkeypatch, meyer,
         monkeypatch.setattr(FamilyBuilder, name,
                             counted(name, getattr(FamilyBuilder, name)))
     builder = FamilyBuilder(meyer, ou_pair, make_grid(16.0 * np.pi, 2**10))
-    vaguelet_suite(builder, "primal", FAST)
+    for side in ("primal", "dual"):
+        vaguelet_suite(builder, side, FAST)
     assert calls == {"level_spectrum": 2 * len(FAST.j_range),
                      "_evaluate": 2 * len(FAST.j_range)}
 
@@ -220,8 +226,9 @@ FILTERS = [UnitFilter(), OUFilter(), OUComplexFilter(), FractionalFilter(0.3),
 
 
 def _holder_profiles(wavelet, grid):
-    """(label, g, dtau) of level profiles of every filter kind, on the
-    builder grid and on the one twice as wide, both sides.
+    """(label, g, dtau) of level profiles of every filter kind, both sides,
+    as the suite scans them: every sample of the profile on the grid twice
+    as wide as the builder's, and its even samples.
 
     Six kinds enter as h2 through the wavelet profiles. mst_approx has a
     pole inside the support of every psi^ and of the Daubechies phi^, so
@@ -238,11 +245,12 @@ def _holder_profiles(wavelet, grid):
         wide = make_grid(2.0 * builder.grid.x_max, 2 * builder.grid.n)
         for j in levels:
             for side in ("primal", "dual"):
-                for g in (builder.grid, wide):
-                    spectrum = builder.level_spectrum(j, side, role, g)
-                    _, vals, dtau, _ = _profile(spectrum, j, 32.0)
-                    yield (f"{pair.config()} {role} j={j} {side} n={g.n}",
-                           vals, dtau)
+                spectrum, _ = builder.level_spectrum(j, side, role, wide)
+                q, vals, _ = _profile(spectrum, j, 32.0)
+                label = f"{pair.config()} {role} j={j} {side}"
+                yield f"{label} every sample", vals, wide.dt
+                yield (f"{label} even samples", vals[q % 2 == 0],
+                       2.0 * wide.dt)
 
 
 @pytest.mark.parametrize("wavelet, grid", [
@@ -259,7 +267,7 @@ def test_pruned_holder_scan_bit_equals_full_scan(wavelet, grid):
             got, want = _holder_sup(g, dtau, alpha2), holder_sup(g, dtau, alpha2)
             assert _bits(got) == _bits(want), (label, alpha2, got, want)
         count += 1
-    # levels x sides x grids, per filter kind
+    # levels x sides x (every, even) samples, per filter kind
     assert count == 6 * 4 * 2 * 2 + (2 * 2 * 2 if wavelet.kind == "meyer"
                                      else 0)
 
@@ -385,11 +393,11 @@ def test_nan_profile_level_never_passes(monkeypatch, ou_builder):
     profile = vaguelet._profile
 
     def poisoned(spectrum, j, t_window):
-        tau, g, dtau, norm = profile(spectrum, j, t_window)
+        q, g, norm = profile(spectrum, j, t_window)
         if j == 2:
             g = g.copy()
-            g[len(g) // 2] = math.nan
-        return tau, g, dtau, norm
+            g[len(g) // 2] = math.nan  # q = 0, an even sample
+        return q, g, norm
 
     clean = vaguelet_suite(ou_builder, "primal", FAST)
     monkeypatch.setattr(vaguelet, "_profile", poisoned)
@@ -407,12 +415,12 @@ def test_nan_level_spectrum_never_passes(monkeypatch, ou_builder):
     level_spectrum = FamilyBuilder.level_spectrum
 
     def poisoned(self, j, side, role, grid=None):
-        spectrum = level_spectrum(self, j, side, role, grid)
+        spectrum, log_scale = level_spectrum(self, j, side, role, grid)
         if j == 3:
             vals = spectrum.values.copy()
             vals[len(vals) // 2] = math.nan
             spectrum = SampledSpectrum(spectrum.grid, vals)
-        return spectrum
+        return spectrum, log_scale
 
     monkeypatch.setattr(FamilyBuilder, "level_spectrum", poisoned)
     for result in vaguelet_suite(ou_builder, "primal", FAST):
