@@ -16,7 +16,6 @@ y = 2^{j gamma} (a^gamma - x^gamma). The ratio p_j / n_j decays like
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from numbers import Integral
@@ -184,10 +183,8 @@ def _fit_slope(js, values):
     return float(slope), resid
 
 
-@functools.lru_cache(maxsize=16)
 def run_counterexample(cfg: CounterexampleConfig) -> CounterexampleRun:
-    """Norms, peaks and fitted exponents over cfg's levels, computed once
-    per config (cfg is frozen and the run immutable)."""
+    """Norms, peaks and fitted exponents over cfg's levels."""
     js = list(cfg.j_range)
     norms = [scaled_norm(j, cfg) for j in js]
     peaks = [scaled_peak(j, cfg) for j in js]
@@ -203,10 +200,9 @@ def run_counterexample(cfg: CounterexampleConfig) -> CounterexampleRun:
                              slope, resid, r_hat_norm, r_hat_peak)
 
 
-def ratio_exponent(cfg: CounterexampleConfig) -> CheckResult:
+def ratio_exponent(run: CounterexampleRun) -> CheckResult:
     """Fitted slope of log2(p_j / n_j) vs j; the target is -gamma/2."""
-    run = run_counterexample(cfg)
-    target = -cfg.gamma / 2.0
+    target = -run.cfg.gamma / 2.0
     ok = abs(run.ratio_slope - target) < 0.1 * abs(target)
     inconclusive = run.ratio_residual > 0.1
     return CheckResult(
@@ -217,11 +213,11 @@ def ratio_exponent(cfg: CounterexampleConfig) -> CheckResult:
                     "r_hat_norm": run.r_hat_norm,
                     "r_hat_peak": run.r_hat_peak,
                     "ratios": list(run.ratios)},
-        params=cfg.config(),
+        params=run.cfg.config(),
     )
 
 
-def vaguelet_violation(cfg: CounterexampleConfig, alpha1: float) -> CheckResult:
+def vaguelet_violation(run: CounterexampleRun, alpha1: float) -> CheckResult:
     """Measured ratio decay vs the decay a vaguelet bound would force.
 
     Along u_j ~ 2^{j gamma} the vaguelet decay statistic would force
@@ -231,8 +227,7 @@ def vaguelet_violation(cfg: CounterexampleConfig, alpha1: float) -> CheckResult:
     """
     if not 0.0 < alpha1 < 1.0:
         raise CounterexampleError(f"alpha1 must be in (0,1), got {alpha1}")
-    run = run_counterexample(cfg)
-    forced = -cfg.gamma * (1.0 + alpha1)
+    forced = -run.cfg.gamma * (1.0 + alpha1)
     violation = run.ratio_slope > forced + 0.2
     return CheckResult(
         name="vaguelet_violation",
@@ -241,6 +236,6 @@ def vaguelet_violation(cfg: CounterexampleConfig, alpha1: float) -> CheckResult:
                     "forced_slope": forced,
                     "fit_residual": run.ratio_residual,
                     "violation": bool(violation)},
-        params={**cfg.config(), "alpha1": alpha1},
+        params={**run.cfg.config(), "alpha1": alpha1},
     )
 

@@ -32,10 +32,16 @@ class RieszError(ValueError):
     """Invalid truncation, or a section or bound that cannot be formed."""
 
 
-def check_level(J: int, grid: FourierGrid) -> None:
-    """Refuse J unless the shifts 2^-J k are multiples of dt = pi / x_max."""
+def check_level(J: int, grid: FourierGrid, radius: float = math.inf,
+                shifts: bool = True) -> None:
+    """Refuse J if the grid cuts its wavelet spectra, which reach |x| =
+    2^(J+1) radius for a finite radius = WaveletSpec.phi_support_radius, or,
+    with shifts, unless the shifts 2^-J k are multiples of dt = pi / x_max."""
+    if math.isfinite(radius) and 2.0 ** (J + 1) * radius > grid.x_max:
+        raise RieszError(f"level J = {J}: its spectra reach |x| = 2^(J+1) "
+                         f"{radius:.6g}, beyond x_max = {grid.x_max:.6g}")
     steps = 2.0**-J / grid.dt
-    if steps < 1 or abs(steps - round(steps)) > 1e-9:
+    if shifts and (steps < 1 or abs(steps - round(steps)) > 1e-9):
         raise RieszError(f"level J = {J}: shifts 2^-J k are off the "
                          f"conjugate time grid (dt = {grid.dt})")
 
@@ -65,10 +71,10 @@ class Truncation:
             out.extend(FamilyIndex(j, k, side, "wavelet") for k in ks)
         return out
 
-    def check_grid(self, grid: FourierGrid) -> None:
-        """Refuse a section whose lags, up to 2K, leave the conjugate time
-        grid, as _inner_products does lag by lag: 2K < n dt / 2."""
-        check_level(self.J, grid)
+    def check_grid(self, grid: FourierGrid, radius: float = math.inf) -> None:
+        """Refuse a level check_level refuses, or lags up to 2K that leave
+        the conjugate time grid, as _inner_products does: 2K < n dt / 2."""
+        check_level(self.J, grid, radius)
         if 2 * self.K >= grid.time_window / 2:
             raise RieszError(f"K = {self.K}: lags up to 2K leave the time "
                              f"window |t| < {grid.time_window / 2}")

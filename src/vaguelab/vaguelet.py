@@ -20,6 +20,7 @@ from .family import FamilyBuilder
 from .grids import (SampledSpectrum, inverse_transform_at, l2_norm,
                     make_grid)
 from .report import CheckResult
+from .riesz import Truncation, gram
 
 
 class VagueletParamError(ValueError):
@@ -152,39 +153,30 @@ def _growth_trend(values, min_run: int = 4, factor: float = 4.0) -> bool:
 
 
 def synthesis_bound(builder: FamilyBuilder, side: str, J: int = 4, K: int = 16,
-                    trials: int = 200, seed: int = 0) -> CheckResult:
-    """Rayleigh quotients R = ||sum d Psi||^2 / sum d^2 over random d.
+                    seed: int = 0) -> CheckResult:
+    """Synthesis (Bessel) bound ||sum d Psi||^2 <= B sum |d|^2 of the K and
+    2K sections, with stability probed by doubling K.
 
-    R = d^H G d / d^H d for the normalized-family Gram G, so max R over
-    trials is bounded by the largest Gram eigenvalue; stability is probed
-    by doubling K. Entries depend only on the generator pair and the lag,
-    so the K section is the |k| <= K principal submatrix of the 2K one.
+    B of a section is the largest eigenvalue of its normalized-family Gram
+    G. Entries depend only on the generator pair and the lag, so the K
+    section is the |k| <= K principal submatrix of the 2K one. The check
+    passes when B < 100 and, for K >= 8, doubling K raises B by under 10 %:
+    on shorter sections B of a Riesz family still rises faster towards its
+    K = inf value (Meyer, h1 = ou, h2 = 1/(1 + x^2): 24 % at K = 1, 11 % at
+    K = 4; at most 7.2 % from K = 8 on, J <= 4). seed is accepted and has
+    no effect.
     """
-    from .riesz import Truncation, gram
-
-    def max_quotient(matrix, k_width):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, k_width)))
-        d = rng.standard_normal((trials, len(matrix)))
-        # d^H G d = d^T Re(G) d for real d, one row of d per trial
-        quotients = (np.sum(d @ matrix.real * d, axis=1)
-                     / np.sum(d * d, axis=1))
-        lam_max = float(np.linalg.eigvalsh(0.5 * (matrix
-                                                  + matrix.conj().T))[-1])
-        return float(np.max(quotients)), lam_max
-
     g = gram(builder, side, Truncation(J, 2 * K, include_approximation=False))
     keep = [i for i, idx in enumerate(g.index_map) if abs(idx.k) <= K]
-    r_base, lam_base = max_quotient(g.matrix[np.ix_(keep, keep)], K)
-    r_double, lam_double = max_quotient(g.matrix, 2 * K)
-    stable = r_double < 1.1 * max(r_base, 1e-300)
+    lam_base, lam_double = (
+        float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1])
+        for m in (g.matrix[np.ix_(keep, keep)], g.matrix))
     return CheckResult(
         name="synthesis_bound",
-        passed=r_base < 100.0 and stable,
-        statistics={"max_R": r_base, "max_R_doubled_K": r_double,
-                    "lambda_max": lam_base, "lambda_max_doubled_K": lam_double,
+        passed=lam_base < 100.0 and (K < 8 or lam_double < 1.1 * lam_base),
+        statistics={"lambda_max": lam_base, "lambda_max_doubled_K": lam_double,
                     "side": side},
-        params={**builder.config(), "J": J, "K": K, "trials": trials,
-                "seed": seed},
+        params={**builder.config(), "J": J, "K": K},
     )
 
 

@@ -127,13 +127,22 @@ def test_mst_approx_on_support_exits_2_no_outputs(tmp_path, capsys, document):
     {"vaguelet": {"synthesis_K": 128}},
     {"build": {"J": 7}},
     {"wavelet": {"kind": "daubechies", "n": 4}, "build": {"J": 7}},
+    # Meyer levels the grid cuts: 2^5 8 pi / 3 > 64 pi (riesz J 5 would
+    # FAIL biorthogonality_defect at 0.061 from the cut alone)
+    {"build": {"J": 5}},
+    {"riesz": {"J": 5, "K": 8, "refinement_levels": 0}},
+    {"vaguelet": {"synthesis_J": 5}},
+    # refinement_identity(5) reads the level-5 wavelet
+    {"riesz": {"refinement_levels": 6}},
 ], ids=["vaguelet.alpha1", "vaguelet.sides", "vaguelet.synthesis_K",
         "riesz.J", "riesz.refinement_levels", "build.K",
         "counterexample.gamma", "counterexample.alpha1", "simulate.J_detail",
         "simulate.resolution", "h1.fractional+", "h1.fractional-",
         "counterexample.window", "riesz.J7", "riesz.J7-db4",
         "vaguelet.synthesis_J7", "vaguelet.synthesis_J7-db4", "riesz.K256",
-        "riesz.K300", "vaguelet.synthesis_K128", "build.J7", "build.J7-db4"])
+        "riesz.K300", "vaguelet.synthesis_K128", "build.J7", "build.J7-db4",
+        "build.J5-meyer", "riesz.J5-meyer", "vaguelet.synthesis_J5-meyer",
+        "riesz.refinement_levels6-meyer"])
 def test_all_refuses_any_bad_block_before_writing(tmp_path, capsys, document):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(document))
@@ -196,9 +205,14 @@ def test_non_integer_counts_exit_2_no_outputs(tmp_path, capsys, command,
 
 def test_deepest_level_and_widest_sections_accepted():
     # the last values on the default grid: 2^-6 = dt, 2K = 510 and
-    # 4K = 508 lags inside the window |t| < 512
-    resolve_config({"build": {"J": 6}, "riesz": {"J": 6, "K": 255},
+    # 4K = 508 lags inside the window |t| < 512 (db4: no support limit)
+    resolve_config({"wavelet": {"kind": "daubechies", "n": 4},
+                    "build": {"J": 6}, "riesz": {"J": 6, "K": 255},
                     "vaguelet": {"synthesis_J": 6, "synthesis_K": 127}})
+    # Meyer: 2^4 8 pi / 3 <= 64 pi, the deepest level the grid holds
+    resolve_config({"build": {"J": 4},
+                    "riesz": {"J": 4, "refinement_levels": 5},
+                    "vaguelet": {"synthesis_J": 4}})
 
 
 @pytest.mark.parametrize("flags", [["--gamma", "-1"], ["--alpha1", "2"],
@@ -285,11 +299,30 @@ def test_simulate_paths_csv(tmp_path):
                     "--levels", "2", "--shifts", "4", "--seed", "7"])
     assert code == 0
     lines = (tmp_path / "paths.csv").read_text().splitlines()
-    assert lines[0].startswith("t=")
+    # plain floats, not NumPy 2's np.float64(...) repr
+    assert lines[0].startswith("t=-2.0,t=-1.75,")
     assert len(lines) == 3  # header + 2 paths
     manifest = json.loads((tmp_path / "paths_manifest.json").read_text())
     assert manifest["n_paths"] == 2
     assert manifest["seed"] == 7
+
+
+def test_simulate_non_finite_variance_is_inconclusive(tmp_path, capsys):
+    # finite paths up to ~1e225 whose squares overflow: the variance
+    # statistic is inf, and the run must not PASS
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "filters": {"h2": {"kind": "exp_gamma", "gamma": 1.0}},
+        "simulate": {"synthesis_side": "dual", "J_detail": 6, "K": 8,
+                     "n_paths": 2, "include_approximation": False}}))
+    code = run_cli(["simulate", "--config", str(cfg_path), "--out",
+                    str(tmp_path)])
+    assert code == 1
+    assert "INCONCLUSIVE simulate" in capsys.readouterr().out
+    (check,) = json.loads(
+        (tmp_path / "simulate_report.json").read_text())["checks"]
+    assert check["pass"] is None
+    assert check["statistics"]["empirical_var_near_zero"] == "inf"
 
 
 def test_simulate_empty_time_selection_exits_2_no_outputs(tmp_path, capsys):

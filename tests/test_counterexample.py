@@ -100,7 +100,7 @@ def test_direct_norm_overflow_guard():
 
 def test_ratio_slope_gamma_one():
     cfg = CounterexampleConfig(1.0, 6, 12)
-    result = ratio_exponent(cfg)
+    result = ratio_exponent(run_counterexample(cfg))
     assert result.passed
     assert abs(result.statistics["slope"] + 0.5) < 0.05
     assert result.statistics["fit_residual"] < 0.1
@@ -119,13 +119,13 @@ def test_peak_is_largest_on_special_sequence():
 
 
 def test_violation_flagged():
-    cfg = CounterexampleConfig(1.0, 6, 12)
+    run = run_counterexample(CounterexampleConfig(1.0, 6, 12))
     for alpha1 in (0.1, 0.5):
-        result = vaguelet_violation(cfg, alpha1)
+        result = vaguelet_violation(run, alpha1)
         assert result.passed
         assert result.statistics["violation"] is True
     with pytest.raises(CounterexampleError):
-        vaguelet_violation(cfg, 1.5)
+        vaguelet_violation(run, 1.5)
 
 
 def test_no_overflow_at_high_levels():
@@ -140,7 +140,7 @@ def test_no_overflow_at_high_levels():
 
 def test_needs_five_levels():
     with pytest.raises(CounterexampleError):
-        ratio_exponent(CounterexampleConfig(1.0, 6, 9))
+        CounterexampleConfig(1.0, 6, 9)
 
 
 def test_ou_sanity_no_violation():

@@ -9,13 +9,14 @@ from vaguelab.family import ROLES, SIDES, FamilyBuilder, FamilyIndex
 from vaguelab.filters import (ExpGammaFilter, FilterPair, FractionalFilter,
                               MSTApproxFilter, OUFilter, UnitFilter,
                               unit_pair)
-from vaguelab.grids import (GridError, SampledSpectrum, inner_product,
-                            inverse_transform_at, l2_norm, make_grid)
-from vaguelab.mra import WaveletSpec
+from vaguelab.grids import (GridError, SampledSpectrum, default_grid,
+                            inner_product, inverse_transform_at, l2_norm,
+                            make_grid)
+from vaguelab.mra import MEYER_PHI_RADIUS, WaveletSpec
 from vaguelab.procsim import _level_terms
 from vaguelab.riesz import (RieszError, Truncation, _inner_products,
-                            biorthogonality_defect, bracket_sum, gram,
-                            refinement_identity, riesz_bounds)
+                            biorthogonality_defect, bracket_sum, check_level,
+                            gram, refinement_identity, riesz_bounds)
 
 from transforms import inverse_transform
 
@@ -225,6 +226,19 @@ def test_gram_refuses_lags_off_the_time_grid(meyer):
     with pytest.raises(RieszError):
         gram(builder, "primal", Truncation(5, 1))
     gram(builder, "primal", Truncation(4, 1))
+
+
+def test_check_level_refuses_levels_the_grid_cuts():
+    # the level-J Meyer wavelet spectrum reaches 2^(J+1) 4 pi / 3: the
+    # default grid (x_max = 64 pi) holds J <= 4
+    grid = default_grid()
+    check_level(4, grid, MEYER_PHI_RADIUS)
+    with pytest.raises(RieszError, match="spectra"):
+        check_level(5, grid, MEYER_PHI_RADIUS)
+    # shifts 2^-7 k are off the dt = 2^-6 lattice: a rule for shifts only
+    with pytest.raises(RieszError, match="shifts"):
+        check_level(7, grid)
+    check_level(7, grid, shifts=False)
 
 
 @pytest.mark.parametrize("side", ["primal", "dual"])

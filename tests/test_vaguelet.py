@@ -15,7 +15,7 @@ from vaguelab.grids import (SampledSpectrum, inverse_transform_at, l2_norm,
                             make_grid)
 from vaguelab.mra import WaveletSpec
 from vaguelab.report import dump_report, render_report
-from vaguelab.riesz import Truncation, gram
+from vaguelab.riesz import Truncation, gram, riesz_bounds
 from vaguelab.vaguelet import (VagueletParamError, VagueletParams,
                                _band, _growth_trend, _holder_sup, _profile,
                                synthesis_bound, vaguelet_suite)
@@ -91,35 +91,65 @@ def test_exp_gamma_decay_fails(meyer):
 
 
 def test_synthesis_bound_unit(unit_builder):
-    result = synthesis_bound(unit_builder, "primal", J=2, K=4, trials=50)
+    result = synthesis_bound(unit_builder, "primal", J=2, K=4)
     assert result.passed
-    # orthonormal system: the quotient is exactly 1
-    assert abs(result.statistics["max_R"] - 1.0) < 1e-9
-    assert result.statistics["lambda_max"] <= 1.0 + 1e-9
+    # orthonormal system: the Gram section is the identity
+    assert abs(result.statistics["lambda_max"] - 1.0) < 1e-9
+    assert abs(result.statistics["lambda_max_doubled_K"] - 1.0) < 1e-9
 
 
 def test_synthesis_bound_ou(ou_builder):
-    result = synthesis_bound(ou_builder, "primal", J=2, K=8, trials=50)
+    result = synthesis_bound(ou_builder, "primal", J=2, K=8)
     assert result.passed
-    assert result.statistics["max_R"] <= result.statistics["lambda_max"] + 1e-9
+    stats = result.statistics
+    assert 1.0 <= stats["lambda_max"] <= stats["lambda_max_doubled_K"]
+    assert set(result.params) >= {"J", "K"}
+    assert not set(result.params) & {"trials", "seed"}
 
 
-def test_synthesis_bound_trials_match_one_draw_per_trial(ou_builder):
-    # oracle: one standard_normal draw and one d^H G d / d^H d per trial,
-    # from the same seed stream; the block of trials moves only roundoff
-    J, K, trials, seed = 2, 4, 50, 3
-    result = synthesis_bound(ou_builder, "dual", J=J, K=K, trials=trials,
-                             seed=seed).statistics
-    g = gram(ou_builder, "dual", Truncation(J, 2 * K, False))
-    keep = [i for i, idx in enumerate(g.index_map) if abs(idx.k) <= K]
-    for matrix, width, name in ((g.matrix[np.ix_(keep, keep)], K, "max_R"),
-                                (g.matrix, 2 * K, "max_R_doubled_K")):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, width)))
-        quotients = []
-        for _ in range(trials):
-            d = rng.standard_normal(len(matrix))
-            quotients.append(float((d @ matrix @ d).real / (d @ d)))
-        assert abs(result[name] - max(quotients)) <= 1e-13 * max(quotients)
+def test_synthesis_bound_seed_has_no_effect(ou_builder):
+    a = synthesis_bound(ou_builder, "dual", J=1, K=4)
+    b = synthesis_bound(ou_builder, "dual", J=1, K=4, seed=7)
+    assert a == b
+
+
+@pytest.mark.parametrize("wavelet", ["meyer", "db4"])
+def test_synthesis_bound_is_top_riesz_bound_squared(request, ou_pair,
+                                                    wavelet):
+    # the K section's top eigenvalue is C2^2 of the same Gram section
+    builder = FamilyBuilder(request.getfixturevalue(wavelet), ou_pair)
+    J, K = 4, 16
+    for side in ("primal", "dual"):
+        lam = synthesis_bound(builder, side, J=J, K=K).statistics[
+            "lambda_max"]
+        _, c2 = riesz_bounds(gram(builder, side, Truncation(J, K, False)))
+        assert abs(lam - c2**2) <= 1e-12 * lam
+
+
+def test_synthesis_bound_exp_gamma_one_fails(meyer):
+    # e^{-|x|}: the top eigenvalue grows from 11.1 to 13.5 as K doubles,
+    # beyond the 10 % the rule allows
+    pair = FilterPair(OUFilter(), ExpGammaFilter(1.0))
+    result = synthesis_bound(FamilyBuilder(meyer, pair), "primal", J=4, K=16)
+    stats = result.statistics
+    assert result.passed is False
+    assert stats["lambda_max_doubled_K"] > 1.2 * stats["lambda_max"]
+
+
+def test_synthesis_bound_short_sections_skip_doubling(meyer):
+    # below K = 8 a Riesz family's bound still rises over 10 % per
+    # doubling: h2 = 1/(1 + x^2) by 11 % at K = 4, 4.7 % at K = 8
+    pair = FilterPair(OUFilter(), RationalFilter([1], [1, 0, 1]))
+    short = synthesis_bound(FamilyBuilder(meyer, pair), "primal", J=2, K=4)
+    stats = short.statistics
+    assert short.passed
+    assert stats["lambda_max_doubled_K"] > 1.1 * stats["lambda_max"]
+    assert synthesis_bound(FamilyBuilder(meyer, pair), "primal", J=2,
+                           K=8).passed
+    # from K = 8 on the rule reads e^{-|x|}: x1.45 at J = 4
+    pair = FilterPair(OUFilter(), ExpGammaFilter(1.0))
+    assert synthesis_bound(FamilyBuilder(meyer, pair), "primal", J=4,
+                           K=8).passed is False
 
 
 def test_fractional_suite_passes(meyer):
