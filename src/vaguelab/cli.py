@@ -27,7 +27,8 @@ from .family import SIDES, FamilyBuilder, FamilyIndex, FamilyMember
 from .filters import FilterEvalError, FilterPair, filter_from_config
 from .grids import SampledSpectrum, default_grid
 from .mra import WaveletSpec, check_cmf
-from .procsim import SynthesisPlan, dyadic_times, simulate
+from .procsim import (SynthesisPlan, TermOverflowError, dyadic_times,
+                      simulate)
 from .report import CheckResult, dump_report, render_report, report_merge
 from .riesz import (Truncation, biorthogonality_defect, bracket_sum,
                     check_level, gram, refinement_identity, refinement_keys,
@@ -324,8 +325,17 @@ def cmd_counterexample(cfg: dict) -> dict:
 
 def cmd_simulate(cfg: dict) -> dict:
     plan = _instantiate(cfg)["simulate"]
-    ensemble = simulate(plan)
     out_dir = Path(cfg["output_dir"])
+    report_path = out_dir / "simulate_report.json"
+    try:
+        ensemble = simulate(plan)
+    except TermOverflowError as exc:
+        # a level's terms are beyond the float range: no paths to write
+        return _write_report(cfg, [CheckResult(
+            "simulate", None,
+            statistics={"overflow_level": exc.level,
+                        "log_scale": exc.log_scale},
+            params=plan.config())], report_path)
     header = [f"t={float(t)!r}" for t in ensemble.times]
     rows = [tuple(float(v) for v in row) for row in ensemble.values]
     _atomic_write(out_dir / "paths.csv", _csv_text(header, rows))
@@ -339,7 +349,7 @@ def cmd_simulate(cfg: dict) -> dict:
                     "n_times": len(ensemble.times),
                     "empirical_var_near_zero": var0},
         params=plan.config())]
-    return _write_report(cfg, checks, out_dir / "simulate_report.json")
+    return _write_report(cfg, checks, report_path)
 
 
 COMMANDS = {

@@ -32,6 +32,9 @@ from .mra import WaveletSpec
 SIDES = ("primal", "dual")
 ROLES = ("wavelet", "approximation")
 FILL_BLOCK = 2**13  # grid points per block of a mother fill
+# points from x = -x_max evaluated directly in a mirrored fill: x = -x_max
+# has no mirror, and NumPy's cos/sin give other last bits on a lone point
+MIRROR_EDGE = 8
 
 
 class FamilyError(ValueError):
@@ -179,6 +182,12 @@ class FamilyBuilder:
         phi^ it is read from; levels with the same band share one product.
         Only the requested mothers are kept; a phi^ needed only for a psi^
         lives for one block.
+
+        The Daubechies product has real taps, so each factor, and phi^,
+        is conjugate-symmetric bit for bit on the mirror-exact grid: it is
+        evaluated on x >= 0 and on the MIRROR_EDGE points from x = -x_max
+        (which has no mirror), and conjugated onto the other x < 0.
+        psi^ takes v^ on every point, mirrored or not.
         """
         chains: dict = {}
         for role, grid in dict.fromkeys(requests):
@@ -187,6 +196,7 @@ class FamilyBuilder:
                 chains.setdefault((grid.n, mantissa), []).append((role, grid))
         for chain in chains.values():
             top = max((grid for _, grid in chain), key=lambda g: g.x_max)
+            n = top.n
             # the phi^ level each mother reads: its own, or the next for psi^
             level_of = {(role, grid): int(math.log2(top.x_max / grid.x_max))
                         + (role == "wavelet") for role, grid in chain}
@@ -199,10 +209,25 @@ class FamilyBuilder:
             mothers = {key: np.empty(bands[level].stop - bands[level].start,
                                      dtype=complex)
                        for key, level in level_of.items()}
-            first = min(band.start for band in bands.values())
-            stop = max(band.stop for band in bands.values())
-            for start in range(first, stop, FILL_BLOCK):
-                end = min(start + FILL_BLOCK, stop)
+
+            def write(key, lo, hi, values):
+                # phi^ (or psi^ formed from it) at the indices lo..hi - 1
+                level = level_of[key]
+                offset = bands[level].start
+                mothers[key][lo - offset:hi - offset] = (
+                    values if key[0] == "approximation"
+                    else self.wavelet.psi_hat(x[lo:hi] / 2.0**(level - 1),
+                                              values))
+
+            # Meyer's band fill (<= 1365 points of a closed form) stays
+            # direct: mirroring its real phi^ would give imaginary -0.0
+            mirror = self.wavelet.kind == "daubechies"
+            spans = ([(0, MIRROR_EDGE), (n // 2, n)] if mirror else
+                     [(min(band.start for band in bands.values()),
+                       max(band.stop for band in bands.values()))])
+            for start, end in [(start, min(start + FILL_BLOCK, stop))
+                               for first, stop in spans
+                               for start in range(first, stop, FILL_BLOCK)]:
                 shared: dict = {}
                 for level, band in bands.items():
                     lo, hi = max(start, band.start), min(end, band.stop)
@@ -213,16 +238,16 @@ class FamilyBuilder:
                     phi.update((level, (lo, hi, values)) for level, values in
                                zip(levels, self.wavelet.phi_hat_levels(
                                    x[lo:hi], levels)))
-                for (role, grid), mother in mothers.items():
-                    level = level_of[role, grid]
-                    if level not in phi:
+                for key in mothers:
+                    if level_of[key] not in phi:
                         continue
-                    lo, hi, values = phi[level]
-                    offset = bands[level].start
-                    mother[lo - offset:hi - offset] = (
-                        values if role == "approximation"
-                        else self.wavelet.psi_hat(x[lo:hi] / 2.0**(level - 1),
-                                                  values))
+                    lo, hi, values = phi[level_of[key]]
+                    write(key, lo, hi, values)
+                    # index i > n/2 mirrors onto n - i >= MIRROR_EDGE
+                    a, b = max(lo, n // 2 + 1), min(hi, n - MIRROR_EDGE + 1)
+                    if mirror and a < b:
+                        write(key, n - b + 1, n - a + 1,
+                              np.conj(values[a - lo:b - lo][::-1]))
             while mothers:
                 # keep a copy made last: the array it was filled in is
                 # then freed under the long-lived mother, and the spectra

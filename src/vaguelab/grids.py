@@ -6,11 +6,17 @@ Conventions used throughout the package:
     inverse:  f(t) = (2 pi)^{-1} integral e^{i t x} F(x) dx
     inner product:  <f, g> = (2 pi)^{-1} integral F(x) conj(G(x)) dx
 
-Grid invariant behind the transforms: x_m = -x_max + m dx and t = q dt
-for integer q, with dt = pi / x_max and n a power of two >= 16, so
-x_max dt = pi and dx dt = 2 pi / n. Then e^{i q dt x_m} =
-(-1)^q e^{2 pi i q m / n}: samples of the inverse transform are a plain
-FFT with a sign flip and no chirp factors (inverse_transform_at).
+Grid invariant behind the transforms: x_m = (m - n/2) dx, m = 0..n-1,
+and t = q dt for integer q, with dx = 2 x_max / n, dt = pi / x_max and
+n a power of two >= 16, so x_max dt = pi and dx dt = 2 pi / n. Then
+e^{i q dt x_m} = (-1)^q e^{2 pi i q m / n}: samples of the inverse
+transform are a plain FFT with a sign flip and no chirp factors
+(inverse_transform_at).
+
+Each point is one rounding of an exact integer times dx, so the grid is
+mirror-exact (x_{n-m} = -x_m bit for bit) and nested: the grid of 2n
+points over 2 x_max holds it bit for bit at indices n/2..3n/2 - 1, and
+the grid over x_max / 2^l is it divided by 2^l bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FourierGrid:
-    """Symmetric uniform frequency grid x_m = -x_max + m dx, m = 0..n-1.
+    """Symmetric uniform frequency grid x_m = (m - n/2) dx, m = 0..n-1.
 
     n is a power of two so the FFT-based transforms below apply directly;
     the grid always contains x = 0 (at index n // 2).
@@ -57,8 +63,9 @@ class FourierGrid:
         return self.points(np.arange(self.n))
 
     def points(self, index) -> np.ndarray:
-        """x_m at the integer indices m, each bit for bit as in x."""
-        return -self.x_max + self.dx * np.asarray(index)
+        """x_m = (m - n/2) dx at the integer indices m, each bit for bit as
+        in x."""
+        return self.dx * (np.asarray(index) - self.n // 2)
 
     @property
     def dt(self) -> float:

@@ -116,7 +116,12 @@ def daubechies_phi_hat_levels(n_moments: int, x, levels, depth: int = 40):
     m = l + k is the same for every level whose product contains it: it is
     evaluated once and multiplied into each of them. Every product still
     starts from ones and takes its factors in ascending k, so each value is
-    bit-identical to a product evaluated on its own.
+    bit-identical to a product evaluated on its own over the same array
+    layout: NumPy's cos/sin may round a point evaluated alone (a length-1
+    array) differently from the same point inside a longer array. NumPy's
+    cos and sin are even and odd bit for bit and the taps are real, so
+    each factor, and the product, at -x is the conjugate of that at x,
+    bit for bit (the mirrored mother fill of family relies on this).
     """
     if depth < 20:
         raise ValueError(f"product depth must be >= 20, got {depth}")

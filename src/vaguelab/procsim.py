@@ -31,6 +31,17 @@ class ProcsimError(ValueError):
     """Invalid synthesis plan or estimator input."""
 
 
+class TermOverflowError(ProcsimError):
+    """The terms of one level overflow: its filter scale e^{log_scale} is
+    beyond the float range."""
+
+    def __init__(self, level: int, side: str, role: str, log_scale: float):
+        super().__init__(f"level {level}: the {side} {role} terms overflow "
+                         f"(filter scale e^{log_scale:.6g})")
+        self.level = level
+        self.log_scale = log_scale
+
+
 def dyadic_times(t_min: float, t_max: float, resolution: int = 10) -> np.ndarray:
     """Times on the dyadic grid of spacing 2^{-resolution}."""
     step = 2.0**-resolution
@@ -137,8 +148,7 @@ def _level_terms(builder: FamilyBuilder, j: int, side: str, role: str,
     try:
         scale = math.exp(log_scale)
     except OverflowError:
-        raise ProcsimError(f"level {j}: the {side} {role} terms overflow "
-                           f"(filter scale e^{log_scale:.6g})") from None
+        raise TermOverflowError(j, side, role, log_scale) from None
     folded = fold_periods(grid, spectrum.values)
     period = folded.shape[1]
     blocks = np.flatnonzero(np.any(folded != 0.0, axis=1))

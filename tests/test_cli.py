@@ -11,7 +11,7 @@ import pytest
 
 from vaguelab import mra
 from vaguelab.cli import ConfigError, main, resolve_config
-from vaguelab.family import FamilyBuilder
+from vaguelab.family import MIRROR_EDGE, FamilyBuilder
 from vaguelab.filters import FilterPair, OUFilter
 from vaguelab.grids import default_grid, make_grid
 from vaguelab.mra import WaveletSpec
@@ -265,9 +265,9 @@ def test_build_outputs(tmp_path):
     assert "manifest" not in report
 
 
-def test_build_reruns_byte_identical(tmp_path):
+def _build_twice_byte_identical(tmp_path, document):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"build": {"J": 1, "K": 2}}))
+    cfg_path.write_text(json.dumps(document))
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:
         assert run_cli(["build", "--config", str(cfg_path),
@@ -276,6 +276,16 @@ def test_build_reruns_byte_identical(tmp_path):
     assert len(names) == 6
     assert all((outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
                for name in names)
+
+
+def test_build_reruns_byte_identical(tmp_path):
+    _build_twice_byte_identical(tmp_path, {"build": {"J": 1, "K": 2}})
+
+
+def test_daubechies_build_reruns_byte_identical(tmp_path):
+    # the mirrored half-grid fill is as deterministic as the direct one
+    _build_twice_byte_identical(tmp_path, {
+        "wavelet": {"kind": "daubechies", "n": 4}, "build": {"J": 1, "K": 2}})
 
 
 def test_readme_member_reader(tmp_path, monkeypatch):
@@ -323,6 +333,28 @@ def test_simulate_non_finite_variance_is_inconclusive(tmp_path, capsys):
         (tmp_path / "simulate_report.json").read_text())["checks"]
     assert check["pass"] is None
     assert check["statistics"]["empirical_var_near_zero"] == "inf"
+
+
+def test_simulate_overflowing_level_is_inconclusive(tmp_path, capsys):
+    # level 7's dual filter scale e^1072 is beyond the float range: the
+    # run reports the level and its log scale instead of a traceback, and
+    # writes no paths
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "filters": {"h2": {"kind": "exp_gamma", "gamma": 1.0}},
+        "simulate": {"synthesis_side": "dual", "J_detail": 7, "K": 8,
+                     "n_paths": 2, "include_approximation": False}}))
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--config", str(cfg_path), "--out",
+                    str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "INCONCLUSIVE simulate" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+    assert sorted(p.name for p in out.iterdir()) == ["simulate_report.json"]
+    (check,) = json.loads((out / "simulate_report.json").read_text())["checks"]
+    assert check["pass"] is None
+    assert check["statistics"]["overflow_level"] == 7
+    assert check["statistics"]["log_scale"] > math.log(np.finfo(float).max)
 
 
 def test_simulate_empty_time_selection_exits_2_no_outputs(tmp_path, capsys):
@@ -426,6 +458,8 @@ def test_verify_riesz_fills_each_product_factor_once(tmp_path, monkeypatch):
     # also the level-1 approximation mother that refinement_identity_j0
     # reads: one fill of phi^ on G_0, G_1, G_2 evaluates the factors
     # u^(x / 2^m) / sqrt 2, m = 1..42, once per point (82 when filled twice)
+    # of x >= 0 and of the MIRROR_EDGE points from -x_max; the rest of
+    # x < 0 is mirrored
     factors = []
     trig_poly = mra._trig_poly
 
@@ -442,7 +476,7 @@ def test_verify_riesz_fills_each_product_factor_once(tmp_path, monkeypatch):
         "riesz": {"J": 1, "K": 8, "refinement_levels": 1}}))
     assert run_cli(["verify-riesz", "--config", str(cfg_path),
                     "--out", str(tmp_path / "out")]) == 1
-    assert sum(factors) == 42 * default_grid().n
+    assert sum(factors) == 42 * (default_grid().n // 2 + MIRROR_EDGE)
 
 
 def test_readme_config_example_passes_verify_riesz(tmp_path, capsys):

@@ -6,8 +6,8 @@ import pytest
 
 from vaguelab import mra
 from vaguelab.cli import main
-from vaguelab.family import (ROLES, SIDES, FamilyBuilder, FamilyError,
-                             FamilyIndex)
+from vaguelab.family import (MIRROR_EDGE, ROLES, SIDES, FamilyBuilder,
+                             FamilyError, FamilyIndex)
 from vaguelab.filters import (ExpGammaFilter, FilterPair, FractionalFilter,
                               OUFilter, UnitFilter, unit_pair)
 from vaguelab.grids import inner_product, l2_norm, make_grid
@@ -192,8 +192,9 @@ def test_mother_cache_returns_fresh_bit_equal_arrays(meyer, ou_pair):
     WaveletSpec("daubechies", n_moments=10)], ids=["meyer", "db2", "db4",
                                                    "db10"])
 def test_batch_mothers_match_direct_evaluation(wavelet, ou_pair):
-    # oracle: phi_hat / psi_hat of each grid's own points, bit for bit, on
-    # the chain levels 0..5 of one batch and on the 2n wide grid
+    # oracle: phi_hat / psi_hat of each grid's own points, bit for bit
+    # (signed zeros included) on the chain levels 0..5 of one batch and on
+    # the 2n wide grid, and 0 outside the band
     builder = FamilyBuilder(wavelet, ou_pair)
     builder.generators((j, "primal", role) for j in range(6) for role in ROLES)
     wide = make_grid(2.0 * builder.grid.x_max, 2 * builder.grid.n)
@@ -202,9 +203,10 @@ def test_batch_mothers_match_direct_evaluation(wavelet, ou_pair):
     for (role, grid), mother in builder._mothers.items():
         direct = (wavelet.psi_hat(grid.x) if role == "wavelet"
                   else wavelet.phi_hat(grid.x))
-        full = np.zeros(grid.n, dtype=complex)
-        full[builder._bands[role, grid]] = mother
-        assert np.array_equal(full, direct), (role, grid)
+        band = builder._bands[role, grid]
+        assert mother.tobytes() == direct[band].tobytes(), (role, grid)
+        assert not np.any(direct[:band.start])
+        assert not np.any(direct[band.stop:])
 
 
 def test_meyer_mothers_of_all_live_on_their_bands(tmp_path, monkeypatch):
@@ -287,7 +289,9 @@ def test_gram_shares_product_factors_across_levels(monkeypatch, db4,
     # both sides read phi^ on the level-0 y-grid G_0 and psi^ on G_0 and
     # G_1. psi^ on G_l is formed from phi^ on G_{l+1}, and the products of
     # phi^ on G_0, G_1, G_2 share their factors u^(x / 2^m) / sqrt 2 with
-    # m = 1..42: 42 factors per point, against 120 evaluated level by level
+    # m = 1..42: 42 factors per point, against 120 evaluated level by level;
+    # the points are those of x >= 0 and the MIRROR_EDGE points from -x_max,
+    # the rest of x < 0 is mirrored
     evaluated = {"factor": 0, "v_hat": 0}
     trig_poly = mra._trig_poly
 
@@ -302,7 +306,8 @@ def test_gram_shares_product_factors_across_levels(monkeypatch, db4,
     for side in SIDES:
         gram(builder, side, Truncation(1, 8))
     grid = builder.grid
-    assert evaluated == {"factor": 42 * grid.n, "v_hat": 2 * grid.n}
+    assert evaluated == {"factor": 42 * (grid.n // 2 + MIRROR_EDGE),
+                         "v_hat": 2 * grid.n}
     # the phi^ on G_1 and G_2 that only built a psi^ are not kept
     half = make_grid(grid.x_max / 2.0, grid.n)
     assert set(builder._mothers) == {("approximation", grid),

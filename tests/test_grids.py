@@ -3,12 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vaguelab.grids import (FourierGrid, GridError, SampledSpectrum,
-                            default_grid, inner_product, inverse_transform_at,
-                            l2_norm, make_grid)
+from vaguelab.grids import (DEFAULT_X_MAX, FourierGrid, GridError,
+                            SampledSpectrum, default_grid, inner_product,
+                            inverse_transform_at, l2_norm, make_grid)
 
 from transforms import TimeSeries, forward_transform, inverse_transform
 
@@ -28,6 +28,24 @@ def test_grid_contains_zero():
     assert len(g.x) == g.n
     assert math.isclose(g.dx, 0.5)
     assert math.isclose(g.dt, np.pi / 32.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(x_max=st.floats(1e-3, 1e6), log2_n=st.integers(4, 12))
+@example(x_max=DEFAULT_X_MAX, log2_n=16)
+def test_grid_is_mirror_exact_and_nested(x_max, log2_n):
+    g = make_grid(x_max, 2**log2_n)
+    x, half = g.x, g.n // 2
+    assert x[half] == 0.0
+    # x[n - m] == -x[m] for 1 <= m < n/2 (x[n/2] is its own mirror, and
+    # x[0] = -x_max has none)
+    assert x[:half:-1].tobytes() == (-x[1:half]).tobytes()
+    assert x[0] == -g.x_max
+    wide = make_grid(2.0 * g.x_max, 2 * g.n)
+    assert wide.x[half:half + g.n].tobytes() == x.tobytes()
+    for level in (1, 2, 5):
+        assert make_grid(g.x_max / 2.0**level, g.n).x.tobytes() == \
+            (x / 2.0**level).tobytes()
 
 
 def test_gaussian_inverse_transform_closed_form():
