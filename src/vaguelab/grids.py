@@ -100,18 +100,6 @@ class SampledSpectrum:
             )
         object.__setattr__(self, "values", vals)
 
-    def hermitian_defect(self) -> float:
-        """Max |F(-x) - conj(F(x))| over grid points, relative to max |F|."""
-        v = self.values
-        mirrored = np.roll(v[::-1], 1)  # index m -> value at -x_m
-        scale = np.max(np.abs(v))
-        if scale == 0.0:
-            return 0.0
-        return float(np.max(np.abs(mirrored - np.conj(v))) / scale)
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return self.hermitian_defect() < tol
-
 
 def _check_same_grid(f: SampledSpectrum, g: SampledSpectrum) -> None:
     if f.grid != g.grid:

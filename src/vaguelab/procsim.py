@@ -132,16 +132,21 @@ def _level_terms(builder: FamilyBuilder, j: int, side: str, role: str,
     g_j(tau) = (2 pi)^{-1} sum_m G(y_m) e^{i tau y_m} dy is the quadrature
     over the builder's y-grid of the level spectrum G: its inverse
     transform, at any tau. The grid has y = 2 pi (q + r / P), r = 0..P-1,
-    with P = 2 pi / dy, and e^{-iky} is 2 pi-periodic, so with s = 2^j t
-        sum_m G e^{i(s-k)y} = sum_r e^{-2 pi i kr/P} e^{2 pi i sr/P} A[s, r],
-        A[s, r] = sum_q e^{2 pi i sq} G[q, r],
-    one product over the blocks q where G is nonzero and one length-P FFT
-    over r give every k. Phases are reduced to [0, 1) cycles before the
-    exp, exactly for dyadic s. Terms whose tau lies outside the profile's
-    window [-pi/dy, pi/dy) are 0; the fold alone would return
-    g_j(tau -+ P) there. The spectrum's factor e^{log_scale} is multiplied
-    back into the terms: a level where it underflows contributes 0, one
-    where it overflows is refused.
+    with P = 2 pi / dy, and e^{-iky} is 2 pi-periodic. Write s = 2^j t as
+    n + f, n = floor(s), 0 <= f < 1 (exact in floating point); then
+        sum_m G e^{i(s-k)y} = F_f[(k - n) mod P],
+        F_f[m] = sum_r e^{-2 pi i mr/P} e^{2 pi i fr/P} A_f[r],
+        A_f[r] = sum_q e^{2 pi i fq} G[q, r],
+    because e^{2 pi i nq} = 1 and e^{2 pi i nr/P} only shifts the FFT's
+    output index. One product over the blocks q where G is nonzero and
+    one length-P FFT per distinct f give every k and every time sharing
+    that f: a single FFT row when all times are multiples of 2^{-j}, n_t
+    rows when no two share one. The q-phases are reduced to [0, 1)
+    cycles before the exp, exactly for dyadic f. Terms whose true
+    tau = s - k lies outside the profile's window [-pi/dy, pi/dy) are 0;
+    the fold alone would return g_j(tau -+ P) there. The spectrum's
+    factor e^{log_scale} is multiplied back into the terms: a level where
+    it underflows contributes 0, one where it overflows is refused.
     """
     grid = builder.grid
     spectrum, log_scale = builder.level_spectrum(j, side, role)
@@ -154,10 +159,13 @@ def _level_terms(builder: FamilyBuilder, j: int, side: str, role: str,
     blocks = np.flatnonzero(np.any(folded != 0.0, axis=1))
     q = blocks - grid.n // (2 * period)
     s = 2.0**j * times
-    summed = np.exp(2j * np.pi * (np.outer(s, q) % 1.0)) @ folded[blocks]
-    summed *= np.exp(2j * np.pi * (np.outer(s, np.arange(period)) / period
-                                   % 1.0))
-    terms = np.fft.fft(summed, axis=1)[:, ks % period].real.T
+    whole = np.floor(s)
+    fracs, row = np.unique(s - whole, return_inverse=True)
+    summed = np.exp(2j * np.pi * (np.outer(fracs, q) % 1.0)) @ folded[blocks]
+    summed *= np.exp(2j * np.pi * (np.outer(fracs, np.arange(period))
+                                   / period))
+    shifted = (ks[:, None] - whole.astype(np.int64)[None, :]) % period
+    terms = np.fft.fft(summed, axis=1)[row[None, :], shifted].real
     tau = s[None, :] - ks[:, None]
     terms[(tau < -period / 2) | (tau >= period / 2)] = 0.0
     return scale * 2.0 ** (j / 2.0) * grid.dx / (2.0 * np.pi) * terms
@@ -188,14 +196,24 @@ def _term_matrix(plan: SynthesisPlan) -> np.ndarray:
 
 def covariance_kernel(plan: SynthesisPlan, t, s) -> np.ndarray:
     """K(t, s) = sum over truncation of term(t) term(s), elementwise over
-    broadcast (t, s) arrays; symmetric by construction."""
+    broadcast (t, s) arrays; symmetric by construction. A value that is
+    not finite (finite terms whose products overflow) is refused, naming
+    the first such (t, s)."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if t.shape != s.shape:
         raise ProcsimError("t and s must have matching shapes")
     m = _term_matrix(replace(plan, times=np.concatenate([t, s])))
     mt, ms = m[:, :len(t)], m[:, len(t):]
-    return np.einsum("rt,rt->t", mt, ms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel = np.einsum("rt,rt->t", mt, ms)
+    bad = np.flatnonzero(~np.isfinite(kernel))
+    if bad.size:
+        i = bad[0]
+        raise ProcsimError(f"kernel value at (t, s) = ({float(t[i])!r}, "
+                           f"{float(s[i])!r}) is not finite: "
+                           f"{float(kernel[i])!r}")
+    return kernel
 
 
 def _coefficient_rows(plan: SynthesisPlan, keys: list,

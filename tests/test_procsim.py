@@ -14,6 +14,7 @@ from vaguelab.procsim import (PathEnsemble, ProcsimError, SynthesisPlan,
                               dyadic_times, empirical_covariance,
                               fbm_scaling, simulate, target_autocovariance)
 
+from level_terms import per_time_level_terms
 from transforms import inverse_transform, time_samples
 
 
@@ -271,19 +272,86 @@ def test_level_scale_is_multiplied_back(meyer):
         terms = _level_terms(builder, j, "primal", "wavelet", ks, times)
         bound = 2.0 ** (j / 2.0) * 2.0 * math.exp(-2.0**j * 2.0 * np.pi / 3.0)
         assert 0.0 < np.max(np.abs(terms)) <= bound
-    # dual: level 6 adds term(t)^2 > 0 to K(t, t), level 7's factor
-    # e^{1072} overflows
+    # dual: level 6's terms are finite and larger than level 5's, but
+    # their squares overflow K(t, t); level 7's factor e^{1072} overflows
     t = np.array([0.0, 0.25])
+    level5, level6 = (_level_terms(builder, j, "dual", "wavelet", ks, t)
+                      for j in (5, 6))
+    assert np.all(np.isfinite(level6))
+    assert np.max(np.abs(level6)) > np.max(np.abs(level5))
 
     def diagonal(J_detail):
         plan = _plan(pair, meyer, J_detail=J_detail, K=8,
                      synthesis_side="dual", include_approximation=False)
         return covariance_kernel(plan, t, t)
 
-    with np.errstate(over="ignore"):
-        assert np.all(diagonal(6) > diagonal(5))
+    assert np.all(np.isfinite(diagonal(5)))
+    with pytest.raises(ProcsimError, match="not finite"):
+        diagonal(6)
     with pytest.raises(ProcsimError, match="level 7"):
         diagonal(7)
+
+
+def test_non_finite_kernel_names_the_first_bad_pair(meyer):
+    # OU analysis filter, exp_gamma 1 synthesis filter: the dual level-6
+    # terms are finite, their products are not
+    pair = FilterPair(OUFilter(), ExpGammaFilter(1.0))
+    plan = SynthesisPlan(pair, meyer, times=np.array([0.0]), J_detail=6,
+                         K=8, synthesis_side="dual",
+                         include_approximation=False)
+    with pytest.raises(ProcsimError,
+                       match=r"\(t, s\) = \(0\.0, 0\.0\) is not finite"):
+        covariance_kernel(plan, [0.0, 0.25, 0.5], [0.0, 0.0, 0.25])
+    with pytest.raises(ProcsimError,
+                       match=r"\(t, s\) = \(0\.5, 0\.25\) is not finite"):
+        covariance_kernel(plan, [0.5, 0.0], [0.25, 0.0])
+
+
+@pytest.mark.parametrize("wavelet_name, j, times", [
+    ("meyer", 0, np.array([0.25, -0.5, 0.25, 0.25, 1.0, -0.5])),
+    ("meyer", 1, np.array([-3.75, -0.125, -1.0, -0.0078125, 2.5])),
+    ("meyer", -3, np.array([-4200.0, -9.0, -1.5, 0.0, 0.25, 40.0,
+                            4100.0])),
+    ("meyer", 9, np.array([-2.0, -0.5, 0.0, 2.0**-10, 0.5, 507 / 512,
+                           2.0])),
+    ("db4", 0, np.array([-1.5, -0.25, 0.0, 0.3125, 0.3125, 2.0])),
+    ("meyer", 2, dyadic_times(-2.0, 2.0, 10)[1000:1257]),
+], ids=["repeated", "negative", "j-3", "j9", "db4", "dense-257"])
+def test_level_terms_match_per_time_reference(request, ou_pair,
+                                              wavelet_name, j, times):
+    # one FFT row per distinct fractional part of 2^j t against one per
+    # time; t = +-2 at j = 9 and t = -4200, 4100 at j = -3 put some or
+    # all of their terms outside the profile window |tau| < 512
+    builder = FamilyBuilder(request.getfixturevalue(wavelet_name), ou_pair)
+    ks = np.arange(-8, 9)
+    for side in ("primal", "dual"):
+        terms = _level_terms(builder, j, side, "wavelet", ks, times)
+        reference = per_time_level_terms(builder, j, side, "wavelet", ks,
+                                         times)
+        assert terms.shape == (len(ks), len(times))
+        assert np.max(np.abs(terms - reference)) \
+            <= 1e-13 * np.max(np.abs(reference))
+        assert np.array_equal(terms == 0.0, reference == 0.0)
+
+
+def test_each_level_transforms_one_row_per_fraction(meyer, ou_pair,
+                                                    monkeypatch):
+    # times on the 2^-6 grid: level j sees the fractional parts of 2^j t,
+    # 2^{6-j} of them below the resolution and a single one from j = 6 on
+    rows = []
+    fft = np.fft.fft
+
+    def counting_fft(a, *args, **kw):
+        rows.append(a.shape[0])
+        return fft(a, *args, **kw)
+
+    monkeypatch.setattr(np.fft, "fft", counting_fft)
+    plan = _plan(ou_pair, meyer, J_detail=8, include_approximation=False)
+    _term_matrix(plan)
+    assert rows == [2 ** max(plan.resolution - j, 0)
+                    for j in range(plan.J_detail + 1)]
+    assert rows[plan.resolution:] == [1] * (plan.J_detail + 1
+                                            - plan.resolution)
 
 
 def _dense_synthesis(plan):

@@ -1,7 +1,8 @@
 """Test-only full-grid transforms: time samples on the conjugate grid, the
-inverse and forward FFT transforms between them, and a member's time
-samples with the grid-edge aliasing warning. The package itself reads
-samples of the inverse transform with grids.inverse_transform_at."""
+inverse and forward FFT transforms between them, a spectrum's Hermitian
+defect, and a member's time samples with the grid-edge aliasing warning.
+The package itself reads samples of the inverse transform with
+grids.inverse_transform_at."""
 
 import warnings
 from dataclasses import dataclass, field
@@ -47,6 +48,16 @@ def forward_transform(series: TimeSeries, grid: FourierGrid) -> SampledSpectrum:
         raise GridError("time series does not match the grid's conjugate sampling")
     summed = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(series.values)))
     return SampledSpectrum(grid, grid.dt * summed)
+
+
+def hermitian_defect(f: SampledSpectrum) -> float:
+    """Max |F(-x) - conj(F(x))| over grid points, relative to max |F|."""
+    v = f.values
+    mirrored = np.roll(v[::-1], 1)  # index m -> value at -x_m
+    scale = np.max(np.abs(v))
+    if scale == 0.0:
+        return 0.0
+    return float(np.max(np.abs(mirrored - np.conj(v))) / scale)
 
 
 def time_samples(member: FamilyMember, edge_energy_tol: float = 1e-8) -> TimeSeries:
