@@ -27,6 +27,9 @@ from .mra import WaveletSpec
 from .report import CheckResult
 
 
+PATH_BLOCK = 2**10  # paths per coefficient block of simulate (1 MB at K = 64)
+
+
 class ProcsimError(ValueError):
     """Invalid synthesis plan or estimator input."""
 
@@ -216,29 +219,26 @@ def covariance_kernel(plan: SynthesisPlan, t, s) -> np.ndarray:
     return kernel
 
 
-def _coefficient_rows(plan: SynthesisPlan, keys: list,
-                      forced: dict) -> np.ndarray:
-    """len(keys) x n_paths coefficients, one row per term key.
-
-    Each term key owns one counter-based stream seeded by
-    (seed, block, j, k), so generation order over terms is irrelevant
-    and results are bit-exact for a given plan.
-    """
-    rows = np.empty((len(keys), plan.n_paths))
-    block_id = {"approximation": 0, "wavelet": 1}
-    for row, (block, j, k) in zip(rows, keys):
-        if (block, j, k) in forced:
-            row[:] = forced[(block, j, k)]
-            continue
-        seq = np.random.SeedSequence((plan.seed, block_id[block],
-                                      j + 2**31, k + 2**31))
-        np.random.Generator(np.random.Philox(seq)).standard_normal(out=row)
-    return rows
+def _coefficient_stream(plan: SynthesisPlan, key) -> np.random.Generator:
+    """The coefficient stream of one term key (block, j, k): a
+    counter-based generator seeded by (seed, block, j, k), so generation
+    order over terms is irrelevant and results are bit-exact for a given
+    plan. Path p's coefficient is the stream's p-th standard normal."""
+    block, j, k = key
+    block_id = {"approximation": 0, "wavelet": 1}[block]
+    seq = np.random.SeedSequence((plan.seed, block_id, j + 2**31, k + 2**31))
+    return np.random.Generator(np.random.Philox(seq))
 
 
 def simulate(plan: SynthesisPlan, forced: dict | None = None) -> PathEnsemble:
-    """Draw the coefficients and form the paths, one level block at a
-    time: memory is O(n_paths x (n_times + 2K + 1)).
+    """Draw the coefficients and form the paths, one level block and one
+    block of at most PATH_BLOCK paths at a time: memory is
+    O(n_paths x n_times) plus one (2K + 1) x PATH_BLOCK coefficient block.
+
+    Each key's stream is drawn in order, block after block, so the paths
+    do not depend on the block size. The blocks are balanced, so none
+    holds a single path when n_paths > 1: NumPy forms a one-row product
+    by gemv, which rounds differently from the gemm of the other rows.
 
     forced maps (block, j, k) term keys to constant coefficient values,
     overriding the random draw for those terms (test hook; also realizes
@@ -249,9 +249,21 @@ def simulate(plan: SynthesisPlan, forced: dict | None = None) -> PathEnsemble:
     if unknown:
         raise ProcsimError("forced keys not in the plan: "
                            f"{sorted(unknown, key=repr)}")
+    n_blocks = -(-plan.n_paths // PATH_BLOCK)
+    edges = [plan.n_paths * i // n_blocks for i in range(n_blocks + 1)]
+    buffer = np.empty((2 * plan.K + 1, -(-plan.n_paths // n_blocks)))
     values = np.zeros((plan.n_paths, len(plan.times)))
     for keys, terms in _level_blocks(plan):
-        values += _coefficient_rows(plan, keys, forced).T @ terms
+        streams = [None if key in forced else _coefficient_stream(plan, key)
+                   for key in keys]
+        for start, stop in zip(edges, edges[1:]):
+            rows = buffer[:, :stop - start]
+            for row, key, stream in zip(rows, keys, streams):
+                if stream is None:
+                    row[:] = forced[key]
+                else:
+                    stream.standard_normal(out=row)
+            values[start:stop] += rows.T @ terms
     return PathEnsemble(plan.times, values, plan.config())
 
 

@@ -4,17 +4,20 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vaguelab import mra
-from vaguelab.cli import ConfigError, main, resolve_config
+from vaguelab import cli, mra
+from vaguelab.cli import (ConfigError, _atomic_write, _csv_lines, _instantiate,
+                          main, resolve_config)
 from vaguelab.family import MIRROR_EDGE, FamilyBuilder
 from vaguelab.filters import FilterPair, OUFilter
 from vaguelab.grids import default_grid, make_grid
 from vaguelab.mra import WaveletSpec
+from vaguelab.procsim import simulate
 
 
 def run_cli(args):
@@ -317,6 +320,34 @@ def test_simulate_paths_csv(tmp_path):
     assert manifest["seed"] == 7
 
 
+def test_simulate_paths_csv_is_the_joined_text(tmp_path):
+    # the streamed paths.csv holds the bytes of the text once built as
+    # one joined string of the rows, the formula kept here as the oracle
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--out", str(out), "--paths", "3",
+                    "--levels", "2", "--shifts", "4", "--seed", "7"]) == 0
+    cfg = resolve_config({"seed": 7, "simulate": {"n_paths": 3,
+                                                  "J_detail": 2, "K": 4}})
+    ensemble = simulate(_instantiate(cfg)["simulate"])
+    header = [f"t={float(t)!r}" for t in ensemble.times]
+    rows = [tuple(float(v) for v in row) for row in ensemble.values]
+    lines = [",".join(header)] + [",".join(repr(v) for v in row)
+                                  for row in rows]
+    assert (out / "paths.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def test_failing_row_iterator_leaves_no_file(tmp_path):
+    # the writer streams into a temp file: a row that raises midway leaves
+    # neither the target nor the temp file behind
+    def rows():
+        yield (1.0, 2.0)
+        raise RuntimeError("row 2")
+
+    with pytest.raises(RuntimeError, match="row 2"):
+        _atomic_write(tmp_path / "paths.csv", _csv_lines(["a", "b"], rows()))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_non_finite_variance_is_inconclusive(tmp_path, capsys):
     # finite paths up to ~1e225 whose squares overflow: the variance
     # statistic is inf, and the run must not PASS
@@ -325,8 +356,11 @@ def test_simulate_non_finite_variance_is_inconclusive(tmp_path, capsys):
         "filters": {"h2": {"kind": "exp_gamma", "gamma": 1.0}},
         "simulate": {"synthesis_side": "dual", "J_detail": 6, "K": 8,
                      "n_paths": 2, "include_approximation": False}}))
-    code = run_cli(["simulate", "--config", str(cfg_path), "--out",
-                    str(tmp_path)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(["simulate", "--config", str(cfg_path), "--out",
+                        str(tmp_path)])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert code == 1
     assert "INCONCLUSIVE simulate" in capsys.readouterr().out
     (check,) = json.loads(
@@ -451,6 +485,37 @@ def test_daubechies_verify_commands(tmp_path, capsys):
     assert abs(biorth["statistics"]["max_defect"] / 5.8187e-6 - 1.0) < 1e-3
     assert vaguelet["pass"] is True
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_riesz_bounds_off_eigenpair_is_inconclusive(tmp_path, capsys,
+                                                   monkeypatch):
+    # the bounds are reported with their eigenpair residual; one above
+    # the tolerance confirms no bound, and the run still writes its report
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"riesz": {"J": 1, "K": 2, "refinement_levels": 1}}))
+    args = ["verify-riesz", "--config", str(cfg_path), "--out",
+            str(tmp_path / "out")]
+    assert run_cli(args) == 0
+    report = json.loads((tmp_path / "out" / "riesz_report.json").read_text())
+    checks = {c["check"]: c for c in report["checks"]}
+    residuals = {}
+    for side in ("primal", "dual"):
+        check = checks[f"riesz_bounds_{side}"]
+        assert check["pass"] is True
+        assert "hermitian_defect" not in check["statistics"]
+        residuals[side] = check["statistics"]["eigen_residual"]
+        assert 0.0 < residuals[side] < cli.RESIDUAL_TOL
+    monkeypatch.setattr(cli, "RESIDUAL_TOL", min(residuals.values()) / 2)
+    capsys.readouterr()
+    assert run_cli(args) == 1
+    assert "INCONCLUSIVE riesz_bounds_primal" in capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "riesz_report.json").read_text())
+    checks = {c["check"]: c for c in report["checks"]}
+    for side in ("primal", "dual"):
+        check = checks[f"riesz_bounds_{side}"]
+        assert check["pass"] is None
+        assert check["statistics"]["eigen_residual"] == residuals[side]
 
 
 def test_verify_riesz_fills_each_product_factor_once(tmp_path, monkeypatch):

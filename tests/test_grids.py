@@ -146,12 +146,16 @@ def test_npy_round_trip_special_values():
 
 
 def test_csv_output():
-    # cli._csv_text is the one CSV writer (counterexample.csv, paths.csv)
-    from vaguelab.cli import _csv_text
+    # cli._csv_lines is the one CSV writer (counterexample.csv, paths.csv):
+    # one newline-terminated line per row, read lazily from any iterable
+    from vaguelab.cli import _csv_lines
     g = make_grid(16.0, 64)
     spec = SampledSpectrum(g, np.ones(64))
-    rows = list(zip(spec.grid.x, spec.values.real, spec.values.imag))
-    lines = _csv_text(["x", "re", "im"], rows).strip().split("\n")
+    rows = zip(spec.grid.x, spec.values.real, spec.values.imag)
+    pieces = list(_csv_lines(["x", "re", "im"], rows))
+    assert all(piece.count("\n") == 1 and piece.endswith("\n")
+               for piece in pieces)
+    lines = "".join(pieces).strip().split("\n")
     assert lines[0] == "x,re,im"
     assert len(lines) == 65
     x, re, im = (float(v) for v in lines[1].split(","))

@@ -8,8 +8,9 @@ from vaguelab.family import FamilyBuilder, FamilyIndex
 from vaguelab.filters import (ExpGammaFilter, FilterPair, FractionalFilter,
                               OUFilter, unit_pair)
 from vaguelab.mra import WaveletSpec
+from vaguelab import procsim
 from vaguelab.procsim import (PathEnsemble, ProcsimError, SynthesisPlan,
-                              _coefficient_rows, _level_blocks, _level_terms,
+                              _coefficient_stream, _level_blocks, _level_terms,
                               _term_matrix, covariance_kernel,
                               dyadic_times, empirical_covariance,
                               fbm_scaling, simulate, target_autocovariance)
@@ -379,30 +380,51 @@ def test_simulate_matches_dense_synthesis(request, ou_pair, wavelet_name,
     plan = _plan(ou_pair, wavelet, n_paths=300, seed=9, **overrides)
     coeffs, dense = _dense_synthesis(plan)
     assert np.max(np.abs(simulate(plan).values - dense)) < 1e-12
-    # the level blocks partition the term keys in order, and each block's
-    # coefficient rows are its keys' streams, bit for bit
+    # the level blocks partition the term keys in order, and each key's
+    # stream is its column of the dense coefficients, bit for bit
     start = 0
     for keys, terms in _level_blocks(plan):
         stop = start + len(keys)
         assert keys == plan.term_keys()[start:stop]
         assert terms.shape == (2 * plan.K + 1, len(plan.times))
-        rows = _coefficient_rows(plan, keys, {})
-        assert np.array_equal(rows, coeffs[:, start:stop].T)
+        for col, key in enumerate(keys, start):
+            draws = _coefficient_stream(plan, key).standard_normal(
+                plan.n_paths)
+            assert np.array_equal(draws, coeffs[:, col])
         start = stop
     assert start == coeffs.shape[1]
 
 
-def test_simulate_peak_memory_is_one_level_of_coefficients(meyer, ou_pair):
+@pytest.mark.parametrize("n_paths", [1, 8, 300])
+def test_simulate_does_not_depend_on_the_path_block(meyer, ou_pair,
+                                                    monkeypatch, n_paths):
+    # 7 divides none of the counts, and 8 = 7 + 1 would leave a one-path
+    # block if the blocks were not balanced
+    plan = _plan(ou_pair, meyer, n_paths=n_paths, seed=4)
+    forced = {("wavelet", 1, -2): 0.5, ("approximation", 0, 3): -1.25}
+    default = [simulate(plan).values, simulate(plan, forced=forced).values]
+    for block in (7, n_paths, n_paths + 5):
+        monkeypatch.setattr(procsim, "PATH_BLOCK", block)
+        assert np.array_equal(simulate(plan).values, default[0])
+        assert np.array_equal(simulate(plan, forced=forced).values,
+                              default[1])
+
+
+@pytest.mark.parametrize("n_paths", [4000, 16000])
+def test_simulate_peak_memory_is_one_path_block(meyer, ou_pair, n_paths):
+    # beyond the paths themselves, one coefficient block of PATH_BLOCK
+    # paths (1.06 MB at K = 64) and one level's terms, at any path count:
+    # one level's coefficients for every path would be 4.1 MB at 4000
+    # paths and 16.5 MB at 16000
     times = dyadic_times(-2.0, 2.0, 10)
     times = times[np.abs(times / 0.25 - np.round(times / 0.25)) < 1e-9]
     plan = SynthesisPlan(ou_pair, meyer, times=times, J_detail=6, K=64,
-                         n_paths=4000)
-    dense_bytes = 8 * plan.n_paths * len(plan.term_keys())  # 33.0 MB
+                         n_paths=n_paths)
     simulate(plan)  # the first call also allocates one-time caches
     tracemalloc.start()
     try:
-        simulate(plan)
+        values = simulate(plan).values
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < dense_bytes / 4
+    assert peak - values.nbytes < 4e6

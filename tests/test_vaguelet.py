@@ -122,7 +122,8 @@ def test_synthesis_bound_is_top_riesz_bound_squared(request, ou_pair,
     for side in ("primal", "dual"):
         lam = synthesis_bound(builder, side, J=J, K=K).statistics[
             "lambda_max"]
-        _, c2 = riesz_bounds(gram(builder, side, Truncation(J, K, False)))
+        _, c2, _ = riesz_bounds(gram(builder, side,
+                                     Truncation(J, K, False)))
         assert abs(lam - c2**2) <= 1e-12 * lam
 
 
