@@ -188,12 +188,17 @@ def _instantiate(cfg: dict) -> dict:
 
 def _atomic_write(path: Path, data: str | bytes | Iterable[str]) -> None:
     """Write data (str, bytes or an iterable of str) to a temp file beside
-    path and replace path with it only once every piece is written."""
+    path and replace path with it only once every piece is written. The
+    file gets the mode open() gives a new file, 0666 less the umask
+    (mkstemp creates it 0600)."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
             fh.writelines([data] if isinstance(data, (str, bytes)) else data)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -33,7 +33,7 @@ SIDES = ("primal", "dual")
 ROLES = ("wavelet", "approximation")
 FILL_BLOCK = 2**13  # grid points per block of a mother fill
 # points from x = -x_max evaluated directly in a mirrored fill: x = -x_max
-# has no mirror, and NumPy's cos/sin give other last bits on a lone point
+# has no mirror, and one 8-point block keeps it inside NumPy's vector loops
 MIRROR_EDGE = 8
 
 
@@ -176,6 +176,12 @@ class FamilyBuilder:
         psi^ on level l is formed from phi^ on level l + 1, and phi^ of
         every level needed comes from one multi-level product, evaluated
         in blocks of FILL_BLOCK points that are written into the mothers.
+        For Daubechies a point x of the widest grid takes the product
+        factors of exponents up to about log2 |x| + 4 directly, once for
+        all levels, and each level's deeper factors as one closed-form
+        tail (mra.daubechies_phi_hat_levels); that split is made point by
+        point, so a value does not depend on the block it falls in, and
+        the blocks' monotone x keep the points of one split contiguous.
         phi^ on level l is evaluated only on its band, the index range of
         |y| < R on that level's grid (R = phi_support_radius; the whole
         grid for Daubechies), and each mother is stored on the band of the

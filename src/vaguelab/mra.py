@@ -91,6 +91,16 @@ def daubechies_coefficients(n_moments: int) -> np.ndarray:
     return h
 
 
+def _imul(product, factor):
+    """product *= factor in place, rounded as inside a longer array: NumPy
+    multiplies one complex element in place in its scalar reduction loop,
+    which rounds differently from its vector loop."""
+    if product.size == 1:
+        product[...] = product * factor
+    else:
+        product *= factor
+
+
 def _trig_poly(coeffs, x):
     """sum_n c_n e^{-inx} for real c_n, by Horner in z = e^{-ix}."""
     x = np.asarray(x, dtype=float)
@@ -99,7 +109,7 @@ def _trig_poly(coeffs, x):
     np.negative(np.sin(x, out=z.imag), out=z.imag)
     out = np.full(x.shape, coeffs[-1], dtype=complex)
     for c in coeffs[-2::-1]:
-        out *= z
+        _imul(out, z)
         out += c
     return out
 
@@ -108,33 +118,160 @@ def daubechies_u_hat(n_moments: int, x):
     return _trig_poly(daubechies_coefficients(n_moments), x)
 
 
+# Taylor terms of log(u_hat / sqrt 2) kept in a product tail; the tail's
+# argument is below 2^-5, where the first term left out is below 1e-22
+# for every N in 2..10
+TAIL_TERMS = 14
+
+
+@lru_cache(maxsize=16)
+def _log_factor_taylor(n_moments: int) -> tuple:
+    """l_0..l_{TAIL_TERMS-1} with log(u_hat(y) / sqrt 2) = sum_p l_p s^p,
+    s = -i y, near y = 0.
+
+    With the taps a_n = h_n / sqrt 2 and their midpoint c,
+    u_hat / sqrt 2 = e^{cs} V(s), V(s) = sum_n a_n e^{(n - c)s}, whose
+    Taylor coefficients v_k = sum_n a_n (n - c)^k / k! are summed exactly
+    (fsum); the centred moments stay small where raw ones lose digits.
+    log V follows from k v_k = sum_{j=1..k} j l_j v_{k-j}, and
+    l_0 = log V(0) = log(sum_n a_n), about 1e-14 for N = 10, is kept.
+    """
+    a = daubechies_coefficients(n_moments) / SQRT2
+    c = (len(a) - 1) / 2.0
+    v = [math.fsum(an * (n - c)**k for n, an in enumerate(a))
+         / math.factorial(k) for k in range(TAIL_TERMS)]
+    logs = [math.log1p(math.fsum([*a, -1.0]))]
+    for k in range(1, TAIL_TERMS):
+        logs.append((k * v[k] - math.fsum(j * logs[j] * v[k - j]
+                                          for j in range(1, k)))
+                    / (k * v[0]))
+    logs[1] += c
+    return tuple(logs)
+
+
+@lru_cache(maxsize=256)
+def _tail_coefficients(n_moments: int, count: int):
+    """Real Horner coefficients, in w = y^2, of the exponent
+    sum_p c_p (-iy)^p of count consecutive factors
+    prod_{i<count} u_hat(y / 2^i) / sqrt 2, c_p = l_p sum_{i<count} 2^{-ip}:
+    (even, odd) with real part sum_k even_k w^k and imaginary part
+    y sum_k odd_k w^k."""
+    c = [lp * math.fsum(2.0**(-i * p) for i in range(count))
+         for p, lp in enumerate(_log_factor_taylor(n_moments))]
+    # (-i)^p is 1, -i, -1, i, ... in turn
+    even = [ck if k % 2 == 0 else -ck for k, ck in enumerate(c[0::2])]
+    odd = [-ck if k % 2 == 0 else ck for k, ck in enumerate(c[1::2])]
+    return even, odd
+
+
+def _horner(coeffs, w):
+    out = np.full(w.shape, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out *= w
+        out += c
+    return out
+
+
+def _product_tail(n_moments: int, y, count: int):
+    """prod_{i<count} u_hat(y / 2^i) / sqrt 2 for |y| < 2^-5, as one
+    exponential of the factors' summed log series."""
+    even, odd = _tail_coefficients(n_moments, count)
+    w = y * y
+    re = _horner(even, w)
+    im = _horner(odd, w)
+    im *= y
+    del w
+    tail = np.empty(y.shape, dtype=complex)
+    np.cos(im, out=tail.real)
+    np.sin(im, out=tail.imag)
+    np.exp(re, out=re)
+    tail.real *= re
+    tail.imag *= re
+    return tail
+
+
+def _runs(keys):
+    """(firsts, stops, keys) arrays of the maximal runs of equal keys in a
+    non-empty 1-D array."""
+    firsts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return firsts, np.append(firsts[1:], keys.size), keys[firsts]
+
+
+def _stretches(runs, keys):
+    """(start, stop, key) of each maximal stretch of consecutive runs whose
+    keys (one per run) are equal."""
+    starts, stops, _ = runs
+    firsts, ends, values = _runs(keys)
+    return zip(starts[firsts].tolist(), stops[ends - 1].tolist(),
+               values.tolist())
+
+
 def daubechies_phi_hat_levels(n_moments: int, x, levels, depth: int = 40):
     """[phi_hat(x / 2^l) for l in levels], each the truncated product
     prod_{k=1..depth} u_hat(x / 2^{l+k}) / sqrt(2).
 
-    x / 2^{l+k} is exact in floating point, so the factor of exponent
-    m = l + k is the same for every level whose product contains it: it is
-    evaluated once and multiplied into each of them. Every product still
-    starts from ones and takes its factors in ascending k, so each value is
-    bit-identical to a product evaluated on its own over the same array
-    layout: NumPy's cos/sin may round a point evaluated alone (a length-1
-    array) differently from the same point inside a longer array. NumPy's
-    cos and sin are even and odd bit for bit and the taps are real, so
-    each factor, and the product, at -x is the conjugate of that at x,
-    bit for bit (the mirrored mother fill of family relies on this).
+    A point x takes the factor of exponent m = l + k directly only for
+    m <= m0(x) = max(e + 4, 0), e the exponent of x (np.frexp; e = -inf
+    at x = 0), so |x / 2^{m0}| < 2^-4. Its other factors, of exponents
+    lo = max(m0 + 1, l + 1) .. l + depth, are one closed-form tail: the
+    exponential of their summed log series (_product_tail, accurate to
+    roundoff for |x / 2^lo| < 2^-5). So a point costs about log2 |x| + 4
+    factors, not depth, and depth still counts every factor, the tail's
+    included.
+
+    x / 2^m is exact in floating point, so a direct factor is the same for
+    every level whose product contains it: it is evaluated once and
+    multiplied into each of them. The split depends on the point alone,
+    and every operation is elementwise over runs of equal m0 (contiguous
+    where |x| is monotone, as in the blocks of a mother fill; other x are
+    taken in the order of m0), so each value is bit-identical to that of
+    the level evaluated on its own, of phi_hat(x / 2^l), and of the same
+    point in any other array. NumPy's cos and sin are even and odd bit for
+    bit, the taps are real and m0 is even in x, so each factor, each tail,
+    and the product at -x is the conjugate of that at x, bit for bit (the
+    mirrored mother fill of family relies on this).
     """
     if depth < 20:
         raise ValueError(f"product depth must be >= 20, got {depth}")
     x = np.asarray(x, dtype=float)
     levels = list(levels)
+    flat = x.reshape(-1)
     h = daubechies_coefficients(n_moments) / SQRT2
-    out = [np.ones(x.shape, dtype=complex) for _ in levels]
-    for m in range(min(levels) + 1, max(levels) + depth + 1):
-        factor = _trig_poly(h, x / 2.0**m)
-        for level, product in zip(levels, out):
-            if level < m <= level + depth:
-                product *= factor
-    return out
+    m0 = np.frexp(flat)[1]
+    m0 += 4
+    np.maximum(m0, 0, out=m0)
+    m0[flat == 0.0] = 0
+    out = [np.ones(flat.shape, dtype=complex) for _ in levels]
+    if flat.size == 0:
+        return [product.reshape(x.shape) for product in out]
+    runs = _runs(m0)
+    exponents = runs[2]
+    if exponents.size > 2 * np.count_nonzero(np.bincount(exponents)):
+        # |x| is not monotone on each side of one point: take the points in
+        # the order of m0, where each m0 is one run
+        order = np.argsort(m0, kind="stable")
+        for product, value in zip(out, daubechies_phi_hat_levels(
+                n_moments, flat[order], levels, depth)):
+            product[order] = value
+        return [product.reshape(x.shape) for product in out]
+    for m in range(min(levels) + 1,
+                   min(max(levels) + depth, int(exponents.max())) + 1):
+        into = [product for level, product in zip(levels, out)
+                if level < m <= level + depth]
+        for start, stop, direct in _stretches(runs, exponents >= m):
+            if not (direct and into):
+                continue
+            factor = _trig_poly(h, flat[start:stop] / 2.0**m)
+            for product in into:
+                _imul(product[start:stop], factor)
+    for level, product in zip(levels, out):
+        for start, stop, lo in _stretches(
+                runs, np.maximum(exponents + 1, level + 1)):
+            count = level + depth + 1 - lo
+            if count > 0:
+                _imul(product[start:stop], _product_tail(
+                    n_moments, flat[start:stop] / 2.0**lo, count))
+    return [product.reshape(x.shape) for product in out]
 
 
 def daubechies_phi_hat(n_moments: int, x, depth: int = 40):

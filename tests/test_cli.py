@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import warnings
@@ -18,6 +19,8 @@ from vaguelab.filters import FilterPair, OUFilter
 from vaguelab.grids import default_grid, make_grid
 from vaguelab.mra import WaveletSpec
 from vaguelab.procsim import simulate
+
+from phi_product import direct_factor_count
 
 
 def run_cli(args):
@@ -348,6 +351,20 @@ def test_failing_row_iterator_leaves_no_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_outputs_get_the_umask_mode(tmp_path):
+    # written as open() would write them: 0666 less the umask, not the
+    # 0600 of the temp file they are written to first
+    old = os.umask(0o022)
+    try:
+        assert run_cli(["counterexample", "--out", str(tmp_path)]) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode)
+             for p in tmp_path.iterdir()}
+    assert modes == {"counterexample_report.json": 0o644,
+                     "counterexample.csv": 0o644}
+
+
 def test_simulate_non_finite_variance_is_inconclusive(tmp_path, capsys):
     # finite paths up to ~1e225 whose squares overflow: the variance
     # statistic is inf, and the run must not PASS
@@ -521,10 +538,10 @@ def test_riesz_bounds_off_eigenpair_is_inconclusive(tmp_path, capsys,
 def test_verify_riesz_fills_each_product_factor_once(tmp_path, monkeypatch):
     # gram forms psi^ on the level-0 y-grid G_0 from phi^ on G_1, which is
     # also the level-1 approximation mother that refinement_identity_j0
-    # reads: one fill of phi^ on G_0, G_1, G_2 evaluates the factors
-    # u^(x / 2^m) / sqrt 2, m = 1..42, once per point (82 when filled twice)
-    # of x >= 0 and of the MIRROR_EDGE points from -x_max; the rest of
-    # x < 0 is mirrored
+    # reads: one fill of phi^ on G_0, G_1, G_2 evaluates each factor
+    # u^(x / 2^m) / sqrt 2 of m = 1..42 that a point takes directly once
+    # (twice when filled twice), at the points of x >= 0 and the
+    # MIRROR_EDGE points from -x_max; the rest of x < 0 is mirrored
     factors = []
     trig_poly = mra._trig_poly
 
@@ -541,7 +558,9 @@ def test_verify_riesz_fills_each_product_factor_once(tmp_path, monkeypatch):
         "riesz": {"J": 1, "K": 8, "refinement_levels": 1}}))
     assert run_cli(["verify-riesz", "--config", str(cfg_path),
                     "--out", str(tmp_path / "out")]) == 1
-    assert sum(factors) == 42 * (default_grid().n // 2 + MIRROR_EDGE)
+    x = default_grid().x
+    points = np.concatenate((x[:MIRROR_EDGE], x[x.size // 2:]))
+    assert sum(factors) == direct_factor_count(points, 42)
 
 
 def test_readme_config_example_passes_verify_riesz(tmp_path, capsys):

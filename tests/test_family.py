@@ -15,6 +15,7 @@ from vaguelab.mra import WaveletSpec
 from vaguelab.riesz import Truncation, gram
 from vaguelab.vaguelet import VagueletParams, vaguelet_suite
 
+from phi_product import direct_factor_count
 from rescaled import norm_band, rescaled_member
 from transforms import inverse_transform, time_samples
 
@@ -209,6 +210,28 @@ def test_batch_mothers_match_direct_evaluation(wavelet, ou_pair):
         assert not np.any(direct[band.stop:])
 
 
+@pytest.mark.parametrize("wavelet", [
+    WaveletSpec("meyer"), WaveletSpec("daubechies", n_moments=4),
+    WaveletSpec("daubechies", n_moments=10)], ids=["meyer", "db4", "db10"])
+def test_level_spectra_do_not_depend_on_the_grid_layout(wavelet, ou_pair):
+    # the (2 x_max, 2n) grid holds the base grid's points bit for bit at
+    # indices n/2..3n/2 - 1, and its level spectra hold the base grid's
+    # there too: every value depends on its point alone, not on the blocks
+    # or the chain it was filled in
+    builder = FamilyBuilder(wavelet, ou_pair)
+    n = builder.grid.n
+    wide = make_grid(2.0 * builder.grid.x_max, 2 * n)
+    for j in (-1, 0, 3):
+        for side in SIDES:
+            for role in ROLES:
+                base, log_scale = builder.level_spectrum(j, side, role)
+                held, wide_log_scale = builder.level_spectrum(j, side, role,
+                                                              wide)
+                assert wide_log_scale == log_scale
+                assert (held.values[n // 2:3 * n // 2].tobytes()
+                        == base.values.tobytes()), (j, side, role)
+
+
 def test_meyer_mothers_of_all_live_on_their_bands(tmp_path, monkeypatch):
     # every mother a default `vaguelab all` fills, on every chain grid and
     # for both roles, bit-equals phi_hat / psi_hat of the whole grid inside
@@ -289,9 +312,9 @@ def test_gram_shares_product_factors_across_levels(monkeypatch, db4,
     # both sides read phi^ on the level-0 y-grid G_0 and psi^ on G_0 and
     # G_1. psi^ on G_l is formed from phi^ on G_{l+1}, and the products of
     # phi^ on G_0, G_1, G_2 share their factors u^(x / 2^m) / sqrt 2 with
-    # m = 1..42: 42 factors per point, against 120 evaluated level by level;
-    # the points are those of x >= 0 and the MIRROR_EDGE points from -x_max,
-    # the rest of x < 0 is mirrored
+    # m = 1..42: each factor a point takes directly is evaluated once for
+    # all three levels; the points are those of x >= 0 and the MIRROR_EDGE
+    # points from -x_max, the rest of x < 0 is mirrored
     evaluated = {"factor": 0, "v_hat": 0}
     trig_poly = mra._trig_poly
 
@@ -306,7 +329,8 @@ def test_gram_shares_product_factors_across_levels(monkeypatch, db4,
     for side in SIDES:
         gram(builder, side, Truncation(1, 8))
     grid = builder.grid
-    assert evaluated == {"factor": 42 * (grid.n // 2 + MIRROR_EDGE),
+    points = np.concatenate((grid.x[:MIRROR_EDGE], grid.x[grid.n // 2:]))
+    assert evaluated == {"factor": direct_factor_count(points, 42),
                          "v_hat": 2 * grid.n}
     # the phi^ on G_1 and G_2 that only built a psi^ are not kept
     half = make_grid(grid.x_max / 2.0, grid.n)

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vaguelab.grids import SampledSpectrum, default_grid, l2_norm
-from vaguelab.mra import (MEYER_SUPPORT_RADIUS, WaveletSpec, _trig_poly,
-                          check_cmf, check_w3, check_w4,
-                          daubechies_coefficients, daubechies_phi_hat,
-                          daubechies_phi_hat_levels, daubechies_u_hat,
-                          meyer_nu, meyer_phi_hat, meyer_psi_abs,
-                          vanishing_moment_order)
+from vaguelab.mra import (MEYER_SUPPORT_RADIUS, WaveletSpec, check_cmf,
+                          check_w3, check_w4, daubechies_coefficients,
+                          daubechies_phi_hat, daubechies_phi_hat_levels,
+                          daubechies_u_hat, meyer_nu, meyer_phi_hat,
+                          meyer_psi_abs, vanishing_moment_order)
+
+from phi_product import direct_phi_hat_levels
 
 
 @settings(max_examples=100, deadline=None)
@@ -188,18 +189,47 @@ def test_daubechies_phi_hat_matches_outer_product_form(n):
 
 @pytest.mark.parametrize("n", [2, 4, 10])
 def test_daubechies_phi_hat_levels_match_one_level_products(n):
-    # oracle: each level's product on its own, factors in ascending order
-    # from ones, bit for bit; the levels need not be contiguous
+    # oracle: each level's product evaluated on its own, and the level-0
+    # product of x / 2^l, bit for bit; the levels need not be contiguous
     x = default_grid().x
-    h = daubechies_coefficients(n) / math.sqrt(2.0)
     levels = (0, 1, 2, 5)
     for level, got in zip(levels, daubechies_phi_hat_levels(n, x, levels)):
-        y = x / 2**level
-        expected = np.ones(x.shape, dtype=complex)
-        for k in range(1, 41):
-            expected *= _trig_poly(h, y / 2.0**k)
+        expected = daubechies_phi_hat_levels(n, x, (level,))[0]
         assert np.array_equal(got, expected)
-        assert np.array_equal(daubechies_phi_hat(n, y), expected)
+        assert np.array_equal(daubechies_phi_hat(n, x / 2**level), expected)
+
+
+def test_daubechies_phi_hat_levels_do_not_depend_on_point_order():
+    # every value depends on its point alone: shuffled points, and each
+    # point on its own, give the ordered grid's values bit for bit
+    x = default_grid().x
+    rng = np.random.default_rng(0)
+    order = rng.permutation(x.size)
+    levels = (0, 3)
+    ordered = daubechies_phi_hat_levels(4, x, levels)
+    for got, expected in zip(daubechies_phi_hat_levels(4, x[order], levels),
+                             ordered):
+        assert np.array_equal(got, expected[order])
+    for i in rng.choice(x.size, 32, replace=False):
+        for got, expected in zip(daubechies_phi_hat_levels(4, x[i], levels),
+                                 ordered):
+            assert got.shape == () and got == expected[i]
+
+
+@pytest.mark.parametrize("depth", [20, 40])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_daubechies_phi_hat_levels_match_direct_product(n, depth):
+    # oracle: every factor evaluated directly at every point; the closed-form
+    # tail of the deep factors stays at roundoff for |x| <= 1024 pi, near 0
+    # included
+    far = np.linspace(-1024.0 * np.pi, 1024.0 * np.pi, 2**14 + 1)
+    near = np.geomspace(1e-6, 1024.0 * np.pi, 2001)
+    x = np.concatenate((far, near, -near))
+    levels = (0, 1, 2, 5, 8)
+    got = daubechies_phi_hat_levels(n, x, levels, depth)
+    expected = direct_phi_hat_levels(n, x, levels, depth)
+    for level, g, e in zip(levels, got, expected):
+        assert np.max(np.abs(g - e)) <= 1e-14, level
 
 
 def test_daubechies_phi_hat_keeps_every_factor():
