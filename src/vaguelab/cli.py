@@ -196,7 +196,8 @@ def _atomic_write(path: Path, data: str | bytes | Iterable[str]) -> None:
     try:
         with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
             fh.writelines([data] if isinstance(data, (str, bytes)) else data)
-        umask = os.umask(0)
+        # read the umask by setting the tightest one for the moment
+        umask = os.umask(0o777)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)

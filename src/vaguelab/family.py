@@ -33,8 +33,8 @@ SIDES = ("primal", "dual")
 ROLES = ("wavelet", "approximation")
 FILL_BLOCK = 2**13  # grid points per block of a mother fill
 # points from x = -x_max evaluated directly in a mirrored fill: x = -x_max
-# has no mirror, and one 8-point block keeps it inside NumPy's vector loops
-MIRROR_EDGE = 8
+# has no mirror (a lone point rounds as inside a block, mra._imul)
+MIRROR_EDGE = 1
 
 
 class FamilyError(ValueError):
@@ -191,8 +191,8 @@ class FamilyBuilder:
 
         The Daubechies product has real taps, so each factor, and phi^,
         is conjugate-symmetric bit for bit on the mirror-exact grid: it is
-        evaluated on x >= 0 and on the MIRROR_EDGE points from x = -x_max
-        (which has no mirror), and conjugated onto the other x < 0.
+        evaluated on x >= 0 and on x = -x_max (which has no mirror, the
+        MIRROR_EDGE point), and conjugated onto the other x < 0.
         psi^ takes v^ on every point, mirrored or not.
         """
         chains: dict = {}

@@ -222,11 +222,10 @@ def daubechies_phi_hat_levels(n_moments: int, x, levels, depth: int = 40):
     x / 2^m is exact in floating point, so a direct factor is the same for
     every level whose product contains it: it is evaluated once and
     multiplied into each of them. The split depends on the point alone,
-    and every operation is elementwise over runs of equal m0 (contiguous
-    where |x| is monotone, as in the blocks of a mother fill; other x are
-    taken in the order of m0), so each value is bit-identical to that of
-    the level evaluated on its own, of phi_hat(x / 2^l), and of the same
-    point in any other array. NumPy's cos and sin are even and odd bit for
+    and every operation is elementwise over runs of equal m0 (one or two
+    per m0 where |x| is monotone, as in the blocks of a mother fill), so
+    each value is bit-identical to that of the level evaluated on its own,
+    of phi_hat(x / 2^l), and of the same point in any other array. NumPy's cos and sin are even and odd bit for
     bit, the taps are real and m0 is even in x, so each factor, each tail,
     and the product at -x is the conjugate of that at x, bit for bit (the
     mirrored mother fill of family relies on this).
@@ -246,14 +245,6 @@ def daubechies_phi_hat_levels(n_moments: int, x, levels, depth: int = 40):
         return [product.reshape(x.shape) for product in out]
     runs = _runs(m0)
     exponents = runs[2]
-    if exponents.size > 2 * np.count_nonzero(np.bincount(exponents)):
-        # |x| is not monotone on each side of one point: take the points in
-        # the order of m0, where each m0 is one run
-        order = np.argsort(m0, kind="stable")
-        for product, value in zip(out, daubechies_phi_hat_levels(
-                n_moments, flat[order], levels, depth)):
-            product[order] = value
-        return [product.reshape(x.shape) for product in out]
     for m in range(min(levels) + 1,
                    min(max(levels) + depth, int(exponents.max())) + 1):
         into = [product for level, product in zip(levels, out)
