@@ -184,14 +184,16 @@ def _fit_slope(js, values):
 
 
 def run_counterexample(cfg: CounterexampleConfig) -> CounterexampleRun:
-    """Norms, peaks and fitted exponents over cfg's levels."""
+    """Norms, peaks and fitted exponents over cfg's levels; a norm that
+    underflows to 0 (gamma = 5, j >= 8) gives a NaN ratio and NaN fits."""
     js = list(cfg.j_range)
     norms = [scaled_norm(j, cfg) for j in js]
     peaks = [scaled_peak(j, cfg) for j in js]
-    ratios = [p / n for p, n in zip(peaks, norms)]
-    slope, resid = _fit_slope(js, ratios)
-    slope_n, _ = _fit_slope(js, norms)
-    slope_p, _ = _fit_slope(js, peaks)
+    ratios = [p / n if n else math.nan for p, n in zip(peaks, norms)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope, resid = _fit_slope(js, ratios)
+        slope_n, _ = _fit_slope(js, norms)
+        slope_p, _ = _fit_slope(js, peaks)
     g = cfg.gamma
     # ||f_j|| ~ 2^{-j gamma (1 + 2r)/2}, f_j(u_j) ~ 2^{-j gamma (1 + r)}
     r_hat_norm = (-2.0 * slope_n / g - 1.0) / 2.0
@@ -203,12 +205,11 @@ def run_counterexample(cfg: CounterexampleConfig) -> CounterexampleRun:
 def ratio_exponent(run: CounterexampleRun) -> CheckResult:
     """Fitted slope of log2(p_j / n_j) vs j; the target is -gamma/2."""
     target = -run.cfg.gamma / 2.0
-    ok = abs(run.ratio_slope - target) < 0.1 * abs(target)
-    inconclusive = run.ratio_residual > 0.1
     return CheckResult(
         name="ratio_exponent",
-        passed=(None if inconclusive else bool(ok)),
         statistics={"slope": run.ratio_slope, "target": target,
+                    "relative_slope_error": (abs(run.ratio_slope - target)
+                                             / abs(target)),
                     "fit_residual": run.ratio_residual,
                     "r_hat_norm": run.r_hat_norm,
                     "r_hat_peak": run.r_hat_peak,
@@ -227,15 +228,13 @@ def vaguelet_violation(run: CounterexampleRun, alpha1: float) -> CheckResult:
     """
     if not 0.0 < alpha1 < 1.0:
         raise CounterexampleError(f"alpha1 must be in (0,1), got {alpha1}")
-    forced = -run.cfg.gamma * (1.0 + alpha1)
-    violation = run.ratio_slope > forced + 0.2
-    return CheckResult(
+    check = CheckResult(
         name="vaguelet_violation",
-        passed=bool(violation),
         statistics={"measured_slope": run.ratio_slope,
-                    "forced_slope": forced,
-                    "fit_residual": run.ratio_residual,
-                    "violation": bool(violation)},
+                    "forced_slope": -run.cfg.gamma * (1.0 + alpha1),
+                    "fit_residual": run.ratio_residual},
         params={**run.cfg.config(), "alpha1": alpha1},
     )
+    check.statistics["violation"] = check.passed
+    return check
 

@@ -316,8 +316,7 @@ def quasi_homogeneity_check(h: Filter, eps: float = 1.0, x_hi: float = 1000.0,
         # underflow to zero on the window rules out a two-sided power bound
         return CheckResult(
             name="quasi_homogeneity",
-            passed=False,
-            statistics={"underflow": True},
+            statistics={"underflow": True, "band_ratio": math.inf},
             params={"filter": h.config(), "eps": eps, "x_hi": x_hi},
         )
     logx, logv = np.log(x), np.log(vals)
@@ -327,10 +326,8 @@ def quasi_homogeneity_check(h: Filter, eps: float = 1.0, x_hi: float = 1000.0,
     d_hat = -float(slope)
     normalized = vals * x**d_hat
     c1, c2 = float(np.min(normalized)), float(np.max(normalized))
-    passed = (c2 / c1 < 100.0) and (resid < 0.05)
     return CheckResult(
         name="quasi_homogeneity",
-        passed=bool(passed),
         statistics={"d_hat": d_hat, "C1": c1, "C2": c2, "band_ratio": c2 / c1,
                     "slope_residual": resid},
         params={"filter": h.config(), "eps": eps, "x_hi": x_hi},
@@ -358,7 +355,6 @@ def derivative_decay_check(h: Filter, eps: float = 1.0, x_hi: float = 1000.0,
     band = max(nonzero) / min(nonzero) if nonzero else 1.0
     return CheckResult(
         name="derivative_decay",
-        passed=band < 1e3,
         statistics={**stats, "band_ratio": float(band), "d": d},
         params={"filter": h.config(), "eps": eps, "x_hi": x_hi},
     )
@@ -387,7 +383,6 @@ def local_scaling_check(h: Filter, d: float, n_moments: float, eps: float = 1.0,
     band = max(per_j) / min(per_j) if min(per_j) > 0 else math.inf
     return CheckResult(
         name="local_scaling",
-        passed=band < 10.0,
         statistics={"per_j_max": per_j, "band_ratio": float(band)},
         params={"filter": h.config(), "d": d, "N": n_moments, "eps": eps,
                 "j_max": j_max},
@@ -408,7 +403,6 @@ def h3_periodicity_check(pair: FilterPair, x_hi: float = 20.0 * np.pi,
     defect = float(np.max(np.abs(r1 - r0)) / scale)
     return CheckResult(
         name="h3_periodicity",
-        passed=defect < 1e-10,
         statistics={"relative_defect": defect},
         params={"pair": pair.config(), "x_hi": x_hi, "n_points": n_points},
     )

@@ -355,8 +355,8 @@ def fbm_scaling(d: float, deltas, J_detail: int = 8, K: int = 64,
         (np.log(variances) - (slope * np.log(deltas) + intercept)) ** 2)))
     return CheckResult(
         name="fbm_scaling",
-        passed=abs(h_hat - (d - 0.5)) < 0.05,
         statistics={"H_hat": h_hat, "H_target": d - 0.5,
+                    "H_error": abs(h_hat - (d - 0.5)),
                     "fit_residual": resid,
                     "variances": [float(v) for v in variances]},
         params={"d": d, "J_detail": J_detail, "K": K, "j_coarse": j_coarse,

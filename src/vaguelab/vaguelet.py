@@ -78,17 +78,22 @@ def _profile(spectrum: SampledSpectrum, j: int, t_window: float):
 def _level_statistics(spectrum: SampledSpectrum, j: int,
                       params: VagueletParams) -> tuple:
     """(decay, Hoelder, refined Hoelder, mean) statistics of level j from
-    its level spectrum on the wide grid. Each is a ratio, so the
-    spectrum's scale e^{log_scale} drops out."""
+    its level spectrum on the wide grid, the first three all NaN unless
+    all are finite. Each is a ratio, so the spectrum's scale
+    e^{log_scale} drops out."""
     q, g, norm = _profile(spectrum, j, params.t_window)
     dtau = spectrum.grid.dt
     even = slice(q[0] % 2, None, 2)  # the builder grid's tau
     weight = (1.0 + np.abs(q[even] * dtau)) ** (1.0 + params.alpha1)
     vals = spectrum.values
-    return (float(np.max(np.abs(g[even]) * weight)) / norm,
-            _holder_sup(g[even], 2 * dtau, params.alpha2) / norm,
-            _holder_sup(g, dtau, params.alpha2) / norm,
-            abs(vals[len(vals) // 2]) / float(np.max(np.abs(vals))))
+    stats = (float(np.max(np.abs(g[even]) * weight)) / norm,
+             _holder_sup(g[even], 2 * dtau, params.alpha2) / norm,
+             _holder_sup(g, dtau, params.alpha2) / norm)
+    # the Hoelder scan's running max skips a NaN sample: a level with a
+    # statistic that is not finite has none that can be trusted
+    if not all(map(math.isfinite, stats)):
+        stats = (math.nan,) * 3
+    return (*stats, abs(vals[len(vals) // 2]) / float(np.max(np.abs(vals))))
 
 
 def _holder_sup(g: np.ndarray, dtau: float, alpha2: float) -> float:
@@ -159,12 +164,9 @@ def synthesis_bound(builder: FamilyBuilder, side: str, J: int = 4, K: int = 16,
 
     B of a section is the largest eigenvalue of its normalized-family Gram
     G. Entries depend only on the generator pair and the lag, so the K
-    section is the |k| <= K principal submatrix of the 2K one. The check
-    passes when B < 100 and, for K >= 8, doubling K raises B by under 10 %:
-    on shorter sections B of a Riesz family still rises faster towards its
-    K = inf value (Meyer, h1 = ou, h2 = 1/(1 + x^2): 24 % at K = 1, 11 % at
-    K = 4; at most 7.2 % from K = 8 on, J <= 4). seed is accepted and has
-    no effect.
+    section is the |k| <= K principal submatrix of the 2K one. report.RULES
+    bounds B and, from K = 8 on, its rise when K doubles. seed is accepted
+    and has no effect.
     """
     g = gram(builder, side, Truncation(J, 2 * K, include_approximation=False))
     keep = [i for i, idx in enumerate(g.index_map) if abs(idx.k) <= K]
@@ -173,7 +175,6 @@ def synthesis_bound(builder: FamilyBuilder, side: str, J: int = 4, K: int = 16,
         for m in (g.matrix[np.ix_(keep, keep)], g.matrix))
     return CheckResult(
         name="synthesis_bound",
-        passed=lam_base < 100.0 and (K < 8 or lam_double < 1.1 * lam_base),
         statistics={"lambda_max": lam_base, "lambda_max_doubled_K": lam_double,
                     "side": side},
         params={**builder.config(), "J": J, "K": K},
@@ -198,8 +199,8 @@ def vaguelet_suite(builder: FamilyBuilder, side: str,
     |t'-t|^alpha2 after normalization, over sample pairs at graded
     separations (two per octave up to the window width). per_j reads the
     even samples, per_j_refined every sample: a lower bound of the
-    continuum sup, trusted only if the finer sampling changes it by < 20%;
-    else the verdict is inconclusive.
+    continuum sup, which report.RULES trusts only while the finer sampling
+    changes it by at most 20 %.
     """
     wide = make_grid(2.0 * builder.grid.x_max, 2 * builder.grid.n)
     # one call per level: its arrays are freed before the next level's
@@ -208,44 +209,29 @@ def vaguelet_suite(builder: FamilyBuilder, side: str,
                           j, params) for j in params.j_range)))
     rel_changes = [abs(fine - coarse) / max(coarse, 1e-300)
                    for coarse, fine in zip(holder, holder_fine)]
-    # the built-in max/min skip a NaN that is not first, so a non-finite
-    # level statistic must be caught before any verdict reads them
-    finite = all(map(math.isfinite, decay + holder + holder_fine
-                     + rel_changes))
-    worst_mean = max(means)
-
     config = {**builder.config(), **params.config()}
-    decay_band = _band(decay)
-    decay_growing = _growth_trend(decay)
-    refinement_ok = max(rel_changes) < 0.20
-    holder_band = _band(holder_fine)
-    holder_growing = _growth_trend(holder_fine)
     return [
         CheckResult(
             name="decay_statistic",
-            passed=(decay_band < 10.0 and not decay_growing
-                    if finite else None),
-            statistics={"per_j": decay, "band_ratio": decay_band,
-                        "growth_trend": decay_growing, "side": side},
+            statistics={"per_j": decay, "band_ratio": _band(decay),
+                        "growth_trend": _growth_trend(decay), "side": side},
             params=config,
         ),
         CheckResult(
             name="mean_check",
-            passed=(worst_mean < 1e-12
-                    if all(map(math.isfinite, means)) else None),
-            statistics={"max_scaled_value_at_zero": worst_mean,
+            # np.max, unlike max, returns a NaN wherever it stands
+            statistics={"max_scaled_value_at_zero": float(np.max(means)),
                         "side": side},
             params={**builder.config(),
                     "j_range": [params.j_min, params.j_max]},
         ),
         CheckResult(
             name="holder_statistic",
-            passed=(holder_band < 10.0 and not holder_growing
-                    if refinement_ok and finite else None),
             statistics={"per_j": holder, "per_j_refined": holder_fine,
                         "max_refinement_change": max(rel_changes),
-                        "band_ratio": holder_band,
-                        "growth_trend": holder_growing, "side": side},
+                        "band_ratio": _band(holder_fine),
+                        "growth_trend": _growth_trend(holder_fine),
+                        "side": side},
             params=config,
         ),
     ]

@@ -6,12 +6,16 @@ support does not depend on j and norms stay accurate at large j.
 """
 
 import math
+from types import SimpleNamespace
 
 from vaguelab.family import (FamilyBuilder, FamilyError, FamilyIndex,
                              FamilyMember)
 from vaguelab.filters import quasi_homogeneity_check
 from vaguelab.grids import SampledSpectrum, make_grid
-from vaguelab.report import CheckResult
+from vaguelab.report import judge
+
+# a test-only check, judged by the package's verdict function
+NORM_BAND = (("band_primal", "<", 10.0), ("band_dual", "<", 10.0))
 
 
 def rescaled_member(builder: FamilyBuilder, j: int, side: str,
@@ -28,8 +32,9 @@ def rescaled_member(builder: FamilyBuilder, j: int, side: str,
     return FamilyMember(idx, SampledSpectrum(grid, vals), log_scale)
 
 
-def norm_band(builder: FamilyBuilder, j_range=range(0, 9)) -> CheckResult:
-    """2^{jd}-compensated norms of primal/dual wavelet generators across j.
+def norm_band(builder: FamilyBuilder, j_range=range(0, 9)) -> SimpleNamespace:
+    """2^{jd}-compensated norms of primal/dual wavelet generators across j,
+    as a check's name, statistics, params and verdict.
 
     r_j = ||primal_j|| 2^{jd} and r'_j = ||dual_j|| 2^{-jd} should each stay
     in a fixed band when |h2| is quasi-homogeneous with exponent d.
@@ -53,18 +58,16 @@ def norm_band(builder: FamilyBuilder, j_range=range(0, 9)) -> CheckResult:
             return math.exp(spread)
         except OverflowError:
             return math.inf
-    band_primal, band_dual = _band(log_r), _band(log_rp)
-    return CheckResult(
-        name="norm_band",
-        passed=band_primal < 10.0 and band_dual < 10.0,
-        statistics={
-            "d": d,
-            "log_r_primal": log_r,
-            "log_r_dual": log_rp,
-            "band_primal": band_primal,
-            "band_dual": band_dual,
-        },
-        params={"wavelet": builder.wavelet.config(),
-                "filters": builder.pair.config(),
-                "j_range": [min(j_range), max(j_range)]},
-    )
+    statistics = {
+        "d": d,
+        "log_r_primal": log_r,
+        "log_r_dual": log_rp,
+        "band_primal": _band(log_r),
+        "band_dual": _band(log_rp),
+    }
+    params = {"wavelet": builder.wavelet.config(),
+              "filters": builder.pair.config(),
+              "j_range": [min(j_range), max(j_range)]}
+    passed, _ = judge(NORM_BAND, statistics, params)
+    return SimpleNamespace(name="norm_band", statistics=statistics,
+                           params=params, passed=passed)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vaguelab import cli, mra
+from vaguelab import mra
 from vaguelab.cli import (ConfigError, _atomic_write, _csv_lines, _instantiate,
                           main, resolve_config)
 from vaguelab.family import MIRROR_EDGE, FamilyBuilder
@@ -19,6 +19,7 @@ from vaguelab.filters import FilterPair, OUFilter
 from vaguelab.grids import default_grid, make_grid
 from vaguelab.mra import WaveletSpec
 from vaguelab.procsim import simulate
+from vaguelab.report import RULES
 
 from phi_product import direct_factor_count
 
@@ -507,7 +508,11 @@ def test_daubechies_verify_commands(tmp_path, capsys):
 def test_riesz_bounds_off_eigenpair_is_inconclusive(tmp_path, capsys,
                                                    monkeypatch):
     # the bounds are reported with their eigenpair residual; one above
-    # the tolerance confirms no bound, and the run still writes its report
+    # its trust limit in report.RULES confirms no bound, and the run still
+    # writes its report
+    rule = RULES["riesz_bounds"]
+    assert rule[0][:2] == ("eigen_residual", "<=")
+    limit = rule[0][2]
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(
         {"riesz": {"J": 1, "K": 2, "refinement_levels": 1}}))
@@ -522,8 +527,9 @@ def test_riesz_bounds_off_eigenpair_is_inconclusive(tmp_path, capsys,
         assert check["pass"] is True
         assert "hermitian_defect" not in check["statistics"]
         residuals[side] = check["statistics"]["eigen_residual"]
-        assert 0.0 < residuals[side] < cli.RESIDUAL_TOL
-    monkeypatch.setattr(cli, "RESIDUAL_TOL", min(residuals.values()) / 2)
+        assert 0.0 < residuals[side] < limit
+    monkeypatch.setitem(RULES, "riesz_bounds", (
+        ("eigen_residual", "<=", min(residuals.values()) / 2),) + rule[1:])
     capsys.readouterr()
     assert run_cli(args) == 1
     assert "INCONCLUSIVE riesz_bounds_primal" in capsys.readouterr().out
@@ -586,6 +592,29 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_counterexample_with_underflowing_norms_is_inconclusive(tmp_path):
+    # at gamma = 5 the default window 4..9 reaches levels whose boundary
+    # layer is thinner than the float spacing at x = a: their scaled norms
+    # are 0, the ratios NaN, and both checks INCONCLUSIVE, with the CSV
+    # and the report still written
+    proc = subprocess.run(
+        [sys.executable, "-m", "vaguelab.cli", "counterexample",
+         "--out", str(tmp_path), "--gamma", "5"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(
+            Path(__file__).resolve().parent.parent / "src")})
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert proc.stdout.split() == ["INCONCLUSIVE", "ratio_exponent",
+                                   "INCONCLUSIVE", "vaguelet_violation"]
+    report = json.loads((tmp_path / "counterexample_report.json").read_text())
+    assert [c["pass"] for c in report["checks"]] == [None, None]
+    assert report["verdict"]["violation"] is None
+    rows = (tmp_path / "counterexample.csv").read_text().splitlines()[1:]
+    assert len(rows) == 6
+    assert rows[-1].split(",")[1:] == ["0.0", "0.0", "nan"]
 
 
 def test_all_loads_no_scipy(tmp_path):
