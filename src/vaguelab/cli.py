@@ -32,9 +32,9 @@ from .mra import WaveletSpec, check_cmf
 from .procsim import (SynthesisPlan, TermOverflowError, dyadic_times,
                       simulate)
 from .report import CheckResult, dump_report, render_report, report_merge
-from .riesz import (Truncation, biorthogonality_defect, bracket_sum,
-                    check_level, gram, refinement_identity, refinement_keys,
-                    riesz_bounds)
+from .riesz import (Truncation, bracket_sum, check_level,
+                    refinement_identity, refinement_keys, riesz_bounds,
+                    sections)
 from .vaguelet import VagueletParams, synthesis_bound, vaguelet_suite
 
 
@@ -294,17 +294,17 @@ def cmd_verify_riesz(cfg: dict) -> dict:
     builder.fill([(i.j, i.side, i.role) for side in SIDES
                   for i in tr.indices(side)]
                  + [key for j in levels for key in refinement_keys(j)])
+    grams, biorthogonality = sections(builder, tr)
     checks = []
     for side in SIDES:
-        g = gram(builder, side, tr)
-        c1, c2, residual = riesz_bounds(g)
+        c1, c2, residual = riesz_bounds(grams[side])
         checks.append(CheckResult(
             "riesz_bounds",
             statistics={"C1": c1, "C2": c2, "eigen_residual": residual,
-                        "dimension": g.dimension},
+                        "dimension": grams[side].dimension},
             params={"J": tr.J, "K": tr.K}))
         checks[-1].name += f"_{side}"
-    checks.append(biorthogonality_defect(builder, tr))
+    checks.append(biorthogonality)
     checks.append(bracket_sum(builder))
     for j in levels:
         c = refinement_identity(builder, j)

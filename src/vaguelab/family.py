@@ -11,7 +11,8 @@ A FamilyBuilder owns one (wavelet, filter pair, grid). Every spectrum it
 gives, the generators (k = 0) per (j, side, role) and the level spectra
 H(2^j y) w(y) (whose inverse transforms are the level profiles g_j), is
 a mother w = psi^ or phi^ on a y-grid with x = 2^j y times a filter
-(_spectrum); the builder evaluates each w once per (role, grid).
+(_spectrum); the builder evaluates each w once per (role, grid), and not
+at all on a grid whose points a cached wider grid of the same dx holds.
 k-translates are pure phases. The checks of riesz and vaguelet take a
 builder, never a loose wavelet or pair.
 """
@@ -100,17 +101,25 @@ def _spectrum(wavelet: WaveletSpec, pair: FilterPair, mother: np.ndarray,
 
     Where w vanishes the value is 0 and H is never evaluated. A pole of H
     at y = 0 is absorbed (limiting value 0) when the vanishing order of w
-    there exceeds |d|, and refused otherwise.
+    there exceeds |d|, and refused otherwise. A w nonzero on its whole band
+    (Daubechies) is read on slices, one with zeros inside its band (Meyer
+    psi^ around 0) through a mask of its nonzero values; each value is the
+    same product either way.
     """
     h, zero_order = ((pair.h2, wavelet.n_moments) if role == "wavelet"
                      else (pair.h1, 0.0))
     power = 1 if side == "primal" else -1
     out = np.zeros(grid.n, dtype=complex)
     base = scale * mother
-    mask = base != 0.0
-    if not np.any(mask):
-        return out, 0.0
-    x = 2.0**j * grid.points(np.arange(band.start, band.stop)[mask])
+    whole = base.all()
+    index = band
+    if not whole:
+        mask = base != 0.0
+        if not np.any(mask):
+            return out, 0.0
+        index, base = np.arange(band.start, band.stop)[mask], base[mask]
+    x = grid.points(index)
+    x *= 2.0**j
     at_zero = x == 0.0
     pole_at_zero = False
     if np.any(at_zero):
@@ -133,7 +142,10 @@ def _spectrum(wavelet: WaveletSpec, pair: FilterPair, mother: np.ndarray,
         vals = np.where(at_zero, 0.0, vals)
     if side == "dual":
         vals = np.conj(vals)
-    out[band][mask] = base[mask] * vals
+    if whole:
+        np.multiply(base, vals, out=out[band])
+    else:
+        out[band][mask] = base * vals
     return out, float(log_scale)
 
 
@@ -144,8 +156,9 @@ class FamilyBuilder:
     Mother spectra are cached per (role, grid), read only, stored on the
     index band outside which they are exactly 0, and filled in one
     shared-factor pass per batch (fill, generators; a single request is a
-    batch of one); generators and level spectra (on any grid) are
-    fresh arrays, the mother times a filter evaluated on every call.
+    batch of one) or read from a wider cached grid of the same dx;
+    generators and level spectra (on any grid) are fresh arrays, the
+    mother times a filter evaluated on every call.
     Members are immutable.
     """
 
@@ -194,12 +207,17 @@ class FamilyBuilder:
         evaluated on x >= 0 and on x = -x_max (which has no mirror, the
         MIRROR_EDGE point), and conjugated onto the other x < 0.
         psi^ takes v^ on every point, mirrored or not.
+
+        A request whose grid's points a cached mother's grid holds (same
+        dx, more points, as the (2 x_max, 2n) grid holds the base grid) is
+        a view of that mother (_slice_wider), with no product pass.
         """
         chains: dict = {}
         for role, grid in dict.fromkeys(requests):
-            if (role, grid) not in self._mothers:
-                mantissa = math.frexp(grid.x_max)[0]
-                chains.setdefault((grid.n, mantissa), []).append((role, grid))
+            if (role, grid) in self._mothers or self._slice_wider(role, grid):
+                continue
+            mantissa = math.frexp(grid.x_max)[0]
+            chains.setdefault((grid.n, mantissa), []).append((role, grid))
         for chain in chains.values():
             top = max((grid for _, grid in chain), key=lambda g: g.x_max)
             n = top.n
@@ -264,6 +282,26 @@ class FamilyBuilder:
                 mother.flags.writeable = False
                 self._mothers[key] = mother
                 self._bands[key] = bands[level_of[key]]
+
+    def _slice_wider(self, role: str, grid: FourierGrid) -> bool:
+        """Serve the (role, grid) mother from a view of one cached on a grid
+        of the same dx and more points, if there is one: that grid holds
+        grid's points x_m = (m - n/2) dx bit for bit, offset by half the
+        difference in n, and a mother's value depends on its point alone.
+        The band is the cached band's points that grid holds."""
+        for (cached_role, wide), mother in self._mothers.items():
+            if cached_role == role and wide.dx == grid.dx and wide.n > grid.n:
+                break
+        else:
+            return False
+        offset = (wide.n - grid.n) // 2
+        wide_band = self._bands[role, wide]
+        band = slice(max(wide_band.start - offset, 0),
+                     min(wide_band.stop - offset, grid.n))
+        start = band.start + offset - wide_band.start
+        self._mothers[role, grid] = mother[start:start + band.stop - band.start]
+        self._bands[role, grid] = band
+        return True
 
     def _evaluate(self, j, side, role, grid, scale):
         key = (role, grid)

@@ -60,11 +60,17 @@ class FourierGrid:
 
     @property
     def x(self) -> np.ndarray:
-        return self.points(np.arange(self.n))
+        return self.points(slice(0, self.n))
 
     def points(self, index) -> np.ndarray:
-        """x_m = (m - n/2) dx at the integer indices m, each bit for bit as
-        in x."""
+        """x_m = (m - n/2) dx at the integer indices m, or at the indices of
+        a slice, each bit for bit as in x: a fresh array."""
+        if isinstance(index, slice):
+            # integers below 2^53 are exact floats: one array, scaled in place
+            m = np.arange(index.start - self.n // 2, index.stop - self.n // 2,
+                          dtype=float)
+            m *= self.dx
+            return m
         return self.dx * (np.asarray(index) - self.n // 2)
 
     @property

@@ -147,14 +147,11 @@ def _generators(builder: FamilyBuilder, keys):
     return gens, norms
 
 
-def gram(builder: FamilyBuilder, side: str, tr: Truncation) -> GramMatrix:
-    """Conjugate-symmetric Gram matrix of the normalized truncated family."""
-    idxs = tr.indices(side)
-    keys = [(i.j, i.side, i.role) for i in idxs]
-    gens, norms = _generators(builder, keys)
-    norm = np.array([norms[k] for k in keys])
+def _gram_matrix(raw: np.ndarray, idxs, norms: dict) -> GramMatrix:
+    """The Gram matrix of idxs from the upper triangle of their raw inner
+    products, each divided by the two generator norms."""
+    norm = np.array([norms[i.j, i.side, i.role] for i in idxs])
     scale = np.multiply.outer(norm, norm)
-    raw = _inner_products(builder, idxs, idxs, gens)
     # parts divided apart, as Python's complex / float does: dividing a
     # complex array by a float array rounds differently
     normed = np.empty_like(raw)
@@ -162,6 +159,37 @@ def gram(builder: FamilyBuilder, side: str, tr: Truncation) -> GramMatrix:
     # upper triangle as computed, its conjugate below and on the diagonal
     upper = np.triu(np.ones(raw.shape, dtype=bool), 1)
     return GramMatrix(np.where(upper, normed, normed.conj().T), tuple(idxs))
+
+
+def gram(builder: FamilyBuilder, side: str, tr: Truncation) -> GramMatrix:
+    """Conjugate-symmetric Gram matrix of the normalized truncated family.
+    sections gives both sides' with the biorthogonality check from one
+    generator pass."""
+    idxs = tr.indices(side)
+    gens, norms = _generators(builder, [(i.j, i.side, i.role) for i in idxs])
+    return _gram_matrix(_inner_products(builder, idxs, idxs, gens), idxs,
+                        norms)
+
+
+def sections(builder: FamilyBuilder, tr: Truncation):
+    """({side: gram(builder, side, tr)}, biorthogonality_defect(builder,
+    tr)) from one pass over the 2 (J + 2) generators: the upper triangle
+    of the inner products of duals + primals holds the dual Gram, the
+    dual x primal block and the primal Gram, each entry computed as those
+    functions compute it."""
+    duals, primals = tr.indices("dual"), tr.indices("primal")
+    gens, norms = {}, {}
+    for side_idxs in (primals, duals):  # gram's order: the same refusal
+        side_gens, side_norms = _generators(
+            builder, [(i.j, i.side, i.role) for i in side_idxs])
+        gens.update(side_gens)
+        norms.update(side_norms)
+    idxs = duals + primals
+    raw = _inner_products(builder, idxs, idxs, gens)
+    m = len(duals)
+    grams = {"dual": _gram_matrix(raw[:m, :m], duals, norms),
+             "primal": _gram_matrix(raw[m:, m:], primals, norms)}
+    return grams, biorthogonality_defect(builder, tr, raw[:m, m:])
 
 
 def riesz_bounds(g: GramMatrix):
@@ -177,16 +205,19 @@ def riesz_bounds(g: GramMatrix):
     return math.sqrt(max(lo, 0.0)), math.sqrt(max(hi, 0.0)), residual
 
 
-def biorthogonality_defect(builder: FamilyBuilder, tr: Truncation) -> CheckResult:
+def biorthogonality_defect(builder: FamilyBuilder, tr: Truncation,
+                           products: np.ndarray | None = None) -> CheckResult:
     """Max |<dual_a, primal_b> - delta_ab| over the truncation.
 
     Computed on the un-normalized families, where the filters cancel
-    exactly and the cross Gram reduces to the orthonormal one.
+    exactly and the cross Gram reduces to the orthonormal one. products
+    are those inner products when already formed (sections forms them in
+    the pass that gives both Grams); otherwise they are computed here.
     """
-    duals = tr.indices("dual")
-    primals = tr.indices("primal")
-    defect = np.abs(_inner_products(builder, duals, primals)
-                    - np.eye(len(duals)))
+    duals, primals = tr.indices("dual"), tr.indices("primal")
+    if products is None:
+        products = _inner_products(builder, duals, primals)
+    defect = np.abs(products - np.eye(len(duals)))
     cross = np.not_equal.outer([i.role for i in duals],
                                [i.role for i in primals])
     worst = float(np.max(defect))

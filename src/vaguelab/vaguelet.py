@@ -70,8 +70,15 @@ def _profile(spectrum: SampledSpectrum, j: int, t_window: float):
     norm = l2_norm(spectrum)
     if norm <= 0.0:
         raise VagueletParamError(f"zero-norm level profile at j={j}")
-    q = np.arange(-grid.n // 2, grid.n // 2)
-    q = q[np.abs(q * grid.dt) <= 2.0**j * t_window]
+    # |q dt| rounds monotonically in |q|: the window is -a..a for the
+    # largest a <= n/2 with a dt <= 2^j t_window, cut to the grid
+    half, bound = grid.n // 2, 2.0**j * t_window
+    a = int(min(bound / grid.dt, half))
+    while a < half and (a + 1) * grid.dt <= bound:
+        a += 1
+    while a * grid.dt > bound:
+        a -= 1
+    q = np.arange(-a, min(a, half - 1) + 1)
     return q, inverse_transform_at(spectrum, q), norm
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vaguelab import mra
+from vaguelab import family, mra
 from vaguelab.cli import (ConfigError, _atomic_write, _csv_lines, _instantiate,
                           main, resolve_config)
 from vaguelab.family import MIRROR_EDGE, FamilyBuilder
@@ -567,6 +567,32 @@ def test_verify_riesz_fills_each_product_factor_once(tmp_path, monkeypatch):
     x = default_grid().x
     points = np.concatenate((x[:MIRROR_EDGE], x[x.size // 2:]))
     assert sum(factors) == direct_factor_count(points, 42)
+
+
+def test_verify_riesz_evaluates_each_generator_once(tmp_path, monkeypatch):
+    # the Gram of each side and the biorthogonality block come from one
+    # pass over the 2 (J + 2) = 6 section generators; bracket_sum reads one
+    # more and refinement_identity_j0 three
+    spectra = []
+    spectrum = family._spectrum
+
+    def counted(*args):
+        spectra.append(args[4:7])  # j, side, role
+        return spectrum(*args)
+
+    monkeypatch.setattr(family, "_spectrum", counted)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "wavelet": {"kind": "daubechies", "n": 4},
+        "riesz": {"J": 1, "K": 8, "refinement_levels": 1}}))
+    assert run_cli(["verify-riesz", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "out")]) == 1
+    assert len(spectra) == 10
+    assert len(set(spectra[:6])) == 6
+    assert spectra[6:] == [(0, "primal", "approximation"),
+                        (0, "primal", "approximation"),
+                        (1, "primal", "approximation"),
+                        (0, "primal", "wavelet")]
 
 
 def test_readme_config_example_passes_verify_riesz(tmp_path, capsys):

@@ -7,13 +7,13 @@ import pytest
 from vaguelab import mra
 from vaguelab.cli import main
 from vaguelab.family import (MIRROR_EDGE, ROLES, SIDES, FamilyBuilder,
-                             FamilyError, FamilyIndex)
+                             FamilyError, FamilyIndex, _spectrum)
 from vaguelab.filters import (ExpGammaFilter, FilterPair, FractionalFilter,
                               OUFilter, UnitFilter, unit_pair)
 from vaguelab.grids import inner_product, l2_norm, make_grid
 from vaguelab.mra import WaveletSpec
 from vaguelab.riesz import Truncation, gram
-from vaguelab.vaguelet import VagueletParams, vaguelet_suite
+from vaguelab.vaguelet import VagueletParams, synthesis_bound, vaguelet_suite
 
 from phi_product import direct_factor_count
 from rescaled import norm_band, rescaled_member
@@ -230,6 +230,109 @@ def test_level_spectra_do_not_depend_on_the_grid_layout(wavelet, ou_pair):
                 assert wide_log_scale == log_scale
                 assert (held.values[n // 2:3 * n // 2].tobytes()
                         == base.values.tobytes()), (j, side, role)
+
+
+def _holed_spectra(builder, j, side, role):
+    """_spectrum of the (role, y-grid) mother of (j, side, role) as filled,
+    and of a copy with one entry set to 0, and that entry's grid index."""
+    grid = builder._y_grid(j)
+    builder.fill([(j, side, role)])
+    mother, band = builder._mothers[role, grid], builder._bands[role, grid]
+    hole = len(mother) // 3
+    holed = mother.copy()
+    holed[hole] = 0.0
+    assert mother.all() and not holed.all()
+    args = (builder.wavelet, builder.pair)
+    rest = (band, j, side, role, grid, 2.0 ** (-j / 2.0))
+    return (_spectrum(*args, mother, *rest), _spectrum(*args, holed, *rest),
+            band.start + hole)
+
+
+def _bits_except(a, b, index):
+    keep = np.arange(a.size) != index
+    return a[keep].tobytes() == b[keep].tobytes()
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_slice_path_bit_equals_masked_path(db4, ou_pair, j):
+    # a Daubechies mother is nonzero on its whole band and is read on
+    # slices; with one entry set to 0 it takes the masked path, which must
+    # give the same bits on every other entry
+    builder = FamilyBuilder(db4, ou_pair, make_grid(16.0 * np.pi, 2**10))
+    for side in SIDES:
+        for role in ROLES:
+            (whole, scale), (holed, holed_scale), hole = _holed_spectra(
+                builder, j, side, role)
+            assert scale == holed_scale == 0.0
+            assert _bits_except(whole, holed, hole), (side, role)
+            assert holed[hole] == 0.0 and whole[hole] != 0.0
+
+
+def test_slice_path_absorbs_and_refuses_the_pole_at_zero(db4):
+    # the fractional dual (ix)^-0.7 has a pole at x = 0: db4's four
+    # vanishing moments absorb it for psi^ (value 0 there, on both paths),
+    # while phi^ does not vanish at 0 and is refused
+    pair = FilterPair(FractionalFilter(0.7), FractionalFilter(0.7))
+    builder = FamilyBuilder(db4, pair, make_grid(16.0 * np.pi, 2**10))
+    with pytest.warns(RuntimeWarning, match="pole at x=0 absorbed"):
+        (whole, _), (holed, _), hole = _holed_spectra(builder, 0, "dual",
+                                                      "wavelet")
+    zero = builder.grid.n // 2
+    assert whole[zero] == 0.0 and holed[zero] == 0.0
+    assert whole[zero - 1] != 0.0 and whole[zero + 1] != 0.0
+    assert _bits_except(whole, holed, hole)
+    with pytest.raises(FamilyError, match="does not vanish fast enough"):
+        builder.generator(0, "dual", "approximation")
+
+
+@pytest.mark.parametrize("wavelet", [
+    WaveletSpec("meyer"), WaveletSpec("daubechies", n_moments=4)],
+    ids=["meyer", "db4"])
+def test_mothers_are_read_from_a_wider_grid_of_the_same_dx(wavelet,
+                                                           ou_pair):
+    # the (2 x_max, 2n) grid holds G_0's points bit for bit: once its
+    # mothers are cached, G_0's are views of them, equal to a fresh
+    # builder's fill; G_1 has another dx and is filled, not sliced
+    builder = FamilyBuilder(wavelet, ou_pair)
+    grid = builder.grid
+    wide = make_grid(2.0 * grid.x_max, 2 * grid.n)
+    half = make_grid(grid.x_max / 2.0, grid.n)
+    for role in ROLES:
+        builder.level_spectrum(0, "primal", role, wide)
+        builder.fill([(0, "primal", role), (1, "primal", role)])
+        fresh = FamilyBuilder(wavelet, ou_pair)
+        fresh.fill([(0, "primal", role)])
+        held = builder._mothers[role, grid]
+        assert np.shares_memory(held, builder._mothers[role, wide])
+        assert held.tobytes() == fresh._mothers[role, grid].tobytes()
+        assert builder._bands[role, grid] == fresh._bands[role, grid]
+        assert not np.shares_memory(builder._mothers[role, half],
+                                    builder._mothers[role, wide])
+        for side in SIDES:
+            got, want = builder.generator(0, side, role), \
+                fresh.generator(0, side, role)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1] == want[1]
+
+
+def test_synthesis_bound_after_the_suite_takes_no_product_pass(monkeypatch,
+                                                               db4, ou_pair):
+    # the suite fills psi^ on the (2 x_max, 2n) grid; synthesis_bound at
+    # J = 0 reads psi^ on G_0, which that grid holds: no phi^ product runs
+    want = synthesis_bound(FamilyBuilder(db4, ou_pair), "primal", J=0, K=1)
+    builder = FamilyBuilder(db4, ou_pair)
+    vaguelet_suite(builder, "primal", VagueletParams(j_min=0, j_max=0))
+    passes = []
+    levels = mra.daubechies_phi_hat_levels
+
+    def counted(*args, **kwargs):
+        passes.append(args)
+        return levels(*args, **kwargs)
+
+    monkeypatch.setattr(mra, "daubechies_phi_hat_levels", counted)
+    got = synthesis_bound(builder, "primal", J=0, K=1)
+    assert passes == []
+    assert got.statistics == want.statistics
 
 
 def test_meyer_mothers_of_all_live_on_their_bands(tmp_path, monkeypatch):

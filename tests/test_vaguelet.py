@@ -418,6 +418,23 @@ def test_core_first_holder_scan_bit_equals_full_scan_on_fallbacks(
     assert _bits(got) == _bits(want)
 
 
+@pytest.mark.parametrize("grid", [make_grid(64.0 * np.pi, 2**17),
+                                  make_grid(4.0 * np.pi, 2**6)],
+                         ids=["wide", "small"])
+def test_profile_window_is_the_masked_window(grid):
+    # the window read off its bounds equals the indices q in [-n/2, n/2)
+    # with |q dt| <= 2^j t_window, down to bounds that are exact multiples
+    # of dt and windows wider than the grid
+    spectrum = SampledSpectrum(grid, np.ones(grid.n, dtype=complex))
+    q_all = np.arange(-grid.n // 2, grid.n // 2)
+    for t_window in (32.0, 0.3, 1e-9, 1e6, 1e308, 5 * grid.dt,
+                     7 * grid.dt / 8, (2**9 + 1) * grid.dt / 4):
+        for j in range(9):
+            want = q_all[np.abs(q_all * grid.dt) <= 2.0**j * t_window]
+            q, _, _ = _profile(spectrum, j, t_window)
+            assert np.array_equal(q, want), (t_window, j)
+
+
 def test_nan_profile_level_never_passes(monkeypatch, ou_builder):
     # a NaN in the middle level's profile: the built-in max/min that read
     # per_j would skip it and let the decay check PASS
