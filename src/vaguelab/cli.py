@@ -14,6 +14,7 @@ import argparse
 import copy
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -116,9 +117,21 @@ def _synthesis_plan(cfg: dict, wavelet: WaveletSpec,
                          **block)
 
 
+def _refuse_non_finite(value, path: str) -> None:
+    """Refuse NaN and +-Infinity anywhere in the config: Python's json reads
+    them, and no parameter is meant to take one."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path}: {value} is not a finite number")
+    if isinstance(value, (dict, list)):
+        for key, item in (value.items() if isinstance(value, dict)
+                          else enumerate(value)):
+            _refuse_non_finite(item, f"{path}.{key}" if path else str(key))
+
+
 def _instantiate(cfg: dict) -> dict:
     """The validated object of every config block, by block name, so a bad
     value is refused before any command writes a file."""
+    _refuse_non_finite(cfg, "")
     vb, rb, ce = cfg["vaguelet"], cfg["riesz"], cfg["counterexample"]
     try:
         wavelet = WaveletSpec.from_config(cfg["wavelet"])
@@ -294,7 +307,19 @@ def cmd_verify_riesz(cfg: dict) -> dict:
     builder.fill([(i.j, i.side, i.role) for side in SIDES
                   for i in tr.indices(side)]
                  + [key for j in levels for key in refinement_keys(j)])
-    grams, biorthogonality = sections(builder, tr)
+    # the generators formed for the sections, and each refinement level's
+    # Phi_{j+1} (level j + 1's Phi_j), are handed on to the later checks
+    # that read them, each dropped after its last reader
+    formed: dict = {}
+    reads = ([[(0, "primal", "approximation")]]
+             + [refinement_keys(j) for j in levels])
+
+    def release(checks_done):
+        for key in set(formed).difference(*reads[checks_done:]):
+            del formed[key]
+
+    grams, biorthogonality = sections(builder, tr, formed)
+    release(0)
     checks = []
     for side in SIDES:
         c1, c2, residual = riesz_bounds(grams[side])
@@ -305,9 +330,11 @@ def cmd_verify_riesz(cfg: dict) -> dict:
             params={"J": tr.J, "K": tr.K}))
         checks[-1].name += f"_{side}"
     checks.append(biorthogonality)
-    checks.append(bracket_sum(builder))
-    for j in levels:
-        c = refinement_identity(builder, j)
+    checks.append(bracket_sum(builder, formed))
+    release(1)
+    for done, j in enumerate(levels, start=2):
+        c = refinement_identity(builder, j, formed)
+        release(done)
         c.name = f"refinement_identity_j{j}"
         checks.append(c)
     return _write_report(cfg, checks,

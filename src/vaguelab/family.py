@@ -202,11 +202,11 @@ class FamilyBuilder:
         Only the requested mothers are kept; a phi^ needed only for a psi^
         lives for one block.
 
-        The Daubechies product has real taps, so each factor, and phi^,
-        is conjugate-symmetric bit for bit on the mirror-exact grid: it is
-        evaluated on x >= 0 and on x = -x_max (which has no mirror, the
-        MIRROR_EDGE point), and conjugated onto the other x < 0.
-        psi^ takes v^ on every point, mirrored or not.
+        The Daubechies product and v^ have real taps, so each factor,
+        phi^, v^ and psi^ are conjugate-symmetric bit for bit on the
+        mirror-exact grid: a mother, phi^ or psi^, is formed on x >= 0 and
+        on x = -x_max (which has no mirror, the MIRROR_EDGE point), and its
+        conjugate is written, reversed, onto the other x < 0.
 
         A request whose grid's points a cached mother's grid holds (same
         dx, more points, as the (2 x_max, 2n) grid holds the base grid) is
@@ -267,11 +267,13 @@ class FamilyBuilder:
                         continue
                     lo, hi, values = phi[level_of[key]]
                     write(key, lo, hi, values)
-                    # index i > n/2 mirrors onto n - i >= MIRROR_EDGE
+                    # index i > n/2 mirrors onto n - i >= MIRROR_EDGE; the
+                    # band is the whole grid, so the mother is indexed as x
                     a, b = max(lo, n // 2 + 1), min(hi, n - MIRROR_EDGE + 1)
                     if mirror and a < b:
-                        write(key, n - b + 1, n - a + 1,
-                              np.conj(values[a - lo:b - lo][::-1]))
+                        mother = mothers[key]
+                        np.conjugate(mother[a:b][::-1],
+                                     out=mother[n - b + 1:n - a + 1])
             while mothers:
                 # keep a copy made last: the array it was filled in is
                 # then freed under the long-lived mother, and the spectra

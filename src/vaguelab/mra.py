@@ -101,8 +101,11 @@ def _imul(product, factor):
         product *= factor
 
 
-def _trig_poly(coeffs, x):
-    """sum_n c_n e^{-inx} for real c_n, by Horner in z = e^{-ix}."""
+def _trig_poly(coeffs, x, first=0):
+    """sum_n c_n e^{-i(n + first)x} for real c_n and first 0 or -1, by
+    Horner in z = e^{-ix}; first = -1 multiplies by conj(z) at the end.
+    NumPy's cos and sin are even and odd bit for bit, so the value at -x
+    is the conjugate of that at x, bit for bit."""
     x = np.asarray(x, dtype=float)
     z = np.empty(x.shape, dtype=complex)
     np.cos(x, out=z.real)
@@ -111,11 +114,31 @@ def _trig_poly(coeffs, x):
     for c in coeffs[-2::-1]:
         _imul(out, z)
         out += c
+    if first == -1:
+        _imul(out, np.conjugate(z, out=z))
     return out
 
 
 def daubechies_u_hat(n_moments: int, x):
     return _trig_poly(daubechies_coefficients(n_moments), x)
+
+
+@lru_cache(maxsize=16)
+def _alternating_coefficients(n_moments: int) -> np.ndarray:
+    """(-1)^n h_n, the taps of v_hat."""
+    h = daubechies_coefficients(n_moments).copy()
+    h[1::2] *= -1.0
+    return h
+
+
+def daubechies_v_hat(n_moments: int, x):
+    """v_hat(x) = e^{-ix} conj(u_hat(x + pi)) = sum_n (-1)^n h_n e^{i(n-1)x}:
+    one Horner sum in w = e^{ix} over the 2N alternating taps, times
+    conj(w), so one cos/sin pair per point and, at -x, the conjugate of
+    the value at x bit for bit (the mirrored psi^ fill of family relies
+    on this)."""
+    return _trig_poly(_alternating_coefficients(n_moments),
+                      np.negative(x, dtype=float), -1)
 
 
 # Taylor terms of log(u_hat / sqrt 2) kept in a product tail; the tail's
@@ -320,6 +343,10 @@ class WaveletSpec:
         return daubechies_u_hat(self.n_moments, x)
 
     def v_hat(self, x):
+        """e^{-ix} conj(u_hat(x + pi)); for Daubechies the one polynomial
+        of daubechies_v_hat."""
+        if self.kind == "daubechies":
+            return daubechies_v_hat(self.n_moments, x)
         x = np.asarray(x, dtype=float)
         return np.exp(-1j * x) * np.conj(self.u_hat(x + np.pi))
 

@@ -133,18 +133,23 @@ def _inner_products(builder: FamilyBuilder, left, right,
     return out
 
 
-def _generators(builder: FamilyBuilder, keys):
+def _generators(builder: FamilyBuilder, keys, formed: dict | None = None):
     """Generator values and l2 norms by (j, side, role) key, from one batch;
-    scaled spectra (log_scale != 0) are refused."""
-    gens, norms = {}, {}
-    for key, (values, log_scale) in builder.generators(keys).items():
+    scaled spectra (log_scale != 0) are refused. formed, when given, maps
+    keys to the (values, norm) of generators formed earlier: those are
+    taken from it, and the ones formed here are added to it."""
+    formed = {} if formed is None else formed
+    keys = list(dict.fromkeys(keys))
+    missing = [key for key in keys if key not in formed]
+    for key, (values, log_scale) in builder.generators(missing).items():
         if log_scale != 0.0:
             raise RieszError("scaled spectra are not supported in Gram sections")
         n = l2_norm(SampledSpectrum(builder.grid, values))
         if n <= 0.0:
             raise FamilyError(f"zero-norm generator {key}")
-        gens[key], norms[key] = values, n
-    return gens, norms
+        formed[key] = values, n
+    return ({key: formed[key][0] for key in keys},
+            {key: formed[key][1] for key in keys})
 
 
 def _gram_matrix(raw: np.ndarray, idxs, norms: dict) -> GramMatrix:
@@ -171,20 +176,23 @@ def gram(builder: FamilyBuilder, side: str, tr: Truncation) -> GramMatrix:
                         norms)
 
 
-def sections(builder: FamilyBuilder, tr: Truncation):
+def sections(builder: FamilyBuilder, tr: Truncation,
+             formed: dict | None = None):
     """({side: gram(builder, side, tr)}, biorthogonality_defect(builder,
     tr)) from one pass over the 2 (J + 2) generators: the upper triangle
     of the inner products of duals + primals holds the dual Gram, the
     dual x primal block and the primal Gram, each entry computed as those
-    functions compute it."""
+    functions compute it. formed, when given, receives the generators'
+    (values, norm) by (j, side, role), for bracket_sum and
+    refinement_identity to read instead of forming them again."""
     duals, primals = tr.indices("dual"), tr.indices("primal")
-    gens, norms = {}, {}
+    formed = {} if formed is None else formed
     for side_idxs in (primals, duals):  # gram's order: the same refusal
-        side_gens, side_norms = _generators(
-            builder, [(i.j, i.side, i.role) for i in side_idxs])
-        gens.update(side_gens)
-        norms.update(side_norms)
+        _generators(builder, [(i.j, i.side, i.role) for i in side_idxs],
+                    formed)
     idxs = duals + primals
+    gens, norms = _generators(builder, [(i.j, i.side, i.role) for i in idxs],
+                              formed)
     raw = _inner_products(builder, idxs, idxs, gens)
     m = len(duals)
     grams = {"dual": _gram_matrix(raw[:m, :m], duals, norms),
@@ -231,16 +239,18 @@ def biorthogonality_defect(builder: FamilyBuilder, tr: Truncation,
     )
 
 
-def bracket_sum(builder: FamilyBuilder) -> CheckResult:
+def bracket_sum(builder: FamilyBuilder,
+                formed: dict | None = None) -> CheckResult:
     """min/max over one 2 pi period of sum_k |h1 phi^ (x + 2 pi k)|^2.
 
     The level-0 primal approximation generator is h1 phi^ on the build
     grid, so the sum is its squared modulus folded onto one period: the
     2 k_max = x_max / pi periods the grid holds, at n_samples = 2 pi / dx
-    points each.
+    points each. The generator is read from formed (_generators) if it
+    is there.
     """
     key = (0, "primal", "approximation")
-    gens, _ = _generators(builder, [key])
+    gens, _ = _generators(builder, [key], formed)
     folded = fold_periods(builder.grid, np.abs(gens[key]) ** 2)
     total = np.sum(folded, axis=0)
     lower, upper = float(np.min(total)), float(np.max(total))
@@ -261,7 +271,8 @@ def refinement_keys(j: int) -> list:
             (j + 1, "primal", "approximation"), (j, "primal", "wavelet")]
 
 
-def refinement_identity(builder: FamilyBuilder, j: int) -> CheckResult:
+def refinement_identity(builder: FamilyBuilder, j: int,
+                        formed: dict | None = None) -> CheckResult:
     """Two-scale identity for the normalized transformed families.
 
     (a) Phi_j^ = U_j Phi_{j+1}^ and eta_j^ = V_j Phi_{j+1}^ pointwise,
@@ -269,10 +280,13 @@ def refinement_identity(builder: FamilyBuilder, j: int) -> CheckResult:
     (b) det M(xi) equals
         (|Phi#_{j+1}|^2 / (|Phi#_j| |Psi#_j|)) (h2/h1)(2^{j+1} xi) (-2 e^{-i xi});
     (c) min |det M| over xi in [-pi, pi).
+
+    The generators are read from formed (_generators) where they are
+    there, and the ones formed here are added to it.
     """
     wavelet, pair, grid = builder.wavelet, builder.pair, builder.grid
     keys = refinement_keys(j)
-    gens, norms = _generators(builder, keys)
+    gens, norms = _generators(builder, keys, formed)
     n_phi_j, n_phi_j1, n_psi_j = (norms[key] for key in keys)
 
     def u_symbol(xi):

@@ -210,6 +210,34 @@ def test_non_integer_counts_exit_2_no_outputs(tmp_path, capsys, command,
         assert list(out_dir.iterdir()) == []
 
 
+NON_FINITE = {
+    "vaguelet.t_window": lambda v: {"vaguelet": {"t_window": v}},
+    "counterexample.gamma": lambda v: {"counterexample": {"gamma": v}},
+    "fractional.d": lambda v: {"filters": {"h2": {"kind": "fractional",
+                                                  "d": v}}},
+    "exp_gamma.gamma": lambda v: {"filters": {"h2": {"kind": "exp_gamma",
+                                                     "gamma": v}}},
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("key", sorted(NON_FINITE))
+def test_non_finite_numbers_exit_2_no_outputs(tmp_path, capsys, key, value):
+    # Python's json reads NaN and +-Infinity; these used to end in a
+    # traceback (t_window, gamma, fractional d = Infinity in simulate), in
+    # NaN spectra written with exit code 0 (fractional d = NaN), or in a
+    # run that exited 0 (exp_gamma gamma = Infinity, t_window = Infinity)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(NON_FINITE[key](value)))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert run_cli(["all", "--config", str(cfg_path), "--out",
+                    str(out_dir)]) == 2
+    assert "is not a finite number" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
+
+
 def test_deepest_level_and_widest_sections_accepted():
     # the last values on the default grid: 2^-6 = dt, 2K = 510 and
     # 4K = 508 lags inside the window |t| < 512 (db4: no support limit)
@@ -223,8 +251,9 @@ def test_deepest_level_and_widest_sections_accepted():
 
 
 @pytest.mark.parametrize("flags", [["--gamma", "-1"], ["--alpha1", "2"],
-                                   ["--jmin", "6", "--jmax", "8"]],
-                         ids=["gamma", "alpha1", "window"])
+                                   ["--jmin", "6", "--jmax", "8"],
+                                   ["--gamma", "nan"]],
+                         ids=["gamma", "alpha1", "window", "gamma-nan"])
 def test_counterexample_bad_flag_exits_2_no_outputs(tmp_path, capsys, flags):
     out_dir = tmp_path / "out"
     out_dir.mkdir()
@@ -551,11 +580,11 @@ def test_verify_riesz_fills_each_product_factor_once(tmp_path, monkeypatch):
     factors = []
     trig_poly = mra._trig_poly
 
-    def counted(coeffs, x):
+    def counted(coeffs, x, *first):
         # product factors carry the filter divided by sqrt 2 (sum 1)
         if math.isclose(sum(coeffs), 1.0):
             factors.append(np.size(x))
-        return trig_poly(coeffs, x)
+        return trig_poly(coeffs, x, *first)
 
     monkeypatch.setattr(mra, "_trig_poly", counted)
     cfg_path = tmp_path / "cfg.json"
@@ -571,8 +600,9 @@ def test_verify_riesz_fills_each_product_factor_once(tmp_path, monkeypatch):
 
 def test_verify_riesz_evaluates_each_generator_once(tmp_path, monkeypatch):
     # the Gram of each side and the biorthogonality block come from one
-    # pass over the 2 (J + 2) = 6 section generators; bracket_sum reads one
-    # more and refinement_identity_j0 three
+    # pass over the 2 (J + 2) = 6 section generators; bracket_sum reads
+    # (0, primal, approximation) from them, and refinement_identity_j0 that
+    # and (0, primal, wavelet), forming only (1, primal, approximation)
     spectra = []
     spectrum = family._spectrum
 
@@ -587,12 +617,9 @@ def test_verify_riesz_evaluates_each_generator_once(tmp_path, monkeypatch):
         "riesz": {"J": 1, "K": 8, "refinement_levels": 1}}))
     assert run_cli(["verify-riesz", "--config", str(cfg_path),
                     "--out", str(tmp_path / "out")]) == 1
-    assert len(spectra) == 10
-    assert len(set(spectra[:6])) == 6
-    assert spectra[6:] == [(0, "primal", "approximation"),
-                        (0, "primal", "approximation"),
-                        (1, "primal", "approximation"),
-                        (0, "primal", "wavelet")]
+    assert len(spectra) == 7
+    assert len(set(spectra)) == 7
+    assert spectra[6] == (1, "primal", "approximation")
 
 
 def test_readme_config_example_passes_verify_riesz(tmp_path, capsys):

@@ -190,12 +190,14 @@ def test_mother_cache_returns_fresh_bit_equal_arrays(meyer, ou_pair):
 @pytest.mark.parametrize("wavelet", [
     WaveletSpec("meyer"), WaveletSpec("daubechies", n_moments=2),
     WaveletSpec("daubechies", n_moments=4),
-    WaveletSpec("daubechies", n_moments=10)], ids=["meyer", "db2", "db4",
-                                                   "db10"])
+    WaveletSpec("daubechies", n_moments=10),
+    WaveletSpec("daubechies", n_moments=7)], ids=["meyer", "db2", "db4",
+                                                  "db10", "db7"])
 def test_batch_mothers_match_direct_evaluation(wavelet, ou_pair):
     # oracle: phi_hat / psi_hat of each grid's own points, bit for bit
     # (signed zeros included) on the chain levels 0..5 of one batch and on
-    # the 2n wide grid, and 0 outside the band
+    # the 2n wide grid, and 0 outside the band; a Daubechies phi^ or psi^
+    # is formed on x >= 0 and conjugated onto x < 0
     builder = FamilyBuilder(wavelet, ou_pair)
     builder.generators((j, "primal", role) for j in range(6) for role in ROLES)
     wide = make_grid(2.0 * builder.grid.x_max, 2 * builder.grid.n)
@@ -417,15 +419,16 @@ def test_gram_shares_product_factors_across_levels(monkeypatch, db4,
     # phi^ on G_0, G_1, G_2 share their factors u^(x / 2^m) / sqrt 2 with
     # m = 1..42: each factor a point takes directly is evaluated once for
     # all three levels; the points are those of x >= 0 and the MIRROR_EDGE
-    # points from -x_max, the rest of x < 0 is mirrored
+    # points from -x_max, the rest of x < 0 is mirrored, and v^ of each
+    # psi^ is evaluated at those points only
     evaluated = {"factor": 0, "v_hat": 0}
     trig_poly = mra._trig_poly
 
-    def counted(coeffs, x):
+    def counted(coeffs, x, *first):
         # product factors carry the filter divided by sqrt 2 (sum 1)
         kind = "factor" if math.isclose(sum(coeffs), 1.0) else "v_hat"
         evaluated[kind] += np.size(x)
-        return trig_poly(coeffs, x)
+        return trig_poly(coeffs, x, *first)
 
     monkeypatch.setattr(mra, "_trig_poly", counted)
     builder = FamilyBuilder(db4, ou_pair)
@@ -434,7 +437,7 @@ def test_gram_shares_product_factors_across_levels(monkeypatch, db4,
     grid = builder.grid
     points = np.concatenate((grid.x[:MIRROR_EDGE], grid.x[grid.n // 2:]))
     assert evaluated == {"factor": direct_factor_count(points, 42),
-                         "v_hat": 2 * grid.n}
+                         "v_hat": 2 * len(points)}
     # the phi^ on G_1 and G_2 that only built a psi^ are not kept
     half = make_grid(grid.x_max / 2.0, grid.n)
     assert set(builder._mothers) == {("approximation", grid),

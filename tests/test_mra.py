@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vaguelab.grids import SampledSpectrum, default_grid, l2_norm
+from vaguelab.grids import SampledSpectrum, default_grid, l2_norm, make_grid
 from vaguelab.mra import (MEYER_SUPPORT_RADIUS, WaveletSpec, check_cmf,
                           check_w3, check_w4, daubechies_coefficients,
                           daubechies_phi_hat, daubechies_phi_hat_levels,
@@ -172,6 +172,40 @@ def test_daubechies_u_hat_matches_direct_sum(n):
     xi = np.arange(-400 * 64, 400 * 64 + 1) / 64.0
     direct = sum(c * np.exp(-1j * k * xi) for k, c in enumerate(h))
     assert np.max(np.abs(daubechies_u_hat(n, xi) - direct)) < 1e-13
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_daubechies_v_hat_is_conjugate_symmetric_bit_for_bit(n):
+    # the mirrored psi^ fill relies on v^(-x) == conj(v^(x)) bit for bit,
+    # on the default grid, the (2 x_max, 2n) grid and the level y-grids
+    # whose points psi^ halves
+    base = default_grid()
+    grids = [make_grid(2.0 * base.x_max, 2 * base.n)] + [
+        make_grid(base.x_max / 2.0**j, base.n) for j in range(7)]
+    v_hat = WaveletSpec("daubechies", n_moments=n).v_hat
+    for grid in grids:
+        v = v_hat(grid.x)
+        half = grid.n // 2  # x[n - m] == -x[m] for 1 <= m < n/2
+        assert (np.conj(v[1:half]).tobytes()
+                == v[half + 1:][::-1].tobytes()), grid
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_daubechies_v_hat_matches_shifted_u_hat_and_direct_sum(n):
+    # v^(x) = e^{-ix} conj(u^(x + pi)) = sum_k (-1)^k h_k e^{i(k-1)x}: the
+    # polynomial form stays within 2.5e-14 of the shifted form on |x| <= 100
+    # (9.7e-15 for db4; most of it is the rounding of x + pi, which grows
+    # with |x|), and within 2e-15 of the direct sum with exact phases on
+    # multiples of 1/64
+    spec = WaveletSpec("daubechies", n_moments=n)
+    x = np.linspace(-100.0, 100.0, 20001)
+    shifted = np.exp(-1j * x) * np.conj(daubechies_u_hat(n, x + np.pi))
+    assert np.max(np.abs(spec.v_hat(x) - shifted)) < 2.5e-14
+    h = daubechies_coefficients(n)
+    xi = np.arange(-100 * 64, 100 * 64 + 1) / 64.0
+    direct = sum((-1)**k * c * np.exp(1j * (k - 1) * xi)
+                 for k, c in enumerate(h))
+    assert np.max(np.abs(spec.v_hat(xi) - direct)) < 2e-15
 
 
 @pytest.mark.parametrize("n", [2, 4, 10])
