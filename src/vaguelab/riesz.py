@@ -112,6 +112,7 @@ def _inner_products(builder: FamilyBuilder, left, right,
 
     grid = builder.grid
     out = np.zeros((len(left), len(right)), dtype=complex)
+    product = np.empty(grid.n, dtype=complex)  # every block's, in turn
     rows, cols = by_generator(left), by_generator(right)
     if gens is None:  # each generator evaluated once
         gens, _ = _generators(builder, {**rows, **cols})
@@ -127,9 +128,10 @@ def _inner_products(builder: FamilyBuilder, left, right,
             if np.any(off):
                 raise RieszError(f"lag {lag[off][0]} not on the conjugate "
                                  "time grid")
-            product = SampledSpectrum(grid, ga * np.conj(gens[b]))
+            # conj(gb) ga, the order temporary elision gave ga * conj(gb)
+            np.multiply(np.conjugate(gens[b], out=product), ga, out=product)
             out[np.ix_(rows_a, rows_b)] = inverse_transform_at(
-                product, ell - grid.n // 2)
+                SampledSpectrum(grid, product), ell - grid.n // 2)
     return out
 
 
@@ -172,8 +174,9 @@ def gram(builder: FamilyBuilder, side: str, tr: Truncation) -> GramMatrix:
     generator pass."""
     idxs = tr.indices(side)
     gens, norms = _generators(builder, [(i.j, i.side, i.role) for i in idxs])
-    return _gram_matrix(_inner_products(builder, idxs, idxs, gens), idxs,
-                        norms)
+    raw = _inner_products(builder, idxs, idxs, gens)
+    del gens  # the n-point generators are freed before the matrix work
+    return _gram_matrix(raw, idxs, norms)
 
 
 def sections(builder: FamilyBuilder, tr: Truncation,

@@ -17,7 +17,7 @@ from numbers import Integral
 import numpy as np
 
 from .family import FamilyBuilder
-from .grids import (SampledSpectrum, inverse_transform_at, l2_norm,
+from .grids import (SampledSpectrum, inverse_transform_window, l2_norm,
                     make_grid)
 from .report import CheckResult
 from .riesz import Truncation, gram
@@ -46,8 +46,10 @@ class VagueletParams:
                 f"alpha2={self.alpha2}")
         if self.j_min > self.j_max or self.j_min < 0:
             raise VagueletParamError("invalid level range")
-        if self.t_window <= 0:
-            raise VagueletParamError("t_window must be positive")
+        # NaN fails every comparison: test for the valid range
+        if not 0.0 < self.t_window < math.inf:
+            raise VagueletParamError(
+                f"t_window must be positive and finite, got {self.t_window}")
 
     @property
     def j_range(self):
@@ -59,15 +61,20 @@ class VagueletParams:
                 "t_window": self.t_window}
 
 
-def _profile(spectrum: SampledSpectrum, j: int, t_window: float):
+def _profile(spectrum: SampledSpectrum, j: int, t_window: float,
+             work: np.ndarray | None = None):
     """Indices q in [-n/2, n/2) with |q dt| <= 2^j t_window, the samples
     g_j(q dt) of the inverse transform of a level spectrum there, and
     ||g_j||, taken from the spectrum by Plancherel. It equals the (scaled)
     member norm, so ratios of sup statistics to it are invariant under the
-    internal rescaling used for overflow-prone filters.
+    internal rescaling used for overflow-prone filters. work, a (2, n)
+    complex array when given, holds the n-point products and transform,
+    and the samples are a view of its second row.
     """
     grid = spectrum.grid
-    norm = l2_norm(spectrum)
+    if work is None:
+        work = np.empty((2, grid.n), dtype=complex)
+    norm = l2_norm(spectrum, work[0])
     if norm <= 0.0:
         raise VagueletParamError(f"zero-norm level profile at j={j}")
     # |q dt| rounds monotonically in |q|: the window is -a..a for the
@@ -79,16 +86,17 @@ def _profile(spectrum: SampledSpectrum, j: int, t_window: float):
     while a * grid.dt > bound:
         a -= 1
     q = np.arange(-a, min(a, half - 1) + 1)
-    return q, inverse_transform_at(spectrum, q), norm
+    g = inverse_transform_window(spectrum, -a, len(q) - a, work)
+    return q, g, norm
 
 
 def _level_statistics(spectrum: SampledSpectrum, j: int,
-                      params: VagueletParams) -> tuple:
+                      params: VagueletParams, work: np.ndarray) -> tuple:
     """(decay, Hoelder, refined Hoelder, mean) statistics of level j from
     its level spectrum on the wide grid, the first three all NaN unless
     all are finite. Each is a ratio, so the spectrum's scale
-    e^{log_scale} drops out."""
-    q, g, norm = _profile(spectrum, j, params.t_window)
+    e^{log_scale} drops out. work is _profile's."""
+    q, g, norm = _profile(spectrum, j, params.t_window, work)
     dtau = spectrum.grid.dt
     even = slice(q[0] % 2, None, 2)  # the builder grid's tau
     weight = (1.0 + np.abs(q[even] * dtau)) ** (1.0 + params.alpha1)
@@ -210,10 +218,12 @@ def vaguelet_suite(builder: FamilyBuilder, side: str,
     changes it by at most 20 %.
     """
     wide = make_grid(2.0 * builder.grid.x_max, 2 * builder.grid.n)
-    # one call per level: its arrays are freed before the next level's
+    # one call per level: its arrays are freed before the next level's,
+    # and the n-point work arrays serve every level
+    work = np.empty((2, wide.n), dtype=complex)
     decay, holder, holder_fine, means = map(list, zip(*(
         _level_statistics(builder.level_spectrum(j, side, "wavelet", wide)[0],
-                          j, params) for j in params.j_range)))
+                          j, params, work) for j in params.j_range)))
     rel_changes = [abs(fine - coarse) / max(coarse, 1e-300)
                    for coarse, fine in zip(holder, holder_fine)]
     config = {**builder.config(), **params.config()}

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vaguelab import grids
 from vaguelab.grids import (DEFAULT_X_MAX, FourierGrid, GridError,
                             SampledSpectrum, default_grid, inner_product,
-                            inverse_transform_at, l2_norm, make_grid)
+                            inverse_transform_at, inverse_transform_window,
+                            l2_norm, make_grid)
 
 from transforms import (TimeSeries, forward_transform, hermitian_defect,
                         inverse_transform)
@@ -82,6 +84,103 @@ def test_inverse_transform_at_reads_the_full_transform(q):
     full = inverse_transform(spec).values
     want = full[(q + g.n // 2) % g.n]
     assert np.max(np.abs(inverse_transform_at(spec, q) - want)) < 1e-13
+
+
+def _one_fft(spec, q):
+    """The s = 1 transform as one FFT of n points, as inverse_transform_at
+    computed it before the band path: the oracle of every P = n case."""
+    n = spec.grid.n
+    sums = np.fft.ifft(spec.values, norm="forward")[q % n]
+    return np.where(q % 2, -1.0, 1.0) * (spec.grid.dx / (2.0 * np.pi)) * sums
+
+
+@st.composite
+def _banded_spectra(draw):
+    """(spectrum, kind): random complex samples on an index span [lo, hi)
+    that is centred on x = 0, straddles it off centre, lies off centre
+    (touching the outer quarter, so the block holding it is the whole
+    grid) or is empty (all zero), on n = 2^6..2^12 points."""
+    n = 2 ** draw(st.integers(6, 12))
+    kind = draw(st.sampled_from(["centred", "straddling", "off-centre",
+                                 "zero"]))
+    if kind == "centred":
+        w = draw(st.integers(1, n // 4))
+        lo, hi = n // 2 - w, n // 2 + w
+    elif kind == "straddling":
+        lo = draw(st.integers(n // 4, n // 2))
+        hi = draw(st.integers(n // 2 + 1, 3 * n // 4))
+    elif kind == "off-centre":
+        lo = draw(st.integers(0, n // 4 - 1))
+        hi = draw(st.integers(lo + 1, n // 2))
+    else:
+        lo = hi = n // 2
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.zeros(n, dtype=complex)
+    values[lo:hi] = (rng.standard_normal(hi - lo)
+                     + 1j * rng.standard_normal(hi - lo))
+    return SampledSpectrum(make_grid(16.0, n), values), kind
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=_banded_spectra())
+def test_band_transform_matches_the_full_transform(case):
+    # every sample within a bound fixed beforehand, 4 log2(n) eps times
+    # the sum's scale (dx / 2 pi) sum |F|; a block of P = n is one FFT,
+    # bit for bit the oracle's
+    spec, kind = case
+    g = spec.grid
+    q = np.arange(-g.n // 2, g.n // 2)
+    got = inverse_transform_at(spec, q)
+    want = inverse_transform(spec).values[q + g.n // 2]
+    scale = g.dx / (2.0 * np.pi) * float(np.sum(np.abs(spec.values)))
+    bound = 4.0 * math.log2(g.n) * np.finfo(float).eps * scale
+    assert np.max(np.abs(got - want)) <= bound, kind
+    if kind == "zero":
+        assert not np.any(got)
+    if kind == "off-centre":
+        assert got.tobytes() == _one_fft(spec, q).tobytes()
+
+
+def test_band_transform_reads_the_block_of_the_support(monkeypatch):
+    # a level spectrum's 2 048-point support on the 2^17-point wide grid
+    # sits in the centred block of 4 096: 32 FFTs of 4 096 points
+    blocks = []
+    phases = grids._block_phases
+    monkeypatch.setattr(grids, "_block_phases",
+                        lambda n, block: blocks.append((n, block))
+                        or phases(n, block))
+    g = make_grid(128.0 * np.pi, 2**17)
+    values = np.where((np.abs(g.x) >= 2.0 * np.pi / 3.0)
+                      & (np.abs(g.x) <= 8.0 * np.pi / 3.0), 1.0 + 0.5j, 0.0)
+    inverse_transform_at(SampledSpectrum(g, values), np.arange(-5, 6))
+    assert blocks == [(2**17, 4096)]
+
+
+@pytest.mark.parametrize("q", [np.arange(-128, 128), np.arange(-37, 52),
+                               np.array([-3, 0, 127, 128, 300])],
+                         ids=["whole", "window", "wrapped"])
+def test_full_band_transform_bit_equals_one_fft(q):
+    # a spectrum nonzero at x = -x_max needs the whole grid as its block
+    g = make_grid(16.0, 256)
+    rng = np.random.default_rng(2)
+    spec = SampledSpectrum(g, rng.standard_normal(g.n)
+                           + 1j * rng.standard_normal(g.n))
+    assert inverse_transform_at(spec, q).tobytes() == \
+        _one_fft(spec, q).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_banded_spectra(), start=st.integers(-2**13, 2**13),
+       length=st.integers(2, 2**12))
+def test_window_bit_equals_inverse_transform_at(case, start, length):
+    # consecutive q, read as up to two slices of one period, wrapped or
+    # not; the work rows start dirty
+    spec, _ = case
+    length = min(length, spec.grid.n)
+    work = np.full((2, spec.grid.n), np.nan, dtype=complex)
+    got = inverse_transform_window(spec, start, start + length, work)
+    want = inverse_transform_at(spec, np.arange(start, start + length))
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=25, deadline=None)

@@ -43,6 +43,14 @@ def test_params_validation():
         VagueletParams(t_window=-1.0)
 
 
+@pytest.mark.parametrize("t_window", [math.nan, math.inf, -math.inf])
+def test_non_finite_t_window_is_refused(t_window):
+    # NaN passed the old "t_window <= 0" test and crashed the suite after
+    # the mother fill; infinity read the whole grid as the window
+    with pytest.raises(VagueletParamError, match="t_window"):
+        VagueletParams(t_window=t_window)
+
+
 def test_unit_filter_statistics_are_level_exact(unit_builder):
     # with h = 1 the rescaled statistics are identical across levels
     decay, _, holder = vaguelet_suite(unit_builder, "primal", FAST)
@@ -440,8 +448,8 @@ def test_nan_profile_level_never_passes(monkeypatch, ou_builder):
     # per_j would skip it and let the decay check PASS
     profile = vaguelet._profile
 
-    def poisoned(spectrum, j, t_window):
-        q, g, norm = profile(spectrum, j, t_window)
+    def poisoned(spectrum, j, t_window, work):
+        q, g, norm = profile(spectrum, j, t_window, work)
         if j == 2:
             g = g.copy()
             g[len(g) // 2] = math.nan  # q = 0, an even sample
