@@ -26,7 +26,7 @@ from .report import (CheckResult, config_hash, dump_report, render_report,
                      report_merge)
 from .riesz import (GramMatrix, RieszError, Truncation,
                     biorthogonality_defect, bracket_sum, gram,
-                    refinement_identity, riesz_bounds)
+                    refinement_identity, riesz_bounds, riesz_suite)
 from .vaguelet import (VagueletParamError, VagueletParams, synthesis_bound,
                        vaguelet_suite)
 

@@ -33,9 +33,7 @@ from .mra import WaveletSpec, check_cmf
 from .procsim import (SynthesisPlan, TermOverflowError, dyadic_times,
                       simulate)
 from .report import CheckResult, dump_report, render_report, report_merge
-from .riesz import (Truncation, bracket_sum, check_level,
-                    refinement_identity, refinement_keys, riesz_bounds,
-                    sections)
+from .riesz import Truncation, check_level, riesz_suite
 from .vaguelet import VagueletParams, synthesis_bound, vaguelet_suite
 
 
@@ -163,9 +161,9 @@ def _instantiate(cfg: dict) -> dict:
                              "refinement identity needs; set "
                              "riesz.refinement_levels to 0")
         sides = tuple(vb["sides"])
-        if not set(sides) <= set(SIDES):
-            raise ValueError(f"vaguelet.sides: each side must be one of "
-                             f"{SIDES}, got {list(sides)}")
+        if not 0 < len(sides) == len(set(sides) & set(SIDES)):
+            raise ValueError(f"vaguelet.sides: one or both of {SIDES}, each "
+                             f"at most once, got {list(sides)}")
         # every command builds on the default grid (Meyer: levels <= 4)
         grid = default_grid()
         radius = wavelet.phi_support_radius
@@ -301,43 +299,7 @@ def cmd_verify_vaguelet(cfg: dict) -> dict:
 def cmd_verify_riesz(cfg: dict) -> dict:
     blocks = _instantiate(cfg)
     builder = FamilyBuilder(blocks["wavelet"], blocks["filters"])
-    tr, levels = blocks["riesz"]
-    # one fill for every mother the checks read: the phi^ that forms psi^
-    # on the level-0 y-grid is the level-1 approximation mother as well
-    builder.fill([(i.j, i.side, i.role) for side in SIDES
-                  for i in tr.indices(side)]
-                 + [key for j in levels for key in refinement_keys(j)])
-    # the generators formed for the sections, and each refinement level's
-    # Phi_{j+1} (level j + 1's Phi_j), are handed on to the later checks
-    # that read them, each dropped after its last reader
-    formed: dict = {}
-    reads = ([[(0, "primal", "approximation")]]
-             + [refinement_keys(j) for j in levels])
-
-    def release(checks_done):
-        for key in set(formed).difference(*reads[checks_done:]):
-            del formed[key]
-
-    grams, biorthogonality = sections(builder, tr, formed)
-    release(0)
-    checks = []
-    for side in SIDES:
-        c1, c2, residual = riesz_bounds(grams[side])
-        checks.append(CheckResult(
-            "riesz_bounds",
-            statistics={"C1": c1, "C2": c2, "eigen_residual": residual,
-                        "dimension": grams[side].dimension},
-            params={"J": tr.J, "K": tr.K}))
-        checks[-1].name += f"_{side}"
-    checks.append(biorthogonality)
-    checks.append(bracket_sum(builder, formed))
-    release(1)
-    for done, j in enumerate(levels, start=2):
-        c = refinement_identity(builder, j, formed)
-        release(done)
-        c.name = f"refinement_identity_j{j}"
-        checks.append(c)
-    return _write_report(cfg, checks,
+    return _write_report(cfg, riesz_suite(builder, *blocks["riesz"]),
                          Path(cfg["output_dir"]) / "riesz_report.json")
 
 

@@ -170,37 +170,13 @@ def _gram_matrix(raw: np.ndarray, idxs, norms: dict) -> GramMatrix:
 
 def gram(builder: FamilyBuilder, side: str, tr: Truncation) -> GramMatrix:
     """Conjugate-symmetric Gram matrix of the normalized truncated family.
-    sections gives both sides' with the biorthogonality check from one
+    riesz_suite gives both sides' with the biorthogonality check from one
     generator pass."""
     idxs = tr.indices(side)
     gens, norms = _generators(builder, [(i.j, i.side, i.role) for i in idxs])
     raw = _inner_products(builder, idxs, idxs, gens)
     del gens  # the n-point generators are freed before the matrix work
     return _gram_matrix(raw, idxs, norms)
-
-
-def sections(builder: FamilyBuilder, tr: Truncation,
-             formed: dict | None = None):
-    """({side: gram(builder, side, tr)}, biorthogonality_defect(builder,
-    tr)) from one pass over the 2 (J + 2) generators: the upper triangle
-    of the inner products of duals + primals holds the dual Gram, the
-    dual x primal block and the primal Gram, each entry computed as those
-    functions compute it. formed, when given, receives the generators'
-    (values, norm) by (j, side, role), for bracket_sum and
-    refinement_identity to read instead of forming them again."""
-    duals, primals = tr.indices("dual"), tr.indices("primal")
-    formed = {} if formed is None else formed
-    for side_idxs in (primals, duals):  # gram's order: the same refusal
-        _generators(builder, [(i.j, i.side, i.role) for i in side_idxs],
-                    formed)
-    idxs = duals + primals
-    gens, norms = _generators(builder, [(i.j, i.side, i.role) for i in idxs],
-                              formed)
-    raw = _inner_products(builder, idxs, idxs, gens)
-    m = len(duals)
-    grams = {"dual": _gram_matrix(raw[:m, :m], duals, norms),
-             "primal": _gram_matrix(raw[m:, m:], primals, norms)}
-    return grams, biorthogonality_defect(builder, tr, raw[:m, m:])
 
 
 def riesz_bounds(g: GramMatrix):
@@ -222,8 +198,8 @@ def biorthogonality_defect(builder: FamilyBuilder, tr: Truncation,
 
     Computed on the un-normalized families, where the filters cancel
     exactly and the cross Gram reduces to the orthonormal one. products
-    are those inner products when already formed (sections forms them in
-    the pass that gives both Grams); otherwise they are computed here.
+    are those inner products when already formed (riesz_suite forms them
+    in the pass that gives both Grams); otherwise they are computed here.
     """
     duals, primals = tr.indices("dual"), tr.indices("primal")
     if products is None:
@@ -331,3 +307,49 @@ def refinement_identity(builder: FamilyBuilder, j: int,
                     "norm_ratio_v": n_phi_j1 / n_psi_j},
         params={"wavelet": wavelet.config(), "filters": pair.config(), "j": j},
     )
+
+
+def riesz_suite(builder: FamilyBuilder, tr: Truncation, levels) -> list:
+    """verify-riesz's checks in report order: riesz_bounds_primal and
+    _dual, biorthogonality_defect, bracket_sum and refinement_identity_j{j}
+    for j in levels. One fill makes every mother they read. One upper
+    triangle of the duals + primals inner products holds both Grams and
+    the biorthogonality block; it and the Grams are freed before
+    bracket_sum runs. Each generator is formed once and dropped after its
+    last reader (level j + 1 reads the Phi_{j+1} of level j).
+    """
+    duals, primals = tr.indices("dual"), tr.indices("primal")
+    idxs = duals + primals
+    keys = [(i.j, i.side, i.role) for i in idxs]
+    reads = ([[(0, "primal", "approximation")]]
+             + [refinement_keys(j) for j in levels])
+    builder.fill(keys + [key for read in reads for key in read])
+    formed: dict = {}
+    gens, norms = _generators(builder, keys, formed)
+    raw = _inner_products(builder, idxs, idxs, gens)
+    del gens
+    m = len(duals)
+    checks = []
+    for side, part in (("primal", slice(m, None)), ("dual", slice(m))):
+        g = _gram_matrix(raw[part, part], tr.indices(side), norms)
+        c1, c2, residual = riesz_bounds(g)
+        checks.append(CheckResult(
+            "riesz_bounds",
+            statistics={"C1": c1, "C2": c2, "eigen_residual": residual,
+                        "dimension": g.dimension},
+            params={"J": tr.J, "K": tr.K}))
+        checks[-1].name += f"_{side}"
+    checks.append(biorthogonality_defect(builder, tr, raw[:m, m:]))
+    del raw, g
+
+    def release(done):  # drop what no check from reads[done] on reads
+        for key in set(formed).difference(*reads[done:]):
+            del formed[key]
+
+    release(0)
+    checks.append(bracket_sum(builder, formed))
+    for done, j in enumerate(levels, start=1):
+        release(done)
+        checks.append(refinement_identity(builder, j, formed))
+        checks[-1].name += f"_j{j}"
+    return checks

@@ -17,8 +17,8 @@ from numbers import Integral
 import numpy as np
 
 from .family import FamilyBuilder
-from .grids import (SampledSpectrum, inverse_transform_window, l2_norm,
-                    make_grid)
+from .grids import (SampledSpectrum, _block_phases, inverse_transform_window,
+                    l2_norm, make_grid)
 from .report import CheckResult
 from .riesz import Truncation, gram
 
@@ -224,6 +224,9 @@ def vaguelet_suite(builder: FamilyBuilder, side: str,
     decay, holder, holder_fine, means = map(list, zip(*(
         _level_statistics(builder.level_spectrum(j, side, "wavelet", wide)[0],
                           j, params, work) for j in params.j_range)))
+    # the band transform's phase table (1.05 MB on the Meyer wide grid) is
+    # not kept past the suite; the next suite forms it again, bit for bit
+    _block_phases.cache_clear()
     rel_changes = [abs(fine - coarse) / max(coarse, 1e-300)
                    for coarse, fine in zip(holder, holder_fine)]
     config = {**builder.config(), **params.config()}

@@ -112,6 +112,10 @@ def test_mst_approx_on_support_exits_2_no_outputs(tmp_path, capsys, document):
 @pytest.mark.parametrize("document", [
     {"vaguelet": {"alpha1": 2.0}},
     {"vaguelet": {"sides": ["left"]}},
+    # no side would pass vacuously; a repeated one would report each
+    # check twice
+    {"vaguelet": {"sides": []}},
+    {"vaguelet": {"sides": ["primal", "primal"]}},
     {"vaguelet": {"synthesis_K": 0}},
     {"riesz": {"J": -1}},
     {"riesz": {"refinement_levels": "x"}},
@@ -141,7 +145,8 @@ def test_mst_approx_on_support_exits_2_no_outputs(tmp_path, capsys, document):
     {"vaguelet": {"synthesis_J": 5}},
     # refinement_identity(5) reads the level-5 wavelet
     {"riesz": {"refinement_levels": 6}},
-], ids=["vaguelet.alpha1", "vaguelet.sides", "vaguelet.synthesis_K",
+], ids=["vaguelet.alpha1", "vaguelet.sides", "vaguelet.sides-empty",
+        "vaguelet.sides-repeated", "vaguelet.synthesis_K",
         "riesz.J", "riesz.refinement_levels", "build.K",
         "counterexample.gamma", "counterexample.alpha1", "simulate.J_detail",
         "simulate.resolution", "h1.fractional+", "h1.fractional-",

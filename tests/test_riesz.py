@@ -1,10 +1,12 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vaguelab import riesz
 from vaguelab.family import ROLES, SIDES, FamilyBuilder, FamilyIndex
 from vaguelab.filters import (ExpGammaFilter, FilterPair, FractionalFilter,
                               MSTApproxFilter, OUFilter, UnitFilter,
@@ -16,7 +18,8 @@ from vaguelab.mra import MEYER_PHI_RADIUS, WaveletSpec
 from vaguelab.procsim import _level_terms
 from vaguelab.riesz import (RieszError, Truncation, _inner_products,
                             biorthogonality_defect, bracket_sum, check_level,
-                            gram, refinement_identity, riesz_bounds)
+                            gram, refinement_identity, refinement_keys,
+                            riesz_bounds, riesz_suite)
 
 from transforms import inverse_transform
 
@@ -399,3 +402,78 @@ def test_gram_index_map_round_trip(unit_builder):
     g = gram(unit_builder, "primal", tr)
     assert len(g.index_map) == g.dimension
     assert all(idx.side == "primal" for idx in g.index_map)
+
+
+def test_riesz_suite_matches_the_checks_run_alone(ou_builder):
+    # one pass over both sides' generators gives each statistic bit for
+    # bit as the check computes it alone
+    tr = Truncation(1, 2)
+    checks = riesz_suite(ou_builder, tr, range(2))
+    assert [c.name for c in checks] == [
+        "riesz_bounds_primal", "riesz_bounds_dual", "biorthogonality_defect",
+        "bracket_sum", "refinement_identity_j0", "refinement_identity_j1"]
+    for check, side in zip(checks, ("primal", "dual")):
+        g = gram(ou_builder, side, tr)
+        c1, c2, residual = riesz_bounds(g)
+        assert check.statistics == {"C1": c1, "C2": c2,
+                                    "eigen_residual": residual,
+                                    "dimension": g.dimension}
+        assert check.params == {"J": 1, "K": 2}
+    alone = [biorthogonality_defect(ou_builder, tr), bracket_sum(ou_builder),
+             refinement_identity(ou_builder, 0),
+             refinement_identity(ou_builder, 1)]
+    for check, ref in zip(checks[2:], alone):
+        assert (check.statistics, check.params, check.passed) == \
+            (ref.statistics, ref.params, ref.passed)
+
+
+def _primal(j, role):
+    return (j, "primal", role)
+
+
+@pytest.mark.parametrize("n_levels, held", [
+    (1, [{_primal(0, "approximation"), _primal(0, "wavelet")},
+         set(refinement_keys(0))]),
+    (2, [{_primal(0, "approximation"), _primal(0, "wavelet"),
+          _primal(1, "wavelet")},
+         set(refinement_keys(0)) | {_primal(1, "wavelet")},
+         set(refinement_keys(1))]),
+], ids=["one-level", "two-levels"])
+def test_riesz_suite_drops_each_generator_after_its_last_reader(
+        db4, ou_pair, monkeypatch, n_levels, held):
+    # db4 at J 1, K 8: the sections form both sides' 6 generators.
+    # bracket_sum runs holding only those it and the refinement levels
+    # read; refinement_identity_j{j} ends holding the keys it and the later
+    # levels read, with one level its 3 keys, not the 7 generators (each
+    # one held longer is 1 MB more at the peak). Liveness is read through
+    # weak references, so a local name that keeps an array shows as well
+    # as a key left in formed.
+    builder = FamilyBuilder(db4, ou_pair)
+    generators, refs, seen = builder.generators, {}, []
+
+    def recorded(keys):
+        out = generators(keys)
+        refs.update((key, weakref.ref(values))
+                    for key, (values, _) in out.items())
+        return out
+
+    def live():
+        return {key for key, ref in refs.items() if ref() is not None}
+
+    bracket, refinement = riesz.bracket_sum, riesz.refinement_identity
+
+    def bracket_sum_seen(builder, formed):
+        seen.append((live(), set(formed)))
+        return bracket(builder, formed)
+
+    def refinement_seen(builder, j, formed):
+        result = refinement(builder, j, formed)
+        seen.append((live(), set(formed)))
+        return result
+
+    monkeypatch.setattr(builder, "generators", recorded)
+    monkeypatch.setattr(riesz, "bracket_sum", bracket_sum_seen)
+    monkeypatch.setattr(riesz, "refinement_identity", refinement_seen)
+    riesz_suite(builder, Truncation(1, 8), range(n_levels))
+    assert len(refs) == 6 + n_levels
+    assert seen == [(keys, keys) for keys in held]

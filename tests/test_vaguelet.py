@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vaguelab import vaguelet
+from vaguelab import grids, vaguelet
 from vaguelab.family import FamilyBuilder
 from vaguelab.filters import (ExpGammaFilter, FilterPair, FractionalFilter,
                               MSTApproxFilter, OUComplexFilter, OUFilter,
@@ -481,3 +481,17 @@ def test_nan_level_spectrum_never_passes(monkeypatch, ou_builder):
     monkeypatch.setattr(FamilyBuilder, "level_spectrum", poisoned)
     for result in vaguelet_suite(ou_builder, "primal", FAST):
         assert result.passed is None, (result.name, result.statistics)
+
+
+def test_suite_releases_the_band_transform_phase_table(ou_builder,
+                                                        monkeypatch):
+    # the Meyer profiles take the band transform, whose phase table (1.05
+    # MB on the wide grid) the suite forms and does not keep
+    blocks = []
+    phases = grids._block_phases
+    monkeypatch.setattr(grids, "_block_phases",
+                        lambda n, block: blocks.append((n, block))
+                        or phases(n, block))
+    vaguelet_suite(ou_builder, "primal", VagueletParams(j_min=0, j_max=1))
+    assert blocks
+    assert phases.cache_info().currsize == 0
