@@ -15,6 +15,7 @@ autocovariance with spectral density |h2|^2.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 from numbers import Integral
 
@@ -28,6 +29,10 @@ from .report import CheckResult
 
 
 PATH_BLOCK = 2**10  # paths per coefficient block of simulate (1 MB at K = 64)
+FILL_THREADS = 2  # most threads filling one block; only 2 CPUs were measured
+# least draws per thread before a block is split: on 2 CPUs with K = 64,
+# two threads lost below about 26 000 draws each and won from 32 000
+THREAD_DRAWS = 2**15
 
 
 class ProcsimError(ValueError):
@@ -230,6 +235,27 @@ def _coefficient_stream(plan: SynthesisPlan, key) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+def _fill_threads() -> int:
+    """Threads that may fill one coefficient block: the usable CPUs, at
+    most FILL_THREADS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, FILL_THREADS)
+
+
+def _fill(rows, keys, streams, forced) -> None:
+    """Fill each row with its key's next draws, or its forced value. NumPy
+    releases the GIL inside standard_normal, so slices fill in parallel;
+    nothing is allocated here."""
+    for row, key, stream in zip(rows, keys, streams):
+        if stream is None:
+            row[:] = forced[key]
+        else:
+            stream.standard_normal(out=row)
+
+
 def simulate(plan: SynthesisPlan, forced: dict | None = None) -> PathEnsemble:
     """Draw the coefficients and form the paths, one level block and one
     block of at most PATH_BLOCK paths at a time: memory is
@@ -239,6 +265,11 @@ def simulate(plan: SynthesisPlan, forced: dict | None = None) -> PathEnsemble:
     do not depend on the block size. The blocks are balanced, so none
     holds a single path when n_paths > 1: NumPy forms a one-row product
     by gemv, which rounds differently from the gemm of the other rows.
+    When each thread's share of a block reaches THREAD_DRAWS draws, the
+    block's rows are filled by up to FILL_THREADS threads, one contiguous
+    slice of keys each; each row still holds its own stream's draws and
+    the product still spans every row, so the paths do not depend on the
+    CPU count either.
 
     forced maps (block, j, k) term keys to constant coefficient values,
     overriding the random draw for those terms (test hook; also realizes
@@ -253,17 +284,28 @@ def simulate(plan: SynthesisPlan, forced: dict | None = None) -> PathEnsemble:
     edges = [plan.n_paths * i // n_blocks for i in range(n_blocks + 1)]
     buffer = np.empty((2 * plan.K + 1, -(-plan.n_paths // n_blocks)))
     values = np.zeros((plan.n_paths, len(plan.times)))
-    for keys, terms in _level_blocks(plan):
-        streams = [None if key in forced else _coefficient_stream(plan, key)
-                   for key in keys]
-        for start, stop in zip(edges, edges[1:]):
-            rows = buffer[:, :stop - start]
-            for row, key, stream in zip(rows, keys, streams):
-                if stream is None:
-                    row[:] = forced[key]
-                else:
-                    stream.standard_normal(out=row)
-            values[start:stop] += rows.T @ terms
+    n_threads = max(1, min(_fill_threads(), buffer.size // THREAD_DRAWS))
+    cuts = [len(buffer) * i // n_threads for i in range(n_threads + 1)]
+    pool = None
+    if n_threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(n_threads - 1)
+    try:
+        for keys, terms in _level_blocks(plan):
+            streams = [None if key in forced
+                       else _coefficient_stream(plan, key) for key in keys]
+            for start, stop in zip(edges, edges[1:]):
+                rows = buffer[:, :stop - start]
+                slices = [(rows[a:b], keys[a:b], streams[a:b], forced)
+                          for a, b in zip(cuts, cuts[1:])]
+                tasks = [pool.submit(_fill, *part) for part in slices[1:]]
+                _fill(*slices[0])
+                for task in tasks:
+                    task.result()
+                values[start:stop] += rows.T @ terms
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return PathEnsemble(plan.times, values, plan.config())
 
 

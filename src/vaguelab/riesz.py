@@ -220,18 +220,22 @@ def biorthogonality_defect(builder: FamilyBuilder, tr: Truncation,
 
 def bracket_sum(builder: FamilyBuilder,
                 formed: dict | None = None) -> CheckResult:
-    """min/max over one 2 pi period of sum_k |h1 phi^ (x + 2 pi k)|^2.
+    """min/max over one 2 pi period of sum_k |h1 phi^ (x + 2 pi k)|^2,
+    divided by its mean over the period.
 
     The level-0 primal approximation generator is h1 phi^ on the build
     grid, so the sum is its squared modulus folded onto one period: the
     2 k_max = x_max / pi periods the grid holds, at n_samples = 2 pi / dx
-    points each. The generator is read from formed (_generators) if it
-    is there.
+    points each. Its mean is the generator's squared norm (2 pi)^{-1}
+    ||h1 phi^||^2, so lower and upper are the Riesz bounds of the integer
+    shifts of the normalized generator, free of any constant factor of
+    h1. The generator is read from formed (_generators) if it is there.
     """
     key = (0, "primal", "approximation")
     gens, _ = _generators(builder, [key], formed)
     folded = fold_periods(builder.grid, np.abs(gens[key]) ** 2)
     total = np.sum(folded, axis=0)
+    total /= np.mean(total)
     lower, upper = float(np.min(total)), float(np.max(total))
     n_periods, n_samples = folded.shape
     return CheckResult(

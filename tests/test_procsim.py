@@ -1,5 +1,8 @@
+import concurrent.futures
 import math
+import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -395,19 +398,49 @@ def test_simulate_matches_dense_synthesis(request, ou_pair, wavelet_name,
     assert start == coeffs.shape[1]
 
 
-@pytest.mark.parametrize("n_paths", [1, 8, 300])
+@pytest.mark.parametrize("n_paths", [1, 8, 300, 2500])
 def test_simulate_does_not_depend_on_the_path_block(meyer, ou_pair,
                                                     monkeypatch, n_paths):
     # 7 divides none of the counts, and 8 = 7 + 1 would leave a one-path
-    # block if the blocks were not balanced
+    # block if the blocks were not balanced; with one draw per thread as
+    # the threshold every block is split over the threads, and 3 threads
+    # cut the 9 keys of a level into uneven slices for n_paths = 1
     plan = _plan(ou_pair, meyer, n_paths=n_paths, seed=4)
     forced = {("wavelet", 1, -2): 0.5, ("approximation", 0, 3): -1.25}
     default = [simulate(plan).values, simulate(plan, forced=forced).values]
-    for block in (7, n_paths, n_paths + 5):
-        monkeypatch.setattr(procsim, "PATH_BLOCK", block)
-        assert np.array_equal(simulate(plan).values, default[0])
-        assert np.array_equal(simulate(plan, forced=forced).values,
-                              default[1])
+    monkeypatch.setattr(procsim, "THREAD_DRAWS", 1)
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(procsim, "_fill_threads", lambda: threads)
+        for block in (7, n_paths, n_paths + 5):
+            monkeypatch.setattr(procsim, "PATH_BLOCK", block)
+            assert np.array_equal(simulate(plan).values, default[0])
+            assert np.array_equal(simulate(plan, forced=forced).values,
+                                  default[1])
+
+
+def test_simulate_starts_threads_only_above_the_threshold(meyer, ou_pair,
+                                                          monkeypatch):
+    # the CLI's default 100 paths x 129 keys per block stay on the calling
+    # thread; 1024 paths are split, and a level whose terms overflow still
+    # raises with no fill thread left running
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("simulate made a thread pool")
+
+    monkeypatch.setattr(procsim, "_fill_threads", lambda: 2)
+    plan = _plan(ou_pair, meyer, J_detail=0, K=64, n_paths=100)
+    with monkeypatch.context() as patch:
+        patch.setattr(concurrent.futures, "ThreadPoolExecutor", NoPool)
+        simulate(plan)
+        with pytest.raises(AssertionError, match="thread pool"):
+            simulate(replace(plan, n_paths=1024))
+    threads = threading.active_count()
+    pair = FilterPair(ExpGammaFilter(1.0), ExpGammaFilter(1.0))
+    plan = _plan(pair, meyer, J_detail=7, K=64, n_paths=1024,
+                 synthesis_side="dual", include_approximation=False)
+    with pytest.raises(ProcsimError, match="level 7"):
+        simulate(plan)
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("n_paths", [4000, 16000])
