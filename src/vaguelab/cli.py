@@ -144,14 +144,20 @@ def _instantiate(cfg: dict) -> dict:
             raise ValueError("mst_approx poles at nonzero multiples of 2 pi "
                              "lie in the base function's Fourier support; "
                              "use it only as h1 with the Meyer wavelet")
-        # phi^(0) = 1, so no vanishing order absorbs a pole of h1 or 1/h1
-        # at x = 0: the approximation spectra could not be formed
-        for power in (1, -1):
+        # phi^(0) = 1, so no vanishing order absorbs a pole at x = 0 of the
+        # approximation filters: h1 and 1/h1, and simulate's h2 (primal) or
+        # 1/h2 (dual) when it includes the approximation block
+        plan = _synthesis_plan(cfg, wavelet, pair)
+        approximated = [("h1", pair.h1, 1), ("h1", pair.h1, -1)]
+        if plan.include_approximation:
+            approximated.append(("simulate's h2", pair.h2, 1 if
+                                 plan.synthesis_side == "primal" else -1))
+        for name, h, power in approximated:
             try:
-                pair.h1.eval(np.array([0.0]), power=power)
+                h.eval(np.array([0.0]), power=power)
             except FilterEvalError as exc:
-                raise ValueError(f"h1: {exc}; phi^(0) = 1 cannot absorb a "
-                                 "pole of h1 or 1/h1 at x = 0") from exc
+                raise ValueError(f"{name}: {exc}; phi^(0) = 1 cannot absorb "
+                                 "it at x = 0") from exc
         # the refinement identity at level j needs phi^(y) h1(2^{j+1} y),
         # whose support |y| <= 4 pi / 3 reaches the pole at x = 2 pi for
         # every j >= 0
@@ -193,7 +199,7 @@ def _instantiate(cfg: dict) -> dict:
             "counterexample": (CounterexampleConfig(
                 gamma, j_min if ce["j_min"] is None else ce["j_min"],
                 j_max if ce["j_max"] is None else ce["j_max"]), alpha1),
-            "simulate": _synthesis_plan(cfg, wavelet, pair)}
+            "simulate": plan}
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -370,9 +376,7 @@ def cmd_all(cfg: dict) -> dict:
     order = ["build", "verify-vaguelet", "verify-riesz", "counterexample",
              "simulate"]
     reports = [COMMANDS[name](cfg) for name in order]
-    summary = report_merge([{k: v for k, v in r.items()
-                             if k in ("schema", "config_hash", "checks",
-                                      "pass")} for r in reports])
+    summary = report_merge(reports)
     _atomic_write(Path(cfg["output_dir"]) / "summary.json",
                   dump_report(summary))
     return summary

@@ -56,7 +56,9 @@ RULES = {
                          1.1 * s["lambda_max"] if p["K"] >= 8 else None)),
     "riesz_bounds": (("eigen_residual", "<=", 1e-8), ("C1", ">", 1e-6),
                      ("C2", "<", lambda s, p: 1e6 * s["C1"])),
-    "biorthogonality_defect": (("max_defect", "<", 1e-6),),
+    # the unit products, e^-(L_a + L_b) times the families', underflow at ~708
+    "biorthogonality_defect": (("max_log_norm_sum", "<=", 600.0),
+                               ("max_defect", "<", 1e-6)),
     "bracket_sum": (("lower", ">", 1e-6), ("upper", "<", 1e6)),
     "refinement_identity": (("residual_phi", "<", 1e-9),
                             ("residual_eta", "<", 1e-9),

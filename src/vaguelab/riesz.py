@@ -18,6 +18,7 @@ from numbers import Integral
 import numpy as np
 
 from .family import FamilyBuilder, FamilyError, FamilyIndex
+from .filters import FilterEvalError, FilterPair
 from .grids import (FourierGrid, SampledSpectrum, fold_periods,
                     inverse_transform_at, l2_norm)
 from .mra import _wrap_to_pi
@@ -90,8 +91,9 @@ class GramMatrix:
 
 
 def _inner_products(builder: FamilyBuilder, left, right,
-                    gens: dict | None = None) -> np.ndarray:
-    """Un-normalized <m_a, m_b> for a in left, b in right (FamilyIndex lists).
+                    gens: dict) -> np.ndarray:
+    """<m_a, m_b> for a in left, b in right (FamilyIndex lists) from the
+    generator values gens by (j, side, role) key.
 
     <m_{j,k}, m'_{j',k'}> equals the inverse transform of
     gen_{j} * conj(gen'_{j'}) evaluated at t = -(2^{-j}k - 2^{-j'}k'),
@@ -100,7 +102,6 @@ def _inner_products(builder: FamilyBuilder, left, right,
     product is folded onto one period of the lag lattice and transformed
     there (grids.inverse_transform_at), one indexed read per block.
     When left is right, blocks wholly below the diagonal are left zero.
-    Generators come from _generators, so scaled spectra raise RieszError.
     """
     def by_generator(idxs):
         groups = {}
@@ -114,8 +115,6 @@ def _inner_products(builder: FamilyBuilder, left, right,
     out = np.zeros((len(left), len(right)), dtype=complex)
     product = np.empty(grid.n, dtype=complex)  # every block's, in turn
     rows, cols = by_generator(left), by_generator(right)
-    if gens is None:  # each generator evaluated once
-        gens, _ = _generators(builder, {**rows, **cols})
     for a, (rows_a, shifts_a) in rows.items():
         ga = gens[a]
         for b, (rows_b, shifts_b) in cols.items():
@@ -136,36 +135,31 @@ def _inner_products(builder: FamilyBuilder, left, right,
 
 
 def _generators(builder: FamilyBuilder, keys, formed: dict | None = None):
-    """Generator values and l2 norms by (j, side, role) key, from one batch;
-    scaled spectra (log_scale != 0) are refused. formed, when given, maps
-    keys to the (values, norm) of generators formed earlier: those are
-    taken from it, and the ones formed here are added to it."""
+    """Unit-norm generator values and log l2 norms (log_scale included) by
+    (j, side, role) key, from one batch. formed, when given, maps keys to
+    the (values, log_norm) of generators formed earlier: those are taken
+    from it, and the ones formed here are added to it."""
     formed = {} if formed is None else formed
     keys = list(dict.fromkeys(keys))
     missing = [key for key in keys if key not in formed]
     for key, (values, log_scale) in builder.generators(missing).items():
-        if log_scale != 0.0:
-            raise RieszError("scaled spectra are not supported in Gram sections")
         n = l2_norm(SampledSpectrum(builder.grid, values))
         if n <= 0.0:
             raise FamilyError(f"zero-norm generator {key}")
-        formed[key] = values, n
+        # nonzero values only: a banded spectrum's zero pages stay unwritten
+        np.divide(values, n, out=values, where=values != 0)
+        formed[key] = values, math.log(n) + log_scale
     return ({key: formed[key][0] for key in keys},
             {key: formed[key][1] for key in keys})
 
 
-def _gram_matrix(raw: np.ndarray, idxs, norms: dict) -> GramMatrix:
-    """The Gram matrix of idxs from the upper triangle of their raw inner
-    products, each divided by the two generator norms."""
-    norm = np.array([norms[i.j, i.side, i.role] for i in idxs])
-    scale = np.multiply.outer(norm, norm)
-    # parts divided apart, as Python's complex / float does: dividing a
-    # complex array by a float array rounds differently
-    normed = np.empty_like(raw)
-    normed.real, normed.imag = raw.real / scale, raw.imag / scale
-    # upper triangle as computed, its conjugate below and on the diagonal
-    upper = np.triu(np.ones(raw.shape, dtype=bool), 1)
-    return GramMatrix(np.where(upper, normed, normed.conj().T), tuple(idxs))
+def _gram_matrix(products: np.ndarray, idxs) -> GramMatrix:
+    """The Gram matrix of idxs from the upper triangle of the inner
+    products of their unit generators, its conjugate below and on the
+    diagonal."""
+    upper = np.triu(np.ones(products.shape, dtype=bool), 1)
+    return GramMatrix(np.where(upper, products, products.conj().T),
+                      tuple(idxs))
 
 
 def gram(builder: FamilyBuilder, side: str, tr: Truncation) -> GramMatrix:
@@ -173,10 +167,10 @@ def gram(builder: FamilyBuilder, side: str, tr: Truncation) -> GramMatrix:
     riesz_suite gives both sides' with the biorthogonality check from one
     generator pass."""
     idxs = tr.indices(side)
-    gens, norms = _generators(builder, [(i.j, i.side, i.role) for i in idxs])
-    raw = _inner_products(builder, idxs, idxs, gens)
+    gens, _ = _generators(builder, [(i.j, i.side, i.role) for i in idxs])
+    products = _inner_products(builder, idxs, idxs, gens)
     del gens  # the n-point generators are freed before the matrix work
-    return _gram_matrix(raw, idxs, norms)
+    return _gram_matrix(products, idxs)
 
 
 def riesz_bounds(g: GramMatrix):
@@ -193,18 +187,24 @@ def riesz_bounds(g: GramMatrix):
 
 
 def biorthogonality_defect(builder: FamilyBuilder, tr: Truncation,
+                           formed: dict | None = None,
                            products: np.ndarray | None = None) -> CheckResult:
     """Max |<dual_a, primal_b> - delta_ab| over the truncation.
 
     Computed on the un-normalized families, where the filters cancel
-    exactly and the cross Gram reduces to the orthonormal one. products
-    are those inner products when already formed (riesz_suite forms them
-    in the pass that gives both Grams); otherwise they are computed here.
+    exactly and the cross Gram reduces to the orthonormal one: the unit
+    generators' products times e^{L_a + L_b}, L their log norms. formed and
+    products are the generators and products riesz_suite has formed.
     """
     duals, primals = tr.indices("dual"), tr.indices("primal")
+    gens, log_norms = _generators(
+        builder, [(i.j, i.side, i.role) for i in duals + primals], formed)
     if products is None:
-        products = _inner_products(builder, duals, primals)
-    defect = np.abs(products - np.eye(len(duals)))
+        products = _inner_products(builder, duals, primals, gens)
+    log_sum = np.add.outer(*([log_norms[i.j, i.side, i.role] for i in idxs]
+                             for idxs in (duals, primals)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.abs(products * np.exp(log_sum) - np.eye(len(duals)))
     cross = np.not_equal.outer([i.role for i in duals],
                                [i.role for i in primals])
     worst = float(np.max(defect))
@@ -212,6 +212,7 @@ def biorthogonality_defect(builder: FamilyBuilder, tr: Truncation,
     return CheckResult(
         name="biorthogonality_defect",
         statistics={"max_defect": worst, "max_cross_block_defect": worst_cross,
+                    "max_log_norm_sum": float(np.max(log_sum)),
                     "dimension": len(duals)},
         params={**builder.config(), "J": tr.J, "K": tr.K,
                 "include_approximation": tr.include_approximation},
@@ -226,16 +227,15 @@ def bracket_sum(builder: FamilyBuilder,
     The level-0 primal approximation generator is h1 phi^ on the build
     grid, so the sum is its squared modulus folded onto one period: the
     2 k_max = x_max / pi periods the grid holds, at n_samples = 2 pi / dx
-    points each. Its mean is the generator's squared norm (2 pi)^{-1}
-    ||h1 phi^||^2, so lower and upper are the Riesz bounds of the integer
-    shifts of the normalized generator, free of any constant factor of
-    h1. The generator is read from formed (_generators) if it is there.
+    points each. Its mean is the generator's squared norm, 1 for the unit
+    generator of _generators, so lower and upper are the Riesz bounds of
+    the integer shifts of the normalized generator, free of any constant
+    factor of h1. The generator is read from formed if it is there.
     """
     key = (0, "primal", "approximation")
     gens, _ = _generators(builder, [key], formed)
     folded = fold_periods(builder.grid, np.abs(gens[key]) ** 2)
     total = np.sum(folded, axis=0)
-    total /= np.mean(total)
     lower, upper = float(np.min(total)), float(np.max(total))
     n_periods, n_samples = folded.shape
     return CheckResult(
@@ -254,6 +254,21 @@ def refinement_keys(j: int) -> list:
             (j + 1, "primal", "approximation"), (j, "primal", "wavelet")]
 
 
+def _filter_ratio(pair: FilterPair, x: np.ndarray):
+    """((h2/h1)(x), defined): defined marks the x where both filters
+    evaluate, and the ratio is 0 where they do not. A filter refuses the
+    whole x when one point is a pole, so its isolated poles are found by
+    bisection."""
+    try:
+        return pair.h2.eval(x) / pair.h1.eval(x), np.ones(len(x), dtype=bool)
+    except FilterEvalError:
+        if len(x) == 1:
+            return np.zeros(1, dtype=complex), np.zeros(1, dtype=bool)
+    halves = (_filter_ratio(pair, x[:len(x) // 2]),
+              _filter_ratio(pair, x[len(x) // 2:]))
+    return tuple(map(np.concatenate, zip(*halves)))
+
+
 def refinement_identity(builder: FamilyBuilder, j: int,
                         formed: dict | None = None) -> CheckResult:
     """Two-scale identity for the normalized transformed families.
@@ -264,41 +279,45 @@ def refinement_identity(builder: FamilyBuilder, j: int,
         (|Phi#_{j+1}|^2 / (|Phi#_j| |Psi#_j|)) (h2/h1)(2^{j+1} xi) (-2 e^{-i xi});
     (c) min |det M| over xi in [-pi, pi).
 
-    The generators are read from formed (_generators) where they are
-    there, and the ones formed here are added to it.
+    The residuals of (a) skip the points where |Phi_{j+1}^| is below the
+    support cut or V_j cannot be formed (a pole of h1 or h2); the two
+    counts add up to excluded_points. The generators are read from formed
+    (_generators) where they are there, and the ones formed here are
+    added to it.
     """
     wavelet, pair, grid = builder.wavelet, builder.pair, builder.grid
     keys = refinement_keys(j)
-    gens, norms = _generators(builder, keys, formed)
-    n_phi_j, n_phi_j1, n_psi_j = (norms[key] for key in keys)
+    gens, log_norms = _generators(builder, keys, formed)
+    phi_j, phi_j1, eta_j = (gens[key] for key in keys)
+    log_j, log_j1, log_psi = (log_norms[key] for key in keys)
+    ratio_u, ratio_v = map(float, np.exp(log_j1 - np.array([log_j, log_psi])))
 
     def u_symbol(xi):
-        xi = _wrap_to_pi(xi)
-        return (n_phi_j1 / n_phi_j) * wavelet.u_hat(xi)
+        return ratio_u * wavelet.u_hat(_wrap_to_pi(xi))
 
-    def v_symbol(xi):
+    def v_symbol(xi):  # and where it is defined
         xi = _wrap_to_pi(xi)
-        ratio = pair.h2.eval(2.0 ** (j + 1) * xi) / pair.h1.eval(2.0 ** (j + 1) * xi)
-        return (n_phi_j1 / n_psi_j) * ratio * wavelet.v_hat(xi)
+        ratio, defined = _filter_ratio(pair, 2.0 ** (j + 1) * xi)
+        return ratio_v * ratio * wavelet.v_hat(xi), defined
 
     # (a): pointwise residuals on the working grid
-    phi_j, phi_j1, eta_j = (gens[key] / norms[key] for key in keys)
     xi_grid = 2.0 ** (-(j + 1)) * grid.x
-    on_support = np.abs(phi_j1) > SUPPORT_TOL * float(np.max(np.abs(phi_j1)))
+    kept = np.abs(phi_j1) > SUPPORT_TOL * float(np.max(np.abs(phi_j1)))
+    v, defined = v_symbol(xi_grid[kept])
+    kept[kept] = defined
+    phi_j1 = phi_j1[kept]
     res_phi = float(np.max(np.abs(
-        phi_j[on_support] - u_symbol(xi_grid[on_support]) * phi_j1[on_support])))
-    res_eta = float(np.max(np.abs(
-        eta_j[on_support] - v_symbol(xi_grid[on_support]) * phi_j1[on_support])))
-    excluded = int(np.sum(~on_support))
+        phi_j[kept] - u_symbol(xi_grid[kept]) * phi_j1)))
+    res_eta = float(np.max(np.abs(eta_j[kept] - v[defined] * phi_j1)))
+    excluded = int(np.sum(~kept))
 
     # (b), (c): determinant of the 2x2 refinement matrix on [-pi, pi)
     xi = (-np.pi + 2.0 * np.pi * np.arange(N_SYMBOL) / N_SYMBOL
           + 1.0 / 3.0 / N_SYMBOL)
-    det = (u_symbol(xi) * v_symbol(xi + np.pi)
-           - u_symbol(xi + np.pi) * v_symbol(xi))
-    scale = n_phi_j1**2 / (n_phi_j * n_psi_j)
-    h_ratio = pair.h2.eval(2.0 ** (j + 1) * xi) / pair.h1.eval(2.0 ** (j + 1) * xi)
-    det_formula = scale * h_ratio * (-2.0 * np.exp(-1j * xi))
+    det = (u_symbol(xi) * v_symbol(xi + np.pi)[0]
+           - u_symbol(xi + np.pi) * v_symbol(xi)[0])
+    h_ratio = _filter_ratio(pair, 2.0 ** (j + 1) * xi)[0]
+    det_formula = ratio_u * ratio_v * h_ratio * (-2.0 * np.exp(-1j * xi))
     res_det = float(np.max(np.abs(det - det_formula)) / np.max(np.abs(det_formula)))
     min_abs_det = float(np.min(np.abs(det)))
 
@@ -307,8 +326,7 @@ def refinement_identity(builder: FamilyBuilder, j: int,
         statistics={"residual_phi": res_phi, "residual_eta": res_eta,
                     "residual_det": res_det, "min_abs_det": min_abs_det,
                     "excluded_points": excluded,
-                    "norm_ratio_u": n_phi_j1 / n_phi_j,
-                    "norm_ratio_v": n_phi_j1 / n_psi_j},
+                    "norm_ratio_u": ratio_u, "norm_ratio_v": ratio_v},
         params={"wavelet": wavelet.config(), "filters": pair.config(), "j": j},
     )
 
@@ -329,13 +347,12 @@ def riesz_suite(builder: FamilyBuilder, tr: Truncation, levels) -> list:
              + [refinement_keys(j) for j in levels])
     builder.fill(keys + [key for read in reads for key in read])
     formed: dict = {}
-    gens, norms = _generators(builder, keys, formed)
-    raw = _inner_products(builder, idxs, idxs, gens)
-    del gens
+    products = _inner_products(builder, idxs, idxs,
+                               _generators(builder, keys, formed)[0])
     m = len(duals)
     checks = []
     for side, part in (("primal", slice(m, None)), ("dual", slice(m))):
-        g = _gram_matrix(raw[part, part], tr.indices(side), norms)
+        g = _gram_matrix(products[part, part], tr.indices(side))
         c1, c2, residual = riesz_bounds(g)
         checks.append(CheckResult(
             "riesz_bounds",
@@ -343,8 +360,9 @@ def riesz_suite(builder: FamilyBuilder, tr: Truncation, levels) -> list:
                         "dimension": g.dimension},
             params={"J": tr.J, "K": tr.K}))
         checks[-1].name += f"_{side}"
-    checks.append(biorthogonality_defect(builder, tr, raw[:m, m:]))
-    del raw, g
+    checks.append(biorthogonality_defect(builder, tr, formed,
+                                         products[:m, m:]))
+    del products, g
 
     def release(done):  # drop what no check from reads[done] on reads
         for key in set(formed).difference(*reads[done:]):

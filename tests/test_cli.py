@@ -126,6 +126,11 @@ def test_mst_approx_on_support_exits_2_no_outputs(tmp_path, capsys, document):
     {"simulate": {"resolution": -2000}},
     {"filters": {"h1": {"kind": "fractional", "d": 0.7}}},
     {"filters": {"h1": {"kind": "fractional", "d": -0.7}}},
+    # simulate's approximation block puts h2 (primal) or 1/h2 (dual) on
+    # phi^, which is 1 at x = 0
+    {"filters": {"h2": {"kind": "fractional", "d": -0.5}}},
+    {"filters": {"h2": {"kind": "fractional", "d": 0.7}},
+     "simulate": {"synthesis_side": "dual"}},
     {"counterexample": {"j_min": 6, "j_max": 8}},
     # levels and lags past the default grid (dt = 1/64, window +-512)
     {"riesz": {"J": 7}},
@@ -150,7 +155,7 @@ def test_mst_approx_on_support_exits_2_no_outputs(tmp_path, capsys, document):
         "riesz.J", "riesz.refinement_levels", "build.K",
         "counterexample.gamma", "counterexample.alpha1", "simulate.J_detail",
         "simulate.resolution", "h1.fractional+", "h1.fractional-",
-        "counterexample.window", "riesz.J7", "riesz.J7-db4",
+        "simulate.h2-pole", "simulate.h2-zero-dual", "counterexample.window", "riesz.J7", "riesz.J7-db4",
         "vaguelet.synthesis_J7", "vaguelet.synthesis_J7-db4", "riesz.K256",
         "riesz.K300", "vaguelet.synthesis_K128", "build.J7", "build.J7-db4",
         "build.J5-meyer", "riesz.J5-meyer", "vaguelet.synthesis_J5-meyer",

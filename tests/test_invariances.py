@@ -2,13 +2,14 @@
 reference values and covers every check on both wavelets.
 
 - (a) Scaling: a constant factor c in h1 and h2 changes no verdict and no
-  statistic. Only the simulated paths scale with c, by design.
+  statistic. Only the simulated paths scale with c, by design. Nor does
+  the log scale a filter stores its values with change a Riesz statistic.
 - (b) Dilation: the level-j statistics of h(2x) are those of h at j + 1.
 - (c) Side swap: the dual family of h is the primal family of 1/conj(h).
 - (d) Homogeneity: for the homogeneous h2 = (ix)^d every level statistic
   is the same at every level.
 
-All run at the scorecard's sizes (tests/test_scorecard.py).
+All run at the scorecard's sizes (tests/scorecard_sizes.py).
 """
 
 import contextlib
@@ -23,10 +24,12 @@ import pytest
 
 from vaguelab import cli
 from vaguelab.family import FamilyBuilder
-from vaguelab.filters import (FilterPair, FractionalFilter, RationalFilter,
-                              UnitFilter)
+from vaguelab.filters import (FilterPair, FractionalFilter, OUFilter,
+                              RationalFilter, UnitFilter)
 from vaguelab.riesz import Truncation, riesz_suite
 from vaguelab.vaguelet import VagueletParams, synthesis_bound, vaguelet_suite
+
+from scorecard_sizes import SIZES
 
 WAVELETS = {"meyer": {"kind": "meyer"},
             "db4": {"kind": "daubechies", "n": 4}}
@@ -41,12 +44,8 @@ def _rational_pair(numer, denom) -> FilterPair:
 def _summary(wavelet: str, c: float) -> dict:
     """summary.json of `vaguelab all` with h1 = h2 = c / (1 + x^2)."""
     h = {"kind": "rational", "numer": [c], "denom": [1.0, 0.0, 1.0]}
-    document = {
-        "wavelet": WAVELETS[wavelet], "filters": {"h1": h, "h2": h},
-        "build": {"J": 1, "K": 2},
-        "vaguelet": {"j_max": 3, "synthesis_J": 1, "synthesis_K": 4},
-        "riesz": {"J": 1, "K": 2, "refinement_levels": 1},
-        "simulate": {"J_detail": 2, "K": 8}}
+    document = {"wavelet": WAVELETS[wavelet], "filters": {"h1": h, "h2": h},
+                **SIZES}
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "cfg.json"
         config.write_text(json.dumps(document))
@@ -79,6 +78,34 @@ def test_a_constant_factor_changes_no_statistic(wavelet):
             for name, value in want["statistics"].items():
                 assert _close(got["statistics"][name], value), (
                     c, got["check"], name)
+
+
+class _LogScaledOU(OUFilter):
+    """OU stored as its values times e^{-c} with log scale c: the same
+    filter, in the storage the builder gives e^{-|x|^gamma}."""
+
+    def __init__(self, c: float):
+        self.c = c
+
+    def eval_scaled(self, x, power: int = 1):
+        return self.eval(x, power=power) * math.exp(-self.c), self.c
+
+
+@pytest.mark.parametrize("wavelet", WAVELETS)
+def test_a_log_scale_changes_no_riesz_statistic(request, wavelet):
+    wavelet = request.getfixturevalue(wavelet)
+    tr, levels = Truncation(1, 2), range(1)
+    reference = riesz_suite(FamilyBuilder(wavelet, FilterPair(
+        OUFilter(), OUFilter())), tr, levels)
+    for c in (-50.0, 50.0):
+        h = _LogScaledOU(c)
+        checks = riesz_suite(FamilyBuilder(wavelet, FilterPair(h, h)), tr,
+                             levels)
+        for got, want in zip(checks, reference):
+            assert got.passed == want.passed, (c, got.name)
+            for name, value in want.statistics.items():
+                assert _close(got.statistics[name], value), (c, got.name,
+                                                             name)
 
 
 @pytest.mark.parametrize("side", ["primal", "dual"])

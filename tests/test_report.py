@@ -12,7 +12,8 @@ def _check(name, passed):
     # bound is max_defect < 1e-6, and NaN decides nothing
     defect = {True: 0.0, False: 1.0, None: math.nan}[passed]
     check = CheckResult("biorthogonality_defect",
-                        statistics={"max_defect": defect})
+                        statistics={"max_defect": defect,
+                                    "max_log_norm_sum": 0.0})
     check.name = name
     return check
 
@@ -91,16 +92,18 @@ def test_verdict_is_not_a_constructor_argument():
     (1e-6, False, 0.0), (math.inf, False, -math.inf)])
 def test_margin_is_signed_decades_to_the_threshold(defect, passed, margin):
     check = CheckResult("biorthogonality_defect",
-                        statistics={"max_defect": defect})
-    (bound,) = check.bounds
+                        statistics={"max_defect": defect,
+                                    "max_log_norm_sum": 0.0})
+    trust, bound = check.bounds
+    assert trust["statistic"] == "max_log_norm_sum"
     assert check.passed is passed
     assert bound == {"statistic": "max_defect", "sense": "<",
                      "threshold": 1e-6,
                      "margin": pytest.approx(margin, abs=1e-12)}
     # outside statistics, and serializable when infinite
     entry = json.loads(dump_report(render_report([check], {})))["checks"][0]
-    assert set(entry["statistics"]) == {"max_defect"}
-    assert len(entry["bounds"]) == 1
+    assert set(entry["statistics"]) == {"max_defect", "max_log_norm_sum"}
+    assert len(entry["bounds"]) == 2
 
 
 def test_trust_limit_makes_inconclusive_before_any_bound():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from vaguelab import riesz
 from vaguelab.family import ROLES, SIDES, FamilyBuilder, FamilyIndex
 from vaguelab.filters import (ExpGammaFilter, FilterPair, FractionalFilter,
-                              MSTApproxFilter, OUFilter, UnitFilter,
-                              unit_pair)
+                              MSTApproxFilter, OUFilter, RationalFilter,
+                              UnitFilter, unit_pair)
 from vaguelab.grids import (GridError, SampledSpectrum, default_grid,
                             inner_product, inverse_transform_at, l2_norm,
                             make_grid)
@@ -22,6 +22,13 @@ from vaguelab.riesz import (RieszError, Truncation, _inner_products,
                             riesz_bounds, riesz_suite)
 
 from transforms import inverse_transform
+
+
+def _values(builder, idxs) -> dict:
+    """The generator values of idxs by (j, side, role) key, as stored."""
+    keys = [(i.j, i.side, i.role) for i in idxs]
+    return {key: values for key, (values, _) in
+            builder.generators(keys).items()}
 
 
 def test_truncation_validation_and_size():
@@ -82,7 +89,8 @@ def test_biorthogonality_matches_member_inner_products(ou_builder, meyer):
         right = [builder.build_member(i).spectrum for i in primals]
         oracle = np.array([[inner_product(a, b) for b in right]
                            for a in left])
-        cross = _inner_products(builder, duals, primals)
+        cross = _inner_products(builder, duals, primals,
+                                _values(builder, duals + primals))
         assert np.max(np.abs(cross - oracle)) < 1e-12
         defect = np.abs(oracle - np.eye(len(duals)))
         stats = biorthogonality_defect(builder, tr).statistics
@@ -93,11 +101,10 @@ def test_biorthogonality_matches_member_inner_products(ou_builder, meyer):
     assert stats["max_cross_block_defect"] < 1e-12
 
 
-def _full_transform_entries(builder, left, right):
-    """<m_a, m_b> read off one full inverse transform per generator pair."""
+def _full_transform_entries(builder, left, right, gens):
+    """<m_a, m_b> read off one full inverse transform per generator pair,
+    from the generator values gens by (j, side, role) key."""
     grid = builder.grid
-    gens = {(i.j, i.side, i.role): builder.generator(i.j, i.side, i.role)[0]
-            for i in left + right}
     series = {}
     out = np.empty((len(left), len(right)), dtype=complex)
     for ia, a in enumerate(left):
@@ -113,33 +120,55 @@ def _full_transform_entries(builder, left, right):
 
 
 def test_gram_bit_equals_entry_by_entry_reference(meyer, db4, ou_pair):
-    # reference: one Python complex division per raw entry, the upper
-    # triangle and its conjugate below and on the diagonal; the raw folded
-    # entries themselves lie within 2 ulp of the largest entry of one full
-    # transform per pair, on both sides and for the cross product
+    # reference: the inner products of the unit generators entry by entry,
+    # the upper triangle and its conjugate below and on the diagonal; the
+    # folded entries themselves lie within 2 ulp of the largest entry of
+    # one full transform per pair, on both sides and for the cross product
+    # of the stored generators
     tr = Truncation(1, 2)
     duals, primals = tr.indices("dual"), tr.indices("primal")
     for wavelet in (meyer, db4):
         builder = FamilyBuilder(wavelet, ou_pair)
-        cross = _inner_products(builder, duals, primals)
-        full = _full_transform_entries(builder, duals, primals)
+        stored = _values(builder, duals + primals)
+        cross = _inner_products(builder, duals, primals, stored)
+        full = _full_transform_entries(builder, duals, primals, stored)
         assert (np.max(np.abs(cross - full))
                 <= 2 * np.spacing(np.max(np.abs(full))))
+        unit, _ = riesz._generators(builder, list(stored))
         for side in SIDES:
             g = gram(builder, side, tr)
             idxs = list(g.index_map)
-            raw = _inner_products(builder, idxs, list(idxs))
-            full = _full_transform_entries(builder, idxs, idxs)
-            assert (np.max(np.abs(raw - full))
+            products = _inner_products(builder, idxs, list(idxs), unit)
+            full = _full_transform_entries(builder, idxs, idxs, unit)
+            assert (np.max(np.abs(products - full))
                     <= 2 * np.spacing(np.max(np.abs(full))))
-            norms = [l2_norm(SampledSpectrum(builder.grid, builder.generator(
-                i.j, i.side, i.role)[0])) for i in idxs]
             ref = np.empty_like(g.matrix)
             for ia in range(len(idxs)):
                 for ib in range(ia, len(idxs)):
-                    val = complex(raw[ia, ib]) / (norms[ia] * norms[ib])
+                    val = products[ia, ib]
                     ref[ia, ib], ref[ib, ia] = val, val.conjugate()
             assert g.matrix.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("h2, log_scaled", [(OUFilter(), False),
+                                            (ExpGammaFilter(2.0), True)],
+                         ids=["ou", "exp_gamma"])
+def test_generators_are_unit_with_the_member_log_norm(meyer, h2, log_scaled):
+    # e^{|x|^2} on the dual side is stored with a log scale; every unit
+    # generator is its stored values over their norm, and its log norm is
+    # the member's
+    builder = FamilyBuilder(meyer, FilterPair(OUFilter(), h2))
+    keys = [(j, side, "wavelet") for j in (0, 2) for side in SIDES]
+    unit, log_norms = riesz._generators(builder, keys)
+    scales = []
+    for key in keys:
+        member = builder.build_member(FamilyIndex(key[0], 0, *key[1:]))
+        spectrum = member.spectrum
+        assert np.max(np.abs(unit[key] - spectrum.values / l2_norm(spectrum))
+                      ) < 1e-15 * np.max(np.abs(unit[key]))
+        assert math.isclose(log_norms[key], member.log_norm, rel_tol=1e-14)
+        scales.append(member.log_scale)
+    assert any(scales) is log_scaled
 
 
 @pytest.fixture(scope="session")
@@ -186,12 +215,13 @@ def test_folded_entries_match_the_full_transform(fold_builders, case):
     name, left, right = case
     builder = fold_builders[name]
     grid = builder.grid
-    got = _inner_products(builder, left, right)
-    want = _full_transform_entries(builder, left, right)
+    gens = _values(builder, left + right)
+    got = _inner_products(builder, left, right, gens)
+    want = _full_transform_entries(builder, left, right, gens)
     for ia, a in enumerate(left):
-        ga = builder.generator(a.j, a.side, a.role)[0]
+        ga = gens[a.j, a.side, a.role]
         for ib, b in enumerate(right):
-            gb = builder.generator(b.j, b.side, b.role)[0]
+            gb = gens[b.j, b.side, b.role]
             mass = np.sum(np.abs(ga * gb)) * grid.dx / (2.0 * np.pi)
             tol = 4.0 * np.log2(grid.n) * np.finfo(float).eps * mass
             assert abs(got[ia, ib] - want[ia, ib]) <= tol, (a, b)
@@ -199,10 +229,11 @@ def test_folded_entries_match_the_full_transform(fold_builders, case):
 
 def test_lag_of_minus_half_the_window_is_refused(ou_builder):
     # lag -n dt / 2 is t = +n dt / 2, one past the last time sample
+    left = [FamilyIndex(0, -256, "primal", "wavelet")]
+    right = [FamilyIndex(0, 256, "primal", "wavelet")]
     with pytest.raises(RieszError):
-        _inner_products(ou_builder,
-                        [FamilyIndex(0, -256, "primal", "wavelet")],
-                        [FamilyIndex(0, 256, "primal", "wavelet")])
+        _inner_products(ou_builder, left, right,
+                        _values(ou_builder, left + right))
 
 
 def test_gram_skips_blocks_below_the_diagonal(ou_builder, monkeypatch):
@@ -215,11 +246,12 @@ def test_gram_skips_blocks_below_the_diagonal(ou_builder, monkeypatch):
 
     monkeypatch.setattr("vaguelab.riesz.inverse_transform_at", counting)
     idxs = Truncation(4, 2, False).indices("primal")
-    raw = _inner_products(ou_builder, idxs, idxs)
+    gens = _values(ou_builder, idxs)
+    raw = _inner_products(ou_builder, idxs, idxs, gens)
     assert len(calls) == 15
     gen = np.repeat(np.arange(5), 5)
     assert not np.any(raw[np.greater.outer(gen, gen)])
-    _inner_products(ou_builder, idxs, list(idxs))
+    _inner_products(ou_builder, idxs, list(idxs), gens)
     assert len(calls) == 15 + 25
 
 
@@ -281,21 +313,6 @@ def test_biorthogonality_violating_pair(meyer):
     result = biorthogonality_defect(builder, Truncation(2, 4))
     assert result.passed is False
     assert result.statistics["max_cross_block_defect"] > 0.1
-
-
-def test_scaled_generators_refused_in_every_entry_point(meyer):
-    # exp(|x|^2) on the dual side overflows without a log-scale; the
-    # defect of scaled spectra would be an artefact of the scale, so the
-    # biorthogonality check refuses them as the Gram matrix does
-    builder = FamilyBuilder(meyer, FilterPair(OUFilter(), ExpGammaFilter(2.0)))
-    tr = Truncation(2, 2)
-    with pytest.raises(RieszError, match="scaled spectra"):
-        gram(builder, "dual", tr)
-    with pytest.raises(RieszError, match="scaled spectra"):
-        biorthogonality_defect(builder, tr)
-    with pytest.raises(RieszError, match="scaled spectra"):
-        refinement_identity(builder, 4)
-    gram(builder, "primal", tr)  # primal spectra up to j = 2 are unscaled
 
 
 def test_bracket_sum_unit(unit_builder):
@@ -390,6 +407,29 @@ def test_refinement_identity_mst_pole_obstruction(meyer, mst_pair):
     from vaguelab.filters import FilterEvalError
     with pytest.raises(FilterEvalError):
         refinement_identity(FamilyBuilder(meyer, mst_pair), j=0)
+
+
+@pytest.mark.filterwarnings("ignore:filter pole at x=0 absorbed")
+@pytest.mark.parametrize("wavelet", ["meyer", "db4"])
+def test_refinement_identity_skips_the_poles_of_the_filters(request, wavelet):
+    # h2 = (ix)^(-1/2): the generators absorb its pole at x = 0, V_0 cannot
+    # be formed there; the residuals skip that one point of the working grid
+    wavelet = request.getfixturevalue(wavelet)
+    ou, pole = (refinement_identity(FamilyBuilder(wavelet, FilterPair(
+        OUFilter(), h2)), j=0).statistics
+        for h2 in (OUFilter(), FractionalFilter(-0.5)))
+    assert pole["excluded_points"] == ou["excluded_points"] + 1
+    assert math.isfinite(pole["residual_eta"])
+
+
+def test_filter_ratio_finds_every_pole():
+    # 1 / (x^2 - 1) has poles at +-1; h2 / h1 elsewhere as one evaluation
+    pair = FilterPair(UnitFilter(), RationalFilter([1.0], [-1.0, 0.0, 1.0]))
+    x = np.array([-2.0, -1.0, 0.0, 1.0, 2.0, 3.0])
+    ratio, defined = riesz._filter_ratio(pair, x)
+    assert defined.tolist() == [True, False, True, False, True, True]
+    assert ratio[~defined].tolist() == [0.0, 0.0]
+    assert np.array_equal(ratio[defined], pair.h2.eval(x[defined]))
 
 
 def test_refinement_identity_violating_pair(meyer):

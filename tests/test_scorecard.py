@@ -27,6 +27,8 @@ import pytest
 
 from vaguelab import cli
 
+from scorecard_sizes import SIZES
+
 WAVELETS = {"meyer": {"kind": "meyer"},
             "db4": {"kind": "daubechies", "n": 4}}
 RATIONAL = {"kind": "rational", "numer": [1.0], "denom": [1.0, 0.0, 1.0]}
@@ -62,8 +64,13 @@ CELLS = {
     ("db4", "exp_gamma 0.5"): {**BIORTH, **HOLDER_DUAL},
     ("db4", "exp_gamma 1.0"): {**BIORTH, **HOLDER_DUAL,
                                "mean_check_primal": "FAIL"},
-    ("db4", "exp_gamma 1.5"): "RieszError",
-    ("db4", "exp_gamma 2.0"): "RieszError",
+    # the duals e^{|x|^gamma} psi^ stored with a log scale: the products of
+    # the unit generators underflow, so biorthogonality is untrusted
+    **{("db4", f"exp_gamma {g}"): {
+        **DECAY, **HOLDER_DUAL, "mean_check_primal": "FAIL",
+        "riesz_bounds_dual": "FAIL",
+        "biorthogonality_defect": "INCONCLUSIVE", **bracket}
+       for g, bracket in (("1.5", {}), ("2.0", {"bracket_sum": "FAIL"}))},
     # mst_approx has poles inside the Daubechies phi^ support: refused
     ("db4", "paper 0.3"): 2,
     ("db4", "paper 0.7"): 2,
@@ -80,8 +87,6 @@ WRONG = {
     ("db4", "exp_gamma 0.5"): "item 3: no decay or Hoelder FAIL",
     ("db4", "exp_gamma 1.0"): "items 3 and 14: a roundoff mean_check "
                               "FAIL, no decay or Hoelder FAIL",
-    ("db4", "exp_gamma 1.5"): "item 2: RieszError traceback",
-    ("db4", "exp_gamma 2.0"): "item 2: RieszError traceback",
 }
 
 
@@ -93,11 +98,9 @@ def _run(wavelet: str, row: str):
     paper = row.startswith("paper")
     document = {
         "wavelet": WAVELETS[wavelet], "filters": {"h1": h1, "h2": h2},
-        "build": {"J": 1, "K": 2},
-        "vaguelet": {"j_max": 3, "synthesis_J": 1, "synthesis_K": 4},
+        **SIZES,
         # h1 = mst_approx is refused with refinement levels (its pole)
-        "riesz": {"J": 1, "K": 2, "refinement_levels": 0 if paper else 1},
-        "simulate": {"J_detail": 2, "K": 8}}
+        "riesz": {**SIZES["riesz"], "refinement_levels": 0 if paper else 1}}
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "cfg.json"
         config.write_text(json.dumps(document))
