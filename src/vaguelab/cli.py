@@ -26,7 +26,8 @@ import numpy as np
 from .counterexample import (CounterexampleConfig, default_window,
                              ratio_exponent, run_counterexample,
                              vaguelet_violation)
-from .family import SIDES, FamilyBuilder, FamilyIndex, FamilyMember
+from .family import (SIDES, FamilyBuilder, FamilyIndex, FamilyMember,
+                     require_hermitian)
 from .filters import FilterEvalError, FilterPair, filter_from_config
 from .grids import SampledSpectrum, default_grid
 from .mra import WaveletSpec, check_cmf
@@ -135,6 +136,7 @@ def _instantiate(cfg: dict) -> dict:
         wavelet = WaveletSpec.from_config(cfg["wavelet"])
         pair = FilterPair(filter_from_config(cfg["filters"]["h1"]),
                           filter_from_config(cfg["filters"]["h2"]))
+        require_hermitian(pair)
         levels = range(rb["refinement_levels"])
         # mst_approx has poles at 2 pi k, k != 0: inside the support of
         # every psi^ and of the Daubechies phi^; the Meyer phi^ stops at
@@ -204,16 +206,18 @@ def _instantiate(cfg: dict) -> dict:
         raise ConfigError(str(exc)) from exc
 
 
-def _atomic_write(path: Path, data: str | bytes | Iterable[str]) -> None:
-    """Write data (str, bytes or an iterable of str) to a temp file beside
-    path and replace path with it only once every piece is written. The
-    file gets the mode open() gives a new file, 0666 less the umask
-    (mkstemp creates it 0600)."""
+def _atomic_write(path: Path,
+                  data: str | bytes | memoryview | Iterable[str]) -> None:
+    """Write data (str, bytes, a memoryview or an iterable of str) to a
+    temp file beside path and replace path with it only once every piece
+    is written. The file gets the mode open() gives a new file, 0666 less
+    the umask (mkstemp creates it 0600)."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
-            fh.writelines([data] if isinstance(data, (str, bytes)) else data)
+        binary = isinstance(data, (bytes, memoryview))
+        with os.fdopen(fd, "wb" if binary else "w") as fh:
+            fh.writelines([data] if binary or isinstance(data, str) else data)
         # read the umask by setting the tightest one for the moment
         umask = os.umask(0o777)
         os.umask(umask)
@@ -272,8 +276,9 @@ def cmd_build(cfg: dict) -> dict:
     for (j, side, role), (vals, _) in generators.items():
         buffer = io.BytesIO()
         np.save(buffer, vals, allow_pickle=False)
-        _atomic_write(out_dir / f"member_{side}_{role}_j{j}.npy",
-                      buffer.getvalue())
+        # the buffer's own bytes, not a copy of them (getvalue)
+        with buffer.getbuffer() as view:
+            _atomic_write(out_dir / f"member_{side}_{role}_j{j}.npy", view)
     checks = [check_cmf(wavelet),
               CheckResult("build_manifest",
                           statistics={"n_members": len(indices)},

@@ -14,7 +14,12 @@ a mother w = psi^ or phi^ on a y-grid with x = 2^j y times a filter
 (_spectrum); the builder evaluates each w once per (role, grid), and not
 at all on a grid whose points a cached wider grid of the same dx holds.
 k-translates are pure phases. The checks of riesz and vaguelet take a
-builder, never a loose wavelet or pair.
+builder, never a loose wavelet or pair, and read each spectrum only on
+its mother's band.
+
+Both filters must be hermitian, h(-x) = conj h(x), as every built-in is:
+with the real mothers every family member is then real in time and every
+inner product of two members real, which riesz relies on.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import FilterEvalError, FilterPair
+from .filters import FilterEvalError, FilterPair, hermitian_defect
 from .grids import (FourierGrid, SampledSpectrum, default_grid, l2_norm,
                     make_grid)
 from .mra import WaveletSpec
@@ -36,6 +41,8 @@ FILL_BLOCK = 2**13  # grid points per block of a mother fill
 # points from x = -x_max evaluated directly in a mirrored fill: x = -x_max
 # has no mirror (a lone point rounds as inside a block, mra._imul)
 MIRROR_EDGE = 1
+# a hermitian filter's relative mirror defect is roundoff
+HERMITIAN_TOL = 1e-12
 
 
 class FamilyError(ValueError):
@@ -149,6 +156,15 @@ def _spectrum(wavelet: WaveletSpec, pair: FilterPair, mother: np.ndarray,
     return out, float(log_scale)
 
 
+def require_hermitian(pair: FilterPair) -> None:
+    """Refuse a pair with a filter whose relative mirror defect
+    (filters.hermitian_defect) is not below HERMITIAN_TOL."""
+    for name, h in (("h1", pair.h1), ("h2", pair.h2)):
+        if not hermitian_defect(h) <= HERMITIAN_TOL:
+            raise FamilyError(f"{name} = {h.config()} is not hermitian, "
+                              "h(-x) != conj h(x): its family is not real")
+
+
 class FamilyBuilder:
     """Builds family members and level spectra over one wavelet, filter
     pair and grid.
@@ -164,6 +180,7 @@ class FamilyBuilder:
 
     def __init__(self, wavelet: WaveletSpec, pair: FilterPair,
                  grid: FourierGrid | None = None):
+        require_hermitian(pair)
         self.wavelet = wavelet
         self.pair = pair
         self.grid = grid if grid is not None else default_grid()
@@ -329,6 +346,13 @@ class FamilyBuilder:
         return self._evaluate(j, side, role, self._y_grid(j),
                               2.0 ** (-j / 2.0))
 
+    def band(self, j: int, role: str) -> slice:
+        """The index band of the build grid outside which every (j, side,
+        role) generator is 0: its mother's band on the y-grid."""
+        key = (role, self._y_grid(j))
+        self._fill([key])
+        return self._bands[key]
+
     def build_member(self, idx: FamilyIndex) -> FamilyMember:
         vals, log_scale = self.generator(idx.j, idx.side, idx.role)
         if idx.k != 0:  # vals is a fresh array
@@ -343,7 +367,7 @@ class FamilyBuilder:
         (negative included). Its inverse transform is g_j, with
         member(j,k)(t) = 2^{j/2} g_j(2^j t - k) and the l2 norm of g_j equal
         to the scaled member norm; a grid wider at the same dy samples tau
-        more finely."""
+        more finely. The spectrum carries its mother's band."""
         grid = grid if grid is not None else self.grid
         vals, log_scale = self._evaluate(j, side, role, grid, 1.0)
-        return SampledSpectrum(grid, vals), log_scale
+        return SampledSpectrum(grid, vals, self._bands[role, grid]), log_scale

@@ -301,8 +301,12 @@ def unit_pair() -> FilterPair:
 
 
 def hermitian_defect(h: Filter, x_hi: float = 50.0, n: int = 1024) -> float:
+    """max |h(x) - conj h(-x)| over n points 0.1 <= x <= x_hi, relative to
+    max |h(x)| there."""
     x = np.linspace(0.1, x_hi, n)
-    return float(np.max(np.abs(h.eval(x) - np.conj(h.eval(-x)))))
+    values = h.eval(x)
+    return float(np.max(np.abs(values - np.conj(h.eval(-x))))
+                 / np.max(np.abs(values)))
 
 
 def quasi_homogeneity_check(h: Filter, eps: float = 1.0, x_hi: float = 1000.0,

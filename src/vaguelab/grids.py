@@ -11,9 +11,11 @@ and t = q dt for integer q, with dx = 2 x_max / n, dt = pi / x_max and
 n a power of two >= 16, so x_max dt = pi and dx dt = 2 pi / n. Then
 e^{i q dt x_m} = (-1)^q e^{2 pi i q m / n}: samples of the inverse
 transform are an inverse DFT of F with a sign flip and no chirp factors
-(inverse_transform_at). A spectrum whose nonzero samples all lie in a
-centred block of P < n points takes that DFT as n / P FFTs of P points
-(dft); every other spectrum takes one FFT of n points.
+(inverse_transform_at). A spectrum carries the index band outside which
+its samples are 0 (the whole grid unless it says otherwise), and every
+pass reads only that band: a spectrum whose band lies in a centred block
+of P < n points takes that DFT as n / P FFTs of P points (dft); every
+other spectrum takes one FFT of n points.
 
 Each point is one rounding of an exact integer times dx, so the grid is
 mirror-exact (x_{n-m} = -x_m bit for bit) and nested: the grid of 2n
@@ -96,10 +98,12 @@ def make_grid(x_max: float, n: int) -> FourierGrid:
 
 @dataclass(frozen=True)
 class SampledSpectrum:
-    """Complex samples of a Fourier transform on a FourierGrid."""
+    """Complex samples of a Fourier transform on a FourierGrid, 0 outside
+    the index band (a slice; the whole grid when it is not given)."""
 
     grid: FourierGrid
     values: np.ndarray
+    band: slice | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -108,6 +112,14 @@ class SampledSpectrum:
                 f"values must have length {self.grid.n}, got shape {vals.shape}"
             )
         object.__setattr__(self, "values", vals)
+        start, stop, _ = (self.band or slice(None)).indices(self.grid.n)
+        object.__setattr__(self, "band", slice(start, max(start, stop)))
+
+
+def overlap(a: slice, b: slice) -> slice:
+    """The indices two bands share, as a band."""
+    start = max(a.start, b.start)
+    return slice(start, max(start, min(a.stop, b.stop)))
 
 
 def _check_same_grid(f: SampledSpectrum, g: SampledSpectrum) -> None:
@@ -117,13 +129,16 @@ def _check_same_grid(f: SampledSpectrum, g: SampledSpectrum) -> None:
 
 def inner_product(f: SampledSpectrum, g: SampledSpectrum,
                   out: np.ndarray | None = None) -> complex:
-    """(2 pi)^{-1} integral F conj(G), periodic-trapezoid quadrature. The
-    products are formed in out (n complex) when it is given."""
+    """(2 pi)^{-1} integral F conj(G), periodic-trapezoid quadrature over
+    the overlap of their bands. The products are formed in out (n
+    complex) when it is given, at the indices of that overlap."""
     _check_same_grid(f, g)
+    band = overlap(f.band, g.band)
     # conj(G) F, the order NumPy's temporary elision gives F * conj(G) on
     # large arrays: complex multiply does not commute bit for bit
-    product = np.conjugate(g.values, out=out)
-    np.multiply(product, f.values, out=product)
+    product = np.conjugate(g.values[band],
+                           out=None if out is None else out[band])
+    np.multiply(product, f.values[band], out=product)
     return complex(np.sum(product) * f.grid.dx / TWO_PI)
 
 
@@ -148,13 +163,15 @@ def _block_phases(n: int, block: int) -> np.ndarray:
 
 
 def dft(values: np.ndarray, out: np.ndarray | None = None,
-        scratch: np.ndarray | None = None) -> np.ndarray:
+        scratch: np.ndarray | None = None,
+        band: slice | None = None) -> np.ndarray:
     """D_q = sum_m F_m e^{2 pi i q m / n}, q = 0..n-1: ifft(F) times n, in
-    out (n complex) when it is given.
+    out (n complex) when it is given. F is 0 outside the index band (the
+    whole grid when it is not given).
 
-    When every nonzero F_m lies in the centred block n/2 - P/2 <= m <
-    n/2 + P/2 of the smallest power of two P >= 2 that holds them, and
-    P < n, the sum is split four-step (Bailey 1990): with r = n / P (even)
+    When the band lies in the centred block n/2 - P/2 <= m < n/2 + P/2
+    of the smallest power of two P >= 2 that holds it, and P < n, the
+    sum is split four-step (Bailey 1990): with r = n / P (even)
     and q = r p + rho, e^{2 pi i q m / n} = e^{2 pi i p m / P}
     e^{2 pi i rho m / n}, so row rho of one batch of r FFTs of P points,
     over the block times the phases of _block_phases, holds D_{r p + rho}
@@ -164,10 +181,8 @@ def dft(values: np.ndarray, out: np.ndarray | None = None,
     for bit as np.fft.ifft(F, norm="forward").
     """
     n = len(values)
-    nonzero = values != 0
-    first = int(np.argmax(nonzero))
-    last = n - 1 - int(np.argmax(nonzero[::-1]))
-    half = max(n // 2 - first, last + 1 - n // 2) if nonzero[first] else 1
+    start, stop, _ = (band or slice(None)).indices(n)
+    half = max(n // 2 - start, stop - n // 2, 1)
     block = 1 << (2 * half - 1).bit_length()
     if block >= n:
         return np.fft.ifft(values, norm="forward", out=out)
@@ -191,16 +206,19 @@ def inverse_transform_at(f: SampledSpectrum, q) -> np.ndarray:
     the phase repeats every n / s samples: F folds onto n / s points (a
     reshape-sum, as in fold_periods) and one FFT of that length gives
     f(q dt) = (dx / 2 pi) (-1)^q sum_c fold_c e^{2 pi i (q / s) c / (n / s)}.
-    With s = 1 that DFT is dft's. f is n dt periodic, so q is read modulo
-    n.
+    The fold adds only the rows of n / s samples that F's band touches:
+    the other rows are 0, so it is the full fold bit for bit. With s = 1
+    that DFT is dft's. f is n dt periodic, so q is read modulo n.
     """
     grid = f.grid
     q = np.asarray(q)
     s = int(np.gcd.reduce(q, axis=None, initial=grid.n))
     if s == 1:  # no fold, and no copy of F
-        sums = dft(f.values)[q % grid.n]
+        sums = dft(f.values, band=f.band)[q % grid.n]
     else:
-        folded = f.values.reshape(s, -1).sum(axis=0)
+        row = grid.n // s
+        folded = f.values.reshape(s, row)[f.band.start // row:
+                                          -(-f.band.stop // row)].sum(axis=0)
         sums = np.fft.ifft(folded, norm="forward")[q // s % (grid.n // s)]
     return np.where(q % 2, -1.0, 1.0) * (grid.dx / TWO_PI) * sums
 
@@ -214,7 +232,7 @@ def inverse_transform_window(f: SampledSpectrum, start: int, stop: int,
     and the samples, the result, at the start of row 1, which serves dft
     as scratch first."""
     n = f.grid.n
-    sums = dft(f.values, work[0], work[1])
+    sums = dft(f.values, work[0], work[1], f.band)
     out = work[1, :stop - start]
     lo = start % n
     head = min(len(out), n - lo)

@@ -4,9 +4,13 @@ bracket sum and the two-scale refinement identity.
 Finite sections cannot certify an infinite Riesz basis; the contract here
 is bounded and stable sections plus exact biorthogonality plus the
 refinement identity, which is the numerically checkable content. Every
-check reads its spectra from a FamilyBuilder. The bracket sum is the
-Gramian fiber of the single level-0 approximation generator: its samples
-on the build grid folded onto one 2 pi period (grids.fold_periods).
+check reads its spectra from a FamilyBuilder. Its filters are hermitian
+(family.require_hermitian), so every member is real in time: the Gram
+sections and the biorthogonality block are the real parts of their
+computed inner products, whose imaginary parts are roundoff. The bracket
+sum is the Gramian fiber of the single level-0 approximation generator:
+its samples on the build grid folded onto one 2 pi period
+(grids.fold_periods).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 from .family import FamilyBuilder, FamilyError, FamilyIndex
 from .filters import FilterEvalError, FilterPair
 from .grids import (FourierGrid, SampledSpectrum, fold_periods,
-                    inverse_transform_at, l2_norm)
+                    inverse_transform_at, l2_norm, overlap)
 from .mra import _wrap_to_pi
 from .report import CheckResult
 
@@ -92,16 +96,17 @@ class GramMatrix:
 
 def _inner_products(builder: FamilyBuilder, left, right,
                     gens: dict) -> np.ndarray:
-    """<m_a, m_b> for a in left, b in right (FamilyIndex lists) from the
+    """Re <m_a, m_b> for a in left, b in right (FamilyIndex lists) from the
     generator values gens by (j, side, role) key.
 
     <m_{j,k}, m'_{j',k'}> equals the inverse transform of
     gen_{j} * conj(gen'_{j'}) evaluated at t = -(2^{-j}k - 2^{-j'}k'),
     which lands exactly on the conjugate time grid for dyadic shifts. Only
     those lag samples are read: per generator pair (j, side, role) the
-    product is folded onto one period of the lag lattice and transformed
-    there (grids.inverse_transform_at), one indexed read per block.
-    When left is right, blocks wholly below the diagonal are left zero.
+    product is formed on the overlap of the two generators' bands, folded
+    onto one period of the lag lattice and transformed there
+    (grids.inverse_transform_at), one indexed read per block. When left
+    is right, blocks wholly below the diagonal are left zero.
     """
     def by_generator(idxs):
         groups = {}
@@ -112,8 +117,9 @@ def _inner_products(builder: FamilyBuilder, left, right,
         return groups
 
     grid = builder.grid
-    out = np.zeros((len(left), len(right)), dtype=complex)
-    product = np.empty(grid.n, dtype=complex)  # every block's, in turn
+    out = np.zeros((len(left), len(right)))
+    # every block's product in turn, 0 outside the band it was formed on
+    product, written = np.zeros(grid.n, dtype=complex), slice(0, 0)
     rows, cols = by_generator(left), by_generator(right)
     for a, (rows_a, shifts_a) in rows.items():
         ga = gens[a]
@@ -127,43 +133,48 @@ def _inner_products(builder: FamilyBuilder, left, right,
             if np.any(off):
                 raise RieszError(f"lag {lag[off][0]} not on the conjugate "
                                  "time grid")
+            band = overlap(builder.band(a[0], a[2]), builder.band(b[0], b[2]))
+            if band != written:
+                product[written] = 0.0
+                written = band
             # conj(gb) ga, the order temporary elision gave ga * conj(gb)
-            np.multiply(np.conjugate(gens[b], out=product), ga, out=product)
+            np.multiply(np.conjugate(gens[b][band], out=product[band]),
+                        ga[band], out=product[band])
             out[np.ix_(rows_a, rows_b)] = inverse_transform_at(
-                SampledSpectrum(grid, product), ell - grid.n // 2)
+                SampledSpectrum(grid, product, band), ell - grid.n // 2).real
     return out
 
 
 def _generators(builder: FamilyBuilder, keys, formed: dict | None = None):
     """Unit-norm generator values and log l2 norms (log_scale included) by
-    (j, side, role) key, from one batch. formed, when given, maps keys to
-    the (values, log_norm) of generators formed earlier: those are taken
-    from it, and the ones formed here are added to it."""
+    (j, side, role) key, from one batch; each norm and division reads only
+    the generator's band. formed, when given, maps keys to the (values,
+    log_norm) of generators formed earlier: those are taken from it, and
+    the ones formed here are added to it."""
     formed = {} if formed is None else formed
     keys = list(dict.fromkeys(keys))
     missing = [key for key in keys if key not in formed]
     for key, (values, log_scale) in builder.generators(missing).items():
-        n = l2_norm(SampledSpectrum(builder.grid, values))
+        band = builder.band(key[0], key[2])
+        n = l2_norm(SampledSpectrum(builder.grid, values, band))
         if n <= 0.0:
             raise FamilyError(f"zero-norm generator {key}")
-        # nonzero values only: a banded spectrum's zero pages stay unwritten
-        np.divide(values, n, out=values, where=values != 0)
+        values[band] /= n
         formed[key] = values, math.log(n) + log_scale
     return ({key: formed[key][0] for key in keys},
             {key: formed[key][1] for key in keys})
 
 
 def _gram_matrix(products: np.ndarray, idxs) -> GramMatrix:
-    """The Gram matrix of idxs from the upper triangle of the inner
-    products of their unit generators, its conjugate below and on the
+    """The real symmetric Gram matrix of idxs from the upper triangle of
+    the inner products of their unit generators, mirrored below the
     diagonal."""
     upper = np.triu(np.ones(products.shape, dtype=bool), 1)
-    return GramMatrix(np.where(upper, products, products.conj().T),
-                      tuple(idxs))
+    return GramMatrix(np.where(upper, products, products.T), tuple(idxs))
 
 
 def gram(builder: FamilyBuilder, side: str, tr: Truncation) -> GramMatrix:
-    """Conjugate-symmetric Gram matrix of the normalized truncated family.
+    """Real symmetric Gram matrix of the normalized truncated family.
     riesz_suite gives both sides' with the biorthogonality check from one
     generator pass."""
     idxs = tr.indices(side)
@@ -177,7 +188,7 @@ def riesz_bounds(g: GramMatrix):
     """(C1, C2, residual): C1, C2 the square roots of the extreme Gram
     eigenvalues, residual the larger |G v - lambda v| of their eigenpairs,
     which report.RULES bounds before it trusts C1 and C2."""
-    m = 0.5 * (g.matrix + g.matrix.conj().T)
+    m = g.matrix  # real symmetric
     vals, vecs = np.linalg.eigh(m)
     residual = max(float(np.linalg.norm(m @ vecs[:, pick]
                                         - vals[pick] * vecs[:, pick]))

@@ -10,6 +10,7 @@ families, and boundedness across j is the vaguelet signature.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from numbers import Integral
@@ -67,9 +68,10 @@ def _profile(spectrum: SampledSpectrum, j: int, t_window: float,
     g_j(q dt) of the inverse transform of a level spectrum there, and
     ||g_j||, taken from the spectrum by Plancherel. It equals the (scaled)
     member norm, so ratios of sup statistics to it are invariant under the
-    internal rescaling used for overflow-prone filters. work, a (2, n)
-    complex array when given, holds the n-point products and transform,
-    and the samples are a view of its second row.
+    internal rescaling used for overflow-prone filters. The norm and the
+    transform read only the spectrum's band. work, a (2, n) complex array
+    when given, holds the products and the transform, and the samples are
+    a view of its second row.
     """
     grid = spectrum.grid
     if work is None:
@@ -90,6 +92,18 @@ def _profile(spectrum: SampledSpectrum, j: int, t_window: float,
     return q, g, norm
 
 
+@functools.lru_cache(maxsize=1)
+def _decay_weight(start: int, stop: int, dtau: float,
+                  exponent: float) -> np.ndarray:
+    """(1 + |q dtau|)^exponent at the even q of start..stop - 1. Read only:
+    the levels whose window is the whole grid (j >= 4 by default) share
+    one array, which vaguelet_suite frees."""
+    q = np.arange(start + start % 2, stop, 2)
+    weight = (1.0 + np.abs(q * dtau)) ** exponent
+    weight.flags.writeable = False
+    return weight
+
+
 def _level_statistics(spectrum: SampledSpectrum, j: int,
                       params: VagueletParams, work: np.ndarray) -> tuple:
     """(decay, Hoelder, refined Hoelder, mean) statistics of level j from
@@ -99,7 +113,8 @@ def _level_statistics(spectrum: SampledSpectrum, j: int,
     q, g, norm = _profile(spectrum, j, params.t_window, work)
     dtau = spectrum.grid.dt
     even = slice(q[0] % 2, None, 2)  # the builder grid's tau
-    weight = (1.0 + np.abs(q[even] * dtau)) ** (1.0 + params.alpha1)
+    weight = _decay_weight(int(q[0]), int(q[-1]) + 1, dtau,
+                           1.0 + params.alpha1)
     vals = spectrum.values
     stats = (float(np.max(np.abs(g[even]) * weight)) / norm,
              _holder_sup(g[even], 2 * dtau, params.alpha2) / norm,
@@ -108,7 +123,8 @@ def _level_statistics(spectrum: SampledSpectrum, j: int,
     # statistic that is not finite has none that can be trusted
     if not all(map(math.isfinite, stats)):
         stats = (math.nan,) * 3
-    return (*stats, abs(vals[len(vals) // 2]) / float(np.max(np.abs(vals))))
+    return (*stats, abs(vals[len(vals) // 2])
+            / float(np.max(np.abs(vals[spectrum.band]))))
 
 
 def _holder_sup(g: np.ndarray, dtau: float, alpha2: float) -> float:
@@ -185,9 +201,8 @@ def synthesis_bound(builder: FamilyBuilder, side: str, J: int = 4, K: int = 16,
     """
     g = gram(builder, side, Truncation(J, 2 * K, include_approximation=False))
     keep = [i for i, idx in enumerate(g.index_map) if abs(idx.k) <= K]
-    lam_base, lam_double = (
-        float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1])
-        for m in (g.matrix[np.ix_(keep, keep)], g.matrix))
+    lam_base, lam_double = (float(np.linalg.eigvalsh(m)[-1]) for m in
+                            (g.matrix[np.ix_(keep, keep)], g.matrix))
     return CheckResult(
         name="synthesis_bound",
         statistics={"lambda_max": lam_base, "lambda_max_doubled_K": lam_double,
@@ -224,9 +239,11 @@ def vaguelet_suite(builder: FamilyBuilder, side: str,
     decay, holder, holder_fine, means = map(list, zip(*(
         _level_statistics(builder.level_spectrum(j, side, "wavelet", wide)[0],
                           j, params, work) for j in params.j_range)))
-    # the band transform's phase table (1.05 MB on the Meyer wide grid) is
-    # not kept past the suite; the next suite forms it again, bit for bit
+    # the band transform's phase table (1.05 MB on the Meyer wide grid) and
+    # the decay weight are not kept past the suite; the next suite forms
+    # them again, bit for bit
     _block_phases.cache_clear()
+    _decay_weight.cache_clear()
     rel_changes = [abs(fine - coarse) / max(coarse, 1e-300)
                    for coarse, fine in zip(holder, holder_fine)]
     config = {**builder.config(), **params.config()}

@@ -131,6 +131,10 @@ def test_mst_approx_on_support_exits_2_no_outputs(tmp_path, capsys, document):
     {"filters": {"h2": {"kind": "fractional", "d": -0.5}}},
     {"filters": {"h2": {"kind": "fractional", "d": 0.7}},
      "simulate": {"synthesis_side": "dual"}},
+    # 1 / (1 + x) is real and not even: not hermitian, so its family is
+    # not real in time
+    {"filters": {"h2": {"kind": "rational", "numer": [1.0],
+                        "denom": [1.0, 1.0]}}},
     {"counterexample": {"j_min": 6, "j_max": 8}},
     # levels and lags past the default grid (dt = 1/64, window +-512)
     {"riesz": {"J": 7}},
@@ -155,7 +159,8 @@ def test_mst_approx_on_support_exits_2_no_outputs(tmp_path, capsys, document):
         "riesz.J", "riesz.refinement_levels", "build.K",
         "counterexample.gamma", "counterexample.alpha1", "simulate.J_detail",
         "simulate.resolution", "h1.fractional+", "h1.fractional-",
-        "simulate.h2-pole", "simulate.h2-zero-dual", "counterexample.window", "riesz.J7", "riesz.J7-db4",
+        "simulate.h2-pole", "simulate.h2-zero-dual", "h2.not-hermitian",
+        "counterexample.window", "riesz.J7", "riesz.J7-db4",
         "vaguelet.synthesis_J7", "vaguelet.synthesis_J7-db4", "riesz.K256",
         "riesz.K300", "vaguelet.synthesis_K128", "build.J7", "build.J7-db4",
         "build.J5-meyer", "riesz.J5-meyer", "vaguelet.synthesis_J5-meyer",

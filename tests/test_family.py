@@ -9,8 +9,10 @@ from vaguelab.cli import main
 from vaguelab.family import (MIRROR_EDGE, ROLES, SIDES, FamilyBuilder,
                              FamilyError, FamilyIndex, _spectrum)
 from vaguelab.filters import (ExpGammaFilter, FilterPair, FractionalFilter,
-                              OUFilter, UnitFilter, unit_pair)
-from vaguelab.grids import inner_product, l2_norm, make_grid
+                              MSTApproxFilter, OUComplexFilter, OUFilter,
+                              RationalFilter, UnitFilter, unit_pair)
+from vaguelab.grids import (SampledSpectrum, inner_product,
+                            inverse_transform_at, l2_norm, make_grid)
 from vaguelab.mra import WaveletSpec
 from vaguelab.riesz import Truncation, gram
 from vaguelab.vaguelet import VagueletParams, synthesis_bound, vaguelet_suite
@@ -461,3 +463,80 @@ def test_mother_fill_peak_is_retained_mothers_plus_a_few_arrays(db4,
     retained = sum(mother.nbytes for mother in builder._mothers.values())
     assert retained == 3 * 16 * grid.n
     assert peak < retained + 2 * 16 * grid.n
+
+
+class _DoubledOnTheLeft(OUFilter):
+    """OU with its values at x < 0 doubled: h(-x) != conj h(x)."""
+
+    def _eval(self, x, power, order):
+        values = super()._eval(x, power, order)
+        return np.where(x < 0.0, 2.0**power, 1.0) * values
+
+
+@pytest.mark.parametrize("h", [
+    UnitFilter(), OUFilter(), OUComplexFilter(), FractionalFilter(0.3),
+    MSTApproxFilter(0.3), ExpGammaFilter(1.0),
+    RationalFilter([1.0], [1.0, 0.0, 1.0])], ids=lambda h: h.kind)
+def test_only_hermitian_filters_build_a_family(meyer, h):
+    # every built-in kind builds; doubling OU on x < 0, as either filter,
+    # is refused when the builder is made, before any spectrum is formed
+    FamilyBuilder(meyer, FilterPair(h, h))
+    for pair in (FilterPair(_DoubledOnTheLeft(), h),
+                 FilterPair(h, _DoubledOnTheLeft())):
+        with pytest.raises(FamilyError, match="not hermitian"):
+            FamilyBuilder(meyer, pair)
+
+
+def _tight(values) -> slice:
+    """The smallest band that holds the nonzero values."""
+    inside = np.flatnonzero(values)
+    return slice(inside[0], inside[-1] + 1)
+
+
+def test_banded_passes_equal_the_full_grid_ones(meyer, ou_pair):
+    # Meyer generators of levels 0..4 and level spectra of levels 0..8 on
+    # the wide grid, both roles and sides. Folded transforms (s > 1) of
+    # generator products and level spectra read only the band's rows and
+    # equal the full fold bit for bit; a window transform (s = 1) takes
+    # its block from the builder's band, as from the tightest band of the
+    # nonzero samples, bit for bit; norms agree to roundoff
+    builder = FamilyBuilder(meyer, ou_pair)
+    grid = builder.grid
+    keys = [(j, side, role) for j in range(5) for side in SIDES
+            for role in ROLES]
+    gens = builder.generators(keys)
+    bands = {key: builder.band(key[0], key[2]) for key in keys}
+    lags = 4 * np.arange(-64, 65)  # s = 4: the Gram lags of level 4
+    checked = 0
+    for a in keys:
+        for b in keys:
+            full = SampledSpectrum(grid, np.conjugate(gens[b][0]) * gens[a][0])
+            band = slice(max(bands[a].start, bands[b].start),
+                         min(bands[a].stop, bands[b].stop))
+            assert not np.any(full.values[:band.start])
+            assert not np.any(full.values[band.stop:])
+            banded = SampledSpectrum(grid, full.values, band)
+            assert inverse_transform_at(banded, lags).tobytes() == \
+                inverse_transform_at(full, lags).tobytes(), (a, b)
+            checked += band.stop - band.start < grid.n // 2
+        values, _ = gens[a]
+        spectrum = SampledSpectrum(grid, values, bands[a])
+        full_norm = l2_norm(SampledSpectrum(grid, values))
+        assert abs(l2_norm(spectrum) - full_norm) <= 1e-15 * full_norm
+    assert checked > len(keys) ** 2 // 2  # most bands are a small share
+    wide = make_grid(2.0 * grid.x_max, 2 * grid.n)
+    window = np.arange(-4096, 4096)
+    for j in range(9):
+        for side in SIDES:
+            for role in ROLES:
+                spectrum, _ = builder.level_spectrum(j, side, role, wide)
+                values = spectrum.values
+                full = SampledSpectrum(wide, values)
+                assert inverse_transform_at(spectrum, lags).tobytes() == \
+                    inverse_transform_at(full, lags).tobytes()
+                tight = SampledSpectrum(wide, values, _tight(values))
+                assert inverse_transform_at(spectrum, window).tobytes() == \
+                    inverse_transform_at(tight, window).tobytes()
+                full_norm = l2_norm(full)
+                assert abs(l2_norm(spectrum) - full_norm) <= \
+                    1e-15 * full_norm

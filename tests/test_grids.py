@@ -96,10 +96,11 @@ def _one_fft(spec, q):
 
 @st.composite
 def _banded_spectra(draw):
-    """(spectrum, kind): random complex samples on an index span [lo, hi)
-    that is centred on x = 0, straddles it off centre, lies off centre
-    (touching the outer quarter, so the block holding it is the whole
-    grid) or is empty (all zero), on n = 2^6..2^12 points."""
+    """(spectrum, kind): random complex samples on an index span [lo, hi),
+    the spectrum's band, that is centred on x = 0, straddles it off
+    centre, lies off centre (touching the outer quarter, so the block
+    holding it is the whole grid) or is empty (all zero), on n =
+    2^6..2^12 points."""
     n = 2 ** draw(st.integers(6, 12))
     kind = draw(st.sampled_from(["centred", "straddling", "off-centre",
                                  "zero"]))
@@ -118,7 +119,7 @@ def _banded_spectra(draw):
     values = np.zeros(n, dtype=complex)
     values[lo:hi] = (rng.standard_normal(hi - lo)
                      + 1j * rng.standard_normal(hi - lo))
-    return SampledSpectrum(make_grid(16.0, n), values), kind
+    return SampledSpectrum(make_grid(16.0, n), values, slice(lo, hi)), kind
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -142,18 +143,27 @@ def test_band_transform_matches_the_full_transform(case):
 
 
 def test_band_transform_reads_the_block_of_the_support(monkeypatch):
-    # a level spectrum's 2 048-point support on the 2^17-point wide grid
-    # sits in the centred block of 4 096: 32 FFTs of 4 096 points
+    # a level spectrum's band of 2 731 points (2 048 of them nonzero) on
+    # the 2^17-point wide grid sits in the centred block of 4 096: 32 FFTs
+    # of 4 096 points; without its band the same spectrum takes one FFT of
+    # the whole grid
     blocks = []
     phases = grids._block_phases
     monkeypatch.setattr(grids, "_block_phases",
                         lambda n, block: blocks.append((n, block))
                         or phases(n, block))
     g = make_grid(128.0 * np.pi, 2**17)
-    values = np.where((np.abs(g.x) >= 2.0 * np.pi / 3.0)
-                      & (np.abs(g.x) <= 8.0 * np.pi / 3.0), 1.0 + 0.5j, 0.0)
-    inverse_transform_at(SampledSpectrum(g, values), np.arange(-5, 6))
+    support = np.abs(g.x) <= 8.0 * np.pi / 3.0
+    values = np.where(support & (np.abs(g.x) >= 2.0 * np.pi / 3.0),
+                      1.0 + 0.5j, 0.0)
+    inside = np.flatnonzero(support)
+    band = slice(inside[0], inside[-1] + 1)
+    q = np.arange(-5, 6)
+    banded = inverse_transform_at(SampledSpectrum(g, values, band), q)
     assert blocks == [(2**17, 4096)]
+    whole = inverse_transform_at(SampledSpectrum(g, values), q)
+    assert blocks == [(2**17, 4096)]
+    assert np.max(np.abs(banded - whole)) < 1e-15
 
 
 @pytest.mark.parametrize("q", [np.arange(-128, 128), np.arange(-37, 52),

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from vaguelab import riesz
 from vaguelab.family import ROLES, SIDES, FamilyBuilder, FamilyIndex
 from vaguelab.filters import (ExpGammaFilter, FilterPair, FractionalFilter,
-                              MSTApproxFilter, OUFilter, RationalFilter,
-                              UnitFilter, unit_pair)
+                              MSTApproxFilter, OUComplexFilter, OUFilter,
+                              RationalFilter, UnitFilter, unit_pair)
 from vaguelab.grids import (GridError, SampledSpectrum, default_grid,
                             inner_product, inverse_transform_at, l2_norm,
                             make_grid)
@@ -20,6 +20,7 @@ from vaguelab.riesz import (RieszError, Truncation, _inner_products,
                             biorthogonality_defect, bracket_sum, check_level,
                             gram, refinement_identity, refinement_keys,
                             riesz_bounds, riesz_suite)
+from vaguelab.vaguelet import synthesis_bound
 
 from transforms import inverse_transform
 
@@ -150,6 +151,59 @@ def test_gram_bit_equals_entry_by_entry_reference(meyer, db4, ou_pair):
             assert g.matrix.tobytes() == ref.tobytes()
 
 
+# every filter kind the CLI accepts with Meyer and db4: each as h2 next to
+# the OU h1, and mst_approx, which the CLI takes only as the Meyer h1,
+# with the paper's fractional h2
+ORACLE_PAIRS = [
+    *((wavelet, FilterPair(OUFilter(), h2)) for wavelet in ("meyer", "db4")
+      for h2 in (UnitFilter(), OUFilter(), OUComplexFilter(),
+                 FractionalFilter(0.3), ExpGammaFilter(1.0),
+                 RationalFilter([1.0], [1.0, 0.0, 1.0]))),
+    ("meyer", FilterPair(MSTApproxFilter(0.3), FractionalFilter(0.3)))]
+
+
+def _oracle_gram(builder, tr, side):
+    """The complex Gram section of side, read off one full inverse
+    transform per generator pair of the unit generators."""
+    idxs = tr.indices(side)
+    unit, _ = riesz._generators(builder, [(i.j, i.side, i.role)
+                                          for i in idxs])
+    return _full_transform_entries(builder, idxs, idxs, unit)
+
+
+@pytest.mark.filterwarnings("ignore:filter pole at x=0 absorbed")
+@pytest.mark.parametrize("wavelet, pair", ORACLE_PAIRS, ids=lambda v: (
+    v if isinstance(v, str) else f"{v.h1.kind}/{v.h2.kind}"))
+def test_real_sections_match_the_complex_oracle(request, wavelet, pair):
+    # the stated tolerance of the real sections against the eigenvalues
+    # of the oracle's Hermitian part: lambda_max of the K and 2K synthesis
+    # sections and C2 within 1e-13 relative, and C1^2 within 1e-13 C2^2
+    # (Weyl: an eigenvalue moves by at most the norm of the change, so C1
+    # of a near-singular section, as with exp_gamma, agrees only relative
+    # to C2); the oracle's imaginary parts stay below 1e-15
+    builder = FamilyBuilder(request.getfixturevalue(wavelet), pair)
+    for side in SIDES:
+        stats = synthesis_bound(builder, side, J=2, K=4).statistics
+        tr = Truncation(2, 8, include_approximation=False)
+        keep = [i for i, idx in enumerate(tr.indices(side))
+                if abs(idx.k) <= 4]
+        section = _oracle_gram(builder, tr, side)
+        hermitian = 0.5 * (section + section.conj().T)
+        assert math.isclose(
+            stats["lambda_max"],
+            np.linalg.eigvalsh(hermitian[np.ix_(keep, keep)])[-1],
+            rel_tol=1e-13)
+        assert math.isclose(stats["lambda_max_doubled_K"],
+                            np.linalg.eigvalsh(hermitian)[-1], rel_tol=1e-13)
+        c1, c2, _ = riesz_bounds(gram(builder, side, Truncation(1, 4)))
+        bounds = _oracle_gram(builder, Truncation(1, 4), side)
+        lo, *_, hi = np.linalg.eigvalsh(0.5 * (bounds + bounds.conj().T))
+        assert math.isclose(c2, math.sqrt(hi), rel_tol=1e-13)
+        assert abs(c1**2 - max(lo, 0.0)) <= 1e-13 * c2**2
+        assert max(np.max(np.abs(section.imag)),
+                   np.max(np.abs(bounds.imag))) <= 1e-15
+
+
 @pytest.mark.parametrize("h2, log_scaled", [(OUFilter(), False),
                                             (ExpGammaFilter(2.0), True)],
                          ids=["ou", "exp_gamma"])
@@ -211,13 +265,15 @@ def _fold_case(draw):
                 FamilyIndex(1, -512, "primal", "wavelet")]))
 def test_folded_entries_match_the_full_transform(fold_builders, case):
     # each entry is a sum of n products: roundoff of its FFT is bounded by
-    # a few eps log2(n) times the l1 mass (dx / 2 pi) sum |ga gb|
+    # a few eps log2(n) times the l1 mass (dx / 2 pi) sum |ga gb|. The
+    # entries are the real parts: a db4 spectrum the 48 pi grid cuts has
+    # an imaginary part from its unpaired sample at x = -x_max alone
     name, left, right = case
     builder = fold_builders[name]
     grid = builder.grid
     gens = _values(builder, left + right)
     got = _inner_products(builder, left, right, gens)
-    want = _full_transform_entries(builder, left, right, gens)
+    want = _full_transform_entries(builder, left, right, gens).real
     for ia, a in enumerate(left):
         ga = gens[a.j, a.side, a.role]
         for ib, b in enumerate(right):
