@@ -70,7 +70,7 @@ def _merge_section(defaults: dict, overrides: dict, path: str) -> dict:
     return copy.deepcopy({**defaults, **overrides})
 
 
-def resolve_config(document: dict) -> dict:
+def _overlay(document: dict) -> dict:
     """Defaults overlaid with the user document; unknown keys rejected.
 
     The wavelet and filter sub-objects are replaced wholesale (their own
@@ -95,7 +95,13 @@ def resolve_config(document: dict) -> dict:
             cfg[key] = _merge_section(cfg[key], val, key)
         else:
             cfg[key] = copy.deepcopy(val)
-    # construct early so bad specs are config errors, not runtime failures
+    return cfg
+
+
+def resolve_config(document: dict) -> dict:
+    """The document overlaid on the defaults (_overlay), validated: a bad
+    spec is a config error, not a runtime failure."""
+    cfg = _overlay(document)
     _instantiate(cfg)
     return cfg
 
@@ -128,8 +134,9 @@ def _refuse_non_finite(value, path: str) -> None:
 
 
 def _instantiate(cfg: dict) -> dict:
-    """The validated object of every config block, by block name, so a bad
-    value is refused before any command writes a file."""
+    """The validated object of every config block, by block name, and cfg
+    itself under "config": what every command reads. A bad value is
+    refused before any command writes a file."""
     _refuse_non_finite(cfg, "")
     vb, rb, ce = cfg["vaguelet"], cfg["riesz"], cfg["counterexample"]
     try:
@@ -192,7 +199,7 @@ def _instantiate(cfg: dict) -> dict:
         gamma = float(ce["gamma"])
         j_min, j_max = default_window(gamma)
         return {
-            "wavelet": wavelet, "filters": pair,
+            "config": cfg, "wavelet": wavelet, "filters": pair,
             "build": Truncation(cfg["build"]["J"], cfg["build"]["K"]),
             "vaguelet": (VagueletParams(vb["alpha1"], vb["alpha2"],
                                         vb["j_min"], vb["j_max"],
@@ -250,8 +257,10 @@ def _exit_code(report: dict) -> int:
 
 # ---------------------------------------------------------------- commands
 
-def cmd_build(cfg: dict) -> dict:
-    blocks = _instantiate(cfg)
+# every command takes the validated blocks of _instantiate
+
+def cmd_build(blocks: dict) -> dict:
+    cfg = blocks["config"]
     wavelet, pair, tr = blocks["wavelet"], blocks["filters"], blocks["build"]
     builder = FamilyBuilder(wavelet, pair)
     grid = builder.grid
@@ -271,6 +280,7 @@ def cmd_build(cfg: dict) -> dict:
     manifest = {
         "wavelet": wavelet.config(), "filters": pair.config(),
         "grid": {"x_max": grid.x_max, "n": grid.n},
+        "layout": "x = m dx, m = 0..n/2; F(-x) = conj F(x)",
         "indices": indices,
     }
     for (j, side, role), (vals, _) in generators.items():
@@ -289,8 +299,8 @@ def cmd_build(cfg: dict) -> dict:
     return report
 
 
-def cmd_verify_vaguelet(cfg: dict) -> dict:
-    blocks = _instantiate(cfg)
+def cmd_verify_vaguelet(blocks: dict) -> dict:
+    cfg = blocks["config"]
     builder = FamilyBuilder(blocks["wavelet"], blocks["filters"])
     params, sides = blocks["vaguelet"]
     block = cfg["vaguelet"]
@@ -307,15 +317,16 @@ def cmd_verify_vaguelet(cfg: dict) -> dict:
                          Path(cfg["output_dir"]) / "vaguelet_report.json")
 
 
-def cmd_verify_riesz(cfg: dict) -> dict:
-    blocks = _instantiate(cfg)
+def cmd_verify_riesz(blocks: dict) -> dict:
+    cfg = blocks["config"]
     builder = FamilyBuilder(blocks["wavelet"], blocks["filters"])
     return _write_report(cfg, riesz_suite(builder, *blocks["riesz"]),
                          Path(cfg["output_dir"]) / "riesz_report.json")
 
 
-def cmd_counterexample(cfg: dict) -> dict:
-    ce_cfg, alpha1 = _instantiate(cfg)["counterexample"]
+def cmd_counterexample(blocks: dict) -> dict:
+    cfg = blocks["config"]
+    ce_cfg, alpha1 = blocks["counterexample"]
     run = run_counterexample(ce_cfg)
     checks = [ratio_exponent(run), vaguelet_violation(run, alpha1)]
     rows = [(r["j"], r["scaled_norm"], r["scaled_peak"], r["ratio"])
@@ -334,8 +345,8 @@ def cmd_counterexample(cfg: dict) -> dict:
     return report
 
 
-def cmd_simulate(cfg: dict) -> dict:
-    plan = _instantiate(cfg)["simulate"]
+def cmd_simulate(blocks: dict) -> dict:
+    cfg, plan = blocks["config"], blocks["simulate"]
     out_dir = Path(cfg["output_dir"])
     report_path = out_dir / "simulate_report.json"
     try:
@@ -377,12 +388,12 @@ COMMANDS = {
 }
 
 
-def cmd_all(cfg: dict) -> dict:
+def cmd_all(blocks: dict) -> dict:
     order = ["build", "verify-vaguelet", "verify-riesz", "counterexample",
              "simulate"]
-    reports = [COMMANDS[name](cfg) for name in order]
+    reports = [COMMANDS[name](blocks) for name in order]
     summary = report_merge(reports)
-    _atomic_write(Path(cfg["output_dir"]) / "summary.json",
+    _atomic_write(Path(blocks["config"]["output_dir"]) / "summary.json",
                   dump_report(summary))
     return summary
 
@@ -432,6 +443,8 @@ def _parse_inline_spec(text: str) -> dict:
 
 
 def _load_config(args) -> dict:
+    """The validated blocks (_instantiate) of the config document with
+    the command-line flags applied: the one validation of a run."""
     document = {}
     if args.config is not None:
         try:
@@ -441,7 +454,7 @@ def _load_config(args) -> dict:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed JSON in {args.config}: {exc}") \
                 from exc
-    cfg = resolve_config(document)
+    cfg = _overlay(document)
     if args.out is not None:
         cfg["output_dir"] = str(args.out)
     if args.command == "counterexample":
@@ -466,21 +479,20 @@ def _load_config(args) -> dict:
             cfg["simulate"]["n_paths"] = args.paths
         if args.seed is not None:
             cfg["seed"] = args.seed
-    _instantiate(cfg)  # revalidate after the flag overrides
-    return cfg
+    return _instantiate(cfg)
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args)
+        blocks = _load_config(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     # every block was validated above: no command raises ConfigError
-    report = cmd_all(cfg) if args.command == "all" else \
-        COMMANDS[args.command](cfg)
+    report = cmd_all(blocks) if args.command == "all" else \
+        COMMANDS[args.command](blocks)
     for check in report["checks"]:
         verdict = {True: "PASS", False: "FAIL", None: "INCONCLUSIVE"}[
             check["pass"]]

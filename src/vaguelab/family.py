@@ -18,8 +18,9 @@ builder, never a loose wavelet or pair, and read each spectrum only on
 its mother's band.
 
 Both filters must be hermitian, h(-x) = conj h(x), as every built-in is:
-with the real mothers every family member is then real in time and every
-inner product of two members real, which riesz relies on.
+with the real mothers every family member is then real in time, its
+spectrum hermitian, and every spectrum is evaluated and stored on the
+half grid x >= 0 alone (grids).
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ from .mra import WaveletSpec
 SIDES = ("primal", "dual")
 ROLES = ("wavelet", "approximation")
 FILL_BLOCK = 2**13  # grid points per block of a mother fill
-# points from x = -x_max evaluated directly in a mirrored fill: x = -x_max
-# has no mirror (a lone point rounds as inside a block, mra._imul)
-MIRROR_EDGE = 1
 # a hermitian filter's relative mirror defect is roundoff
 HERMITIAN_TOL = 1e-12
 
@@ -95,13 +93,13 @@ class FamilyMember:
 
 
 def _spectrum(wavelet: WaveletSpec, pair: FilterPair, mother: np.ndarray,
-              band: slice, j: int, side: str, role: str, grid: FourierGrid,
+              band: int, j: int, side: str, role: str, grid: FourierGrid,
               scale: float):
     """scale * w(y) * H(2^j y)^{+-1} on the y-grid: (values, log_scale).
 
-    mother is w = psi^ or phi^ by role on the index band of grid outside
-    which w is 0; H is h2 or h1 by role, inverted and conjugated on the
-    dual side. The k = 0 member spectrum at x = 2^j y is this with scale
+    mother is w = psi^ or phi^ by role on the band of grid (a prefix of
+    its half grid) outside which w is 0; H is h2 or h1 by role, inverted
+    and conjugated on the dual side. The k = 0 member spectrum at x = 2^j y is this with scale
     2^{-j/2}, the level profile's scale 1. Grid points scaled by 2^{+-j}
     are exact in floating point, so every caller sees the same values at
     the same x.
@@ -116,15 +114,15 @@ def _spectrum(wavelet: WaveletSpec, pair: FilterPair, mother: np.ndarray,
     h, zero_order = ((pair.h2, wavelet.n_moments) if role == "wavelet"
                      else (pair.h1, 0.0))
     power = 1 if side == "primal" else -1
-    out = np.zeros(grid.n, dtype=complex)
+    out = np.zeros(grid.size, dtype=complex)
     base = scale * mother
     whole = base.all()
-    index = band
+    index = slice(0, band)
     if not whole:
         mask = base != 0.0
         if not np.any(mask):
             return out, 0.0
-        index, base = np.arange(band.start, band.stop)[mask], base[mask]
+        index, base = np.flatnonzero(mask), base[mask]
     x = grid.points(index)
     x *= 2.0**j
     at_zero = x == 0.0
@@ -150,9 +148,9 @@ def _spectrum(wavelet: WaveletSpec, pair: FilterPair, mother: np.ndarray,
     if side == "dual":
         vals = np.conj(vals)
     if whole:
-        np.multiply(base, vals, out=out[band])
+        np.multiply(base, vals, out=out[:band])
     else:
-        out[band][mask] = base * vals
+        out[index] = base * vals
     return out, float(log_scale)
 
 
@@ -185,7 +183,7 @@ class FamilyBuilder:
         self.pair = pair
         self.grid = grid if grid is not None else default_grid()
         self._mothers: dict = {}  # (role, grid) -> values on the band
-        self._bands: dict = {}  # (role, grid) -> index slice of the band
+        self._bands: dict = {}  # (role, grid) -> length of the band
 
     def config(self) -> dict:
         return {
@@ -212,18 +210,12 @@ class FamilyBuilder:
         tail (mra.daubechies_phi_hat_levels); that split is made point by
         point, so a value does not depend on the block it falls in, and
         the blocks' monotone x keep the points of one split contiguous.
-        phi^ on level l is evaluated only on its band, the index range of
-        |y| < R on that level's grid (R = phi_support_radius; the whole
-        grid for Daubechies), and each mother is stored on the band of the
-        phi^ it is read from; levels with the same band share one product.
-        Only the requested mothers are kept; a phi^ needed only for a psi^
-        lives for one block.
-
-        The Daubechies product and v^ have real taps, so each factor,
-        phi^, v^ and psi^ are conjugate-symmetric bit for bit on the
-        mirror-exact grid: a mother, phi^ or psi^, is formed on x >= 0 and
-        on x = -x_max (which has no mirror, the MIRROR_EDGE point), and its
-        conjugate is written, reversed, onto the other x < 0.
+        phi^ on level l is evaluated only on its band, the points x >= 0
+        of |y| < R on that level's grid (R = phi_support_radius; the whole
+        half grid for Daubechies), and each mother is stored on the band
+        of the phi^ it is read from; levels with the same band share one
+        product. Only the requested mothers are kept; a phi^ needed only
+        for a psi^ lives for one block.
 
         A request whose grid's points a cached mother's grid holds (same
         dx, more points, as the (2 x_max, 2n) grid holds the base grid) is
@@ -237,60 +229,35 @@ class FamilyBuilder:
             chains.setdefault((grid.n, mantissa), []).append((role, grid))
         for chain in chains.values():
             top = max((grid for _, grid in chain), key=lambda g: g.x_max)
-            n = top.n
             # the phi^ level each mother reads: its own, or the next for psi^
             level_of = {(role, grid): int(math.log2(top.x_max / grid.x_max))
                         + (role == "wavelet") for role, grid in chain}
             x = top.x
-            bands = {}
-            for level in sorted(set(level_of.values())):
-                radius = 2.0**level * self.wavelet.phi_support_radius
-                bands[level] = slice(int(np.searchsorted(x, -radius, "right")),
-                                     int(np.searchsorted(x, radius)))
-            mothers = {key: np.empty(bands[level].stop - bands[level].start,
-                                     dtype=complex)
+            bands = {level: int(np.searchsorted(
+                x, 2.0**level * self.wavelet.phi_support_radius))
+                for level in set(level_of.values())}
+            mothers = {key: np.empty(bands[level], dtype=complex)
                        for key, level in level_of.items()}
-
-            def write(key, lo, hi, values):
-                # phi^ (or psi^ formed from it) at the indices lo..hi - 1
-                level = level_of[key]
-                offset = bands[level].start
-                mothers[key][lo - offset:hi - offset] = (
-                    values if key[0] == "approximation"
-                    else self.wavelet.psi_hat(x[lo:hi] / 2.0**(level - 1),
-                                              values))
-
-            # Meyer's band fill (<= 1365 points of a closed form) stays
-            # direct: mirroring its real phi^ would give imaginary -0.0
-            mirror = self.wavelet.kind == "daubechies"
-            spans = ([(0, MIRROR_EDGE), (n // 2, n)] if mirror else
-                     [(min(band.start for band in bands.values()),
-                       max(band.stop for band in bands.values()))])
-            for start, end in [(start, min(start + FILL_BLOCK, stop))
-                               for first, stop in spans
-                               for start in range(first, stop, FILL_BLOCK)]:
+            for start in range(0, max(bands.values()), FILL_BLOCK):
                 shared: dict = {}
                 for level, band in bands.items():
-                    lo, hi = max(start, band.start), min(end, band.stop)
-                    if lo < hi:
-                        shared.setdefault((lo, hi), []).append(level)
+                    hi = min(start + FILL_BLOCK, band)
+                    if start < hi:
+                        shared.setdefault(hi, []).append(level)
                 phi = {}
-                for (lo, hi), levels in shared.items():
-                    phi.update((level, (lo, hi, values)) for level, values in
+                for hi, levels in shared.items():
+                    phi.update((level, (hi, values)) for level, values in
                                zip(levels, self.wavelet.phi_hat_levels(
-                                   x[lo:hi], levels)))
-                for key in mothers:
-                    if level_of[key] not in phi:
+                                   x[start:hi], levels)))
+                for (role, grid), level in level_of.items():
+                    if level not in phi:
                         continue
-                    lo, hi, values = phi[level_of[key]]
-                    write(key, lo, hi, values)
-                    # index i > n/2 mirrors onto n - i >= MIRROR_EDGE; the
-                    # band is the whole grid, so the mother is indexed as x
-                    a, b = max(lo, n // 2 + 1), min(hi, n - MIRROR_EDGE + 1)
-                    if mirror and a < b:
-                        mother = mothers[key]
-                        np.conjugate(mother[a:b][::-1],
-                                     out=mother[n - b + 1:n - a + 1])
+                    # phi^, or psi^ formed from it, at the indices start..hi
+                    hi, values = phi[level]
+                    mothers[role, grid][start:hi] = (
+                        values if role == "approximation"
+                        else self.wavelet.psi_hat(x[start:hi]
+                                                  / 2.0**(level - 1), values))
             while mothers:
                 # keep a copy made last: the array it was filled in is
                 # then freed under the long-lived mother, and the spectra
@@ -305,20 +272,16 @@ class FamilyBuilder:
     def _slice_wider(self, role: str, grid: FourierGrid) -> bool:
         """Serve the (role, grid) mother from a view of one cached on a grid
         of the same dx and more points, if there is one: that grid holds
-        grid's points x_m = (m - n/2) dx bit for bit, offset by half the
-        difference in n, and a mother's value depends on its point alone.
-        The band is the cached band's points that grid holds."""
+        grid's points x_m = m dx at the same indices bit for bit, and a
+        mother's value depends on its point alone. The band is the cached
+        band's prefix that grid holds."""
         for (cached_role, wide), mother in self._mothers.items():
             if cached_role == role and wide.dx == grid.dx and wide.n > grid.n:
                 break
         else:
             return False
-        offset = (wide.n - grid.n) // 2
-        wide_band = self._bands[role, wide]
-        band = slice(max(wide_band.start - offset, 0),
-                     min(wide_band.stop - offset, grid.n))
-        start = band.start + offset - wide_band.start
-        self._mothers[role, grid] = mother[start:start + band.stop - band.start]
+        band = min(self._bands[role, wide], grid.size)
+        self._mothers[role, grid] = mother[:band]
         self._bands[role, grid] = band
         return True
 
@@ -346,9 +309,9 @@ class FamilyBuilder:
         return self._evaluate(j, side, role, self._y_grid(j),
                               2.0 ** (-j / 2.0))
 
-    def band(self, j: int, role: str) -> slice:
-        """The index band of the build grid outside which every (j, side,
-        role) generator is 0: its mother's band on the y-grid."""
+    def band(self, j: int, role: str) -> int:
+        """The band of the build grid outside which every (j, side, role)
+        generator is 0: its mother's band on the y-grid."""
         key = (role, self._y_grid(j))
         self._fill([key])
         return self._bands[key]

@@ -135,8 +135,7 @@ def daubechies_v_hat(n_moments: int, x):
     """v_hat(x) = e^{-ix} conj(u_hat(x + pi)) = sum_n (-1)^n h_n e^{i(n-1)x}:
     one Horner sum in w = e^{ix} over the 2N alternating taps, times
     conj(w), so one cos/sin pair per point and, at -x, the conjugate of
-    the value at x bit for bit (the mirrored psi^ fill of family relies
-    on this)."""
+    the value at x bit for bit."""
     return _trig_poly(_alternating_coefficients(n_moments),
                       np.negative(x, dtype=float), -1)
 
@@ -248,10 +247,11 @@ def daubechies_phi_hat_levels(n_moments: int, x, levels, depth: int = 40):
     and every operation is elementwise over runs of equal m0 (one or two
     per m0 where |x| is monotone, as in the blocks of a mother fill), so
     each value is bit-identical to that of the level evaluated on its own,
-    of phi_hat(x / 2^l), and of the same point in any other array. NumPy's cos and sin are even and odd bit for
-    bit, the taps are real and m0 is even in x, so each factor, each tail,
-    and the product at -x is the conjugate of that at x, bit for bit (the
-    mirrored mother fill of family relies on this).
+    of phi_hat(x / 2^l), and of the same point in any other array. NumPy's
+    cos and sin are even and odd bit for bit, the taps are real and m0 is
+    even in x, so each factor, each tail, and the product at -x is the
+    conjugate of that at x, bit for bit: phi^ is hermitian, as the half
+    spectra of grids take it to be.
     """
     if depth < 20:
         raise ValueError(f"product depth must be >= 20, got {depth}")

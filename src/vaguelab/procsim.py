@@ -138,23 +138,26 @@ def _level_terms(builder: FamilyBuilder, j: int, side: str, role: str,
     """(k x t) block of terms 2^{j/2} g_j(2^j t - k), for any integer j.
 
     g_j(tau) = (2 pi)^{-1} sum_m G(y_m) e^{i tau y_m} dy is the quadrature
-    over the builder's y-grid of the level spectrum G: its inverse
-    transform, at any tau. The grid has y = 2 pi (q + r / P), r = 0..P-1,
-    with P = 2 pi / dy, and e^{-iky} is 2 pi-periodic. Write s = 2^j t as
-    n + f, n = floor(s), 0 <= f < 1 (exact in floating point); then
+    over the builder's full y-grid of the level spectrum G: its inverse
+    transform, at any tau. G is hermitian, so the sum is 2 Re of the one
+    over y >= 0 with the end weights of grids.halve_ends. That half has
+    y = 2 pi (q + r / P), q >= 0, r = 0..P-1, with P = 2 pi / dy, and
+    e^{-iky} is 2 pi-periodic. Write s = 2^j t as n + f, n = floor(s),
+    0 <= f < 1 (exact in floating point); then
         sum_m G e^{i(s-k)y} = F_f[(k - n) mod P],
         F_f[m] = sum_r e^{-2 pi i mr/P} e^{2 pi i fr/P} A_f[r],
         A_f[r] = sum_q e^{2 pi i fq} G[q, r],
     because e^{2 pi i nq} = 1 and e^{2 pi i nr/P} only shifts the FFT's
-    output index. One product over the blocks q where G is nonzero and
-    one length-P FFT per distinct f give every k and every time sharing
-    that f: a single FFT row when all times are multiples of 2^{-j}, n_t
-    rows when no two share one. The q-phases are reduced to [0, 1)
-    cycles before the exp, exactly for dyadic f. Terms whose true
-    tau = s - k lies outside the profile's window [-pi/dy, pi/dy) are 0;
-    the fold alone would return g_j(tau -+ P) there. The spectrum's
-    factor e^{log_scale} is multiplied back into the terms: a level where
-    it underflows contributes 0, one where it overflows is refused.
+    output index. One product over the rows q that G's band touches
+    (grids.fold_periods) and one length-P FFT per distinct f give every k
+    and every time sharing that f: a single FFT row when all times are
+    multiples of 2^{-j}, n_t rows when no two share one. The q-phases are
+    reduced to [0, 1) cycles before the exp, exactly for dyadic f. Terms
+    whose true tau = s - k lies outside the profile's window [-pi/dy,
+    pi/dy) are 0; the fold alone would return g_j(tau -+ P) there. The
+    spectrum's factor e^{log_scale} is multiplied back into the terms: a
+    level where it underflows contributes 0, one where it overflows is
+    refused.
     """
     grid = builder.grid
     spectrum, log_scale = builder.level_spectrum(j, side, role)
@@ -162,21 +165,20 @@ def _level_terms(builder: FamilyBuilder, j: int, side: str, role: str,
         scale = math.exp(log_scale)
     except OverflowError:
         raise TermOverflowError(j, side, role, log_scale) from None
-    folded = fold_periods(grid, spectrum.values)
+    folded = fold_periods(grid, spectrum.values, spectrum.band)
     period = folded.shape[1]
-    blocks = np.flatnonzero(np.any(folded != 0.0, axis=1))
-    q = blocks - grid.n // (2 * period)
+    q = np.arange(len(folded))
     s = 2.0**j * times
     whole = np.floor(s)
     fracs, row = np.unique(s - whole, return_inverse=True)
-    summed = np.exp(2j * np.pi * (np.outer(fracs, q) % 1.0)) @ folded[blocks]
+    summed = np.exp(2j * np.pi * (np.outer(fracs, q) % 1.0)) @ folded
     summed *= np.exp(2j * np.pi * (np.outer(fracs, np.arange(period))
                                    / period))
     shifted = (ks[:, None] - whole.astype(np.int64)[None, :]) % period
     terms = np.fft.fft(summed, axis=1)[row[None, :], shifted].real
     tau = s[None, :] - ks[:, None]
     terms[(tau < -period / 2) | (tau >= period / 2)] = 0.0
-    return scale * 2.0 ** (j / 2.0) * grid.dx / (2.0 * np.pi) * terms
+    return scale * 2.0 ** (j / 2.0) * grid.dx / np.pi * terms
 
 
 def _level_blocks(plan: SynthesisPlan):

@@ -5,12 +5,11 @@ Finite sections cannot certify an infinite Riesz basis; the contract here
 is bounded and stable sections plus exact biorthogonality plus the
 refinement identity, which is the numerically checkable content. Every
 check reads its spectra from a FamilyBuilder. Its filters are hermitian
-(family.require_hermitian), so every member is real in time: the Gram
-sections and the biorthogonality block are the real parts of their
-computed inner products, whose imaginary parts are roundoff. The bracket
-sum is the Gramian fiber of the single level-0 approximation generator:
-its samples on the build grid folded onto one 2 pi period
-(grids.fold_periods).
+(family.require_hermitian), so every member is real in time, its
+spectrum is stored on x >= 0 (grids), and the Gram sections and the
+biorthogonality block are real. The bracket sum is the Gramian fiber of
+the single level-0 approximation generator: its samples on the build
+grid folded onto one 2 pi period (grids.fold_periods).
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 from .family import FamilyBuilder, FamilyError, FamilyIndex
 from .filters import FilterEvalError, FilterPair
 from .grids import (FourierGrid, SampledSpectrum, fold_periods,
-                    inverse_transform_at, l2_norm, overlap)
+                    inverse_transform_at, l2_norm)
 from .mra import _wrap_to_pi
 from .report import CheckResult
 
@@ -96,14 +95,14 @@ class GramMatrix:
 
 def _inner_products(builder: FamilyBuilder, left, right,
                     gens: dict) -> np.ndarray:
-    """Re <m_a, m_b> for a in left, b in right (FamilyIndex lists) from the
+    """<m_a, m_b> for a in left, b in right (FamilyIndex lists) from the
     generator values gens by (j, side, role) key.
 
     <m_{j,k}, m'_{j',k'}> equals the inverse transform of
     gen_{j} * conj(gen'_{j'}) evaluated at t = -(2^{-j}k - 2^{-j'}k'),
     which lands exactly on the conjugate time grid for dyadic shifts. Only
     those lag samples are read: per generator pair (j, side, role) the
-    product is formed on the overlap of the two generators' bands, folded
+    product is formed on the shorter of the two generators' bands, folded
     onto one period of the lag lattice and transformed there
     (grids.inverse_transform_at), one indexed read per block. When left
     is right, blocks wholly below the diagonal are left zero.
@@ -119,7 +118,7 @@ def _inner_products(builder: FamilyBuilder, left, right,
     grid = builder.grid
     out = np.zeros((len(left), len(right)))
     # every block's product in turn, 0 outside the band it was formed on
-    product, written = np.zeros(grid.n, dtype=complex), slice(0, 0)
+    product, written = np.zeros(grid.size, dtype=complex), 0
     rows, cols = by_generator(left), by_generator(right)
     for a, (rows_a, shifts_a) in rows.items():
         ga = gens[a]
@@ -133,15 +132,14 @@ def _inner_products(builder: FamilyBuilder, left, right,
             if np.any(off):
                 raise RieszError(f"lag {lag[off][0]} not on the conjugate "
                                  "time grid")
-            band = overlap(builder.band(a[0], a[2]), builder.band(b[0], b[2]))
-            if band != written:
-                product[written] = 0.0
-                written = band
+            band = min(builder.band(a[0], a[2]), builder.band(b[0], b[2]))
+            product[band:written] = 0.0
+            written = band
             # conj(gb) ga, the order temporary elision gave ga * conj(gb)
-            np.multiply(np.conjugate(gens[b][band], out=product[band]),
-                        ga[band], out=product[band])
+            np.multiply(np.conjugate(gens[b][:band], out=product[:band]),
+                        ga[:band], out=product[:band])
             out[np.ix_(rows_a, rows_b)] = inverse_transform_at(
-                SampledSpectrum(grid, product, band), ell - grid.n // 2).real
+                SampledSpectrum(grid, product, band), ell - grid.n // 2)
     return out
 
 
@@ -159,7 +157,7 @@ def _generators(builder: FamilyBuilder, keys, formed: dict | None = None):
         n = l2_norm(SampledSpectrum(builder.grid, values, band))
         if n <= 0.0:
             raise FamilyError(f"zero-norm generator {key}")
-        values[band] /= n
+        values[:band] /= n
         formed[key] = values, math.log(n) + log_scale
     return ({key: formed[key][0] for key in keys},
             {key: formed[key][1] for key in keys})
@@ -238,21 +236,24 @@ def bracket_sum(builder: FamilyBuilder,
     The level-0 primal approximation generator is h1 phi^ on the build
     grid, so the sum is its squared modulus folded onto one period: the
     2 k_max = x_max / pi periods the grid holds, at n_samples = 2 pi / dx
-    points each. Its mean is the generator's squared norm, 1 for the unit
-    generator of _generators, so lower and upper are the Riesz bounds of
-    the integer shifts of the normalized generator, free of any constant
-    factor of h1. The generator is read from formed if it is there.
+    points each. Its modulus is even, so the fold of the periods x >= 0
+    that its band touches at r plus that at -r mod P is the full one.
+    Its mean is the generator's squared norm, 1 for the unit generator of
+    _generators, so lower and upper are the Riesz bounds of the integer
+    shifts of the normalized generator, free of any constant factor of
+    h1. The generator is read from formed if it is there.
     """
     key = (0, "primal", "approximation")
     gens, _ = _generators(builder, [key], formed)
-    folded = fold_periods(builder.grid, np.abs(gens[key]) ** 2)
-    total = np.sum(folded, axis=0)
+    grid, band = builder.grid, builder.band(0, "approximation")
+    half = fold_periods(grid, np.abs(gens[key][:band]) ** 2, band).sum(axis=0)
+    total = half + np.roll(half[::-1], 1)
     lower, upper = float(np.min(total)), float(np.max(total))
-    n_periods, n_samples = folded.shape
     return CheckResult(
         name="bracket_sum",
-        statistics={"lower": lower, "upper": upper, "k_max": n_periods // 2,
-                    "n_samples": n_samples},
+        statistics={"lower": lower, "upper": upper,
+                    "k_max": grid.n // (2 * len(total)),
+                    "n_samples": len(total)},
         params={"wavelet": builder.wavelet.config(),
                 "h1": builder.pair.h1.config()},
     )
@@ -290,16 +291,19 @@ def refinement_identity(builder: FamilyBuilder, j: int,
         (|Phi#_{j+1}|^2 / (|Phi#_j| |Psi#_j|)) (h2/h1)(2^{j+1} xi) (-2 e^{-i xi});
     (c) min |det M| over xi in [-pi, pi).
 
-    The residuals of (a) skip the points where |Phi_{j+1}^| is below the
-    support cut or V_j cannot be formed (a pole of h1 or h2); the two
-    counts add up to excluded_points. The generators are read from formed
+    The residuals of (a) are formed on Phi_{j+1}^'s band of x >= 0 (every
+    symbol is hermitian, so the max over all x is the same). They skip
+    the points of the half grid where |Phi_{j+1}^| is below the support
+    cut or V_j cannot be formed (a pole of h1 or h2); the two counts add
+    up to excluded_points. The generators are read from formed
     (_generators) where they are there, and the ones formed here are
     added to it.
     """
     wavelet, pair, grid = builder.wavelet, builder.pair, builder.grid
     keys = refinement_keys(j)
     gens, log_norms = _generators(builder, keys, formed)
-    phi_j, phi_j1, eta_j = (gens[key] for key in keys)
+    band = builder.band(j + 1, "approximation")
+    phi_j, phi_j1, eta_j = (gens[key][:band] for key in keys)
     log_j, log_j1, log_psi = (log_norms[key] for key in keys)
     ratio_u, ratio_v = map(float, np.exp(log_j1 - np.array([log_j, log_psi])))
 
@@ -311,8 +315,8 @@ def refinement_identity(builder: FamilyBuilder, j: int,
         ratio, defined = _filter_ratio(pair, 2.0 ** (j + 1) * xi)
         return ratio_v * ratio * wavelet.v_hat(xi), defined
 
-    # (a): pointwise residuals on the working grid
-    xi_grid = 2.0 ** (-(j + 1)) * grid.x
+    # (a): pointwise residuals on the band of the working grid
+    xi_grid = 2.0 ** (-(j + 1)) * grid.points(slice(0, band))
     kept = np.abs(phi_j1) > SUPPORT_TOL * float(np.max(np.abs(phi_j1)))
     v, defined = v_symbol(xi_grid[kept])
     kept[kept] = defined
@@ -320,7 +324,7 @@ def refinement_identity(builder: FamilyBuilder, j: int,
     res_phi = float(np.max(np.abs(
         phi_j[kept] - u_symbol(xi_grid[kept]) * phi_j1)))
     res_eta = float(np.max(np.abs(eta_j[kept] - v[defined] * phi_j1)))
-    excluded = int(np.sum(~kept))
+    excluded = grid.size - int(np.sum(kept))
 
     # (b), (c): determinant of the 2x2 refinement matrix on [-pi, pi)
     xi = (-np.pi + 2.0 * np.pi * np.arange(N_SYMBOL) / N_SYMBOL

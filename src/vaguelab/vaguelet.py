@@ -62,21 +62,16 @@ class VagueletParams:
                 "t_window": self.t_window}
 
 
-def _profile(spectrum: SampledSpectrum, j: int, t_window: float,
-             work: np.ndarray | None = None):
-    """Indices q in [-n/2, n/2) with |q dt| <= 2^j t_window, the samples
-    g_j(q dt) of the inverse transform of a level spectrum there, and
-    ||g_j||, taken from the spectrum by Plancherel. It equals the (scaled)
-    member norm, so ratios of sup statistics to it are invariant under the
-    internal rescaling used for overflow-prone filters. The norm and the
-    transform read only the spectrum's band. work, a (2, n) complex array
-    when given, holds the products and the transform, and the samples are
-    a view of its second row.
+def _profile(spectrum: SampledSpectrum, j: int, t_window: float):
+    """Indices q in [-n/2, n/2) with |q dt| <= 2^j t_window, the real
+    samples g_j(q dt) of the inverse transform of a level spectrum there,
+    and ||g_j||, taken from the spectrum by Plancherel. It equals the
+    (scaled) member norm, so ratios of sup statistics to it are invariant
+    under the internal rescaling used for overflow-prone filters. The norm
+    and the transform read only the spectrum's band.
     """
     grid = spectrum.grid
-    if work is None:
-        work = np.empty((2, grid.n), dtype=complex)
-    norm = l2_norm(spectrum, work[0])
+    norm = l2_norm(spectrum)
     if norm <= 0.0:
         raise VagueletParamError(f"zero-norm level profile at j={j}")
     # |q dt| rounds monotonically in |q|: the window is -a..a for the
@@ -88,7 +83,7 @@ def _profile(spectrum: SampledSpectrum, j: int, t_window: float,
     while a * grid.dt > bound:
         a -= 1
     q = np.arange(-a, min(a, half - 1) + 1)
-    g = inverse_transform_window(spectrum, -a, len(q) - a, work)
+    g = inverse_transform_window(spectrum, -a, len(q) - a)
     return q, g, norm
 
 
@@ -105,12 +100,12 @@ def _decay_weight(start: int, stop: int, dtau: float,
 
 
 def _level_statistics(spectrum: SampledSpectrum, j: int,
-                      params: VagueletParams, work: np.ndarray) -> tuple:
+                      params: VagueletParams) -> tuple:
     """(decay, Hoelder, refined Hoelder, mean) statistics of level j from
     its level spectrum on the wide grid, the first three all NaN unless
     all are finite. Each is a ratio, so the spectrum's scale
-    e^{log_scale} drops out. work is _profile's."""
-    q, g, norm = _profile(spectrum, j, params.t_window, work)
+    e^{log_scale} drops out."""
+    q, g, norm = _profile(spectrum, j, params.t_window)
     dtau = spectrum.grid.dt
     even = slice(q[0] % 2, None, 2)  # the builder grid's tau
     weight = _decay_weight(int(q[0]), int(q[-1]) + 1, dtau,
@@ -123,8 +118,8 @@ def _level_statistics(spectrum: SampledSpectrum, j: int,
     # statistic that is not finite has none that can be trusted
     if not all(map(math.isfinite, stats)):
         stats = (math.nan,) * 3
-    return (*stats, abs(vals[len(vals) // 2])
-            / float(np.max(np.abs(vals[spectrum.band]))))
+    return (*stats, abs(vals[0])
+            / float(np.max(np.abs(vals[:spectrum.band]))))
 
 
 def _holder_sup(g: np.ndarray, dtau: float, alpha2: float) -> float:
@@ -233,12 +228,10 @@ def vaguelet_suite(builder: FamilyBuilder, side: str,
     changes it by at most 20 %.
     """
     wide = make_grid(2.0 * builder.grid.x_max, 2 * builder.grid.n)
-    # one call per level: its arrays are freed before the next level's,
-    # and the n-point work arrays serve every level
-    work = np.empty((2, wide.n), dtype=complex)
+    # one call per level: its arrays are freed before the next level's
     decay, holder, holder_fine, means = map(list, zip(*(
         _level_statistics(builder.level_spectrum(j, side, "wavelet", wide)[0],
-                          j, params, work) for j in params.j_range)))
+                          j, params) for j in params.j_range)))
     # the band transform's phase table (1.05 MB on the Meyer wide grid) and
     # the decay weight are not kept past the suite; the next suite forms
     # them again, bit for bit

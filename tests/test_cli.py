@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vaguelab import family, mra
+from vaguelab import cli, family, mra
 from vaguelab.cli import (ConfigError, _atomic_write, _csv_lines, _instantiate,
                           main, resolve_config)
-from vaguelab.family import MIRROR_EDGE, FamilyBuilder
+from vaguelab.family import FamilyBuilder
 from vaguelab.filters import FilterPair, OUFilter
 from vaguelab.grids import default_grid, make_grid
 from vaguelab.mra import WaveletSpec
@@ -334,7 +334,7 @@ def test_build_reruns_byte_identical(tmp_path):
 
 
 def test_daubechies_build_reruns_byte_identical(tmp_path):
-    # the mirrored half-grid fill is as deterministic as the direct one
+    # the Daubechies product fill is as deterministic as Meyer's closed form
     _build_twice_byte_identical(tmp_path, {
         "wavelet": {"kind": "daubechies", "n": 4}, "build": {"J": 1, "K": 2}})
 
@@ -350,8 +350,13 @@ def test_readme_member_reader(tmp_path, monkeypatch):
     exec(block, namespace)
     builder = FamilyBuilder(WaveletSpec("meyer"),
                             FilterPair(OUFilter(), OUFilter()))
-    assert namespace["spectrum"].grid == builder.grid
-    assert namespace["spectrum"].values.tobytes() == builder.generator(
+    spectrum = namespace["spectrum"]
+    assert spectrum.grid == builder.grid
+    # the half layout: x = m dx for m = 0..n/2
+    assert len(namespace["values"]) == builder.grid.n // 2 + 1
+    assert json.loads(Path("out/manifest.json").read_text())["layout"] == \
+        "x = m dx, m = 0..n/2; F(-x) = conj F(x)"
+    assert spectrum.values.tobytes() == builder.generator(
         0, "primal", "wavelet")[0].tobytes()
 
 
@@ -590,8 +595,7 @@ def test_verify_riesz_fills_each_product_factor_once(tmp_path, monkeypatch):
     # also the level-1 approximation mother that refinement_identity_j0
     # reads: one fill of phi^ on G_0, G_1, G_2 evaluates each factor
     # u^(x / 2^m) / sqrt 2 of m = 1..42 that a point takes directly once
-    # (twice when filled twice), at the points of x >= 0 and the
-    # MIRROR_EDGE points from -x_max; the rest of x < 0 is mirrored
+    # (twice when filled twice), at the points of the half grid x >= 0
     factors = []
     trig_poly = mra._trig_poly
 
@@ -608,9 +612,7 @@ def test_verify_riesz_fills_each_product_factor_once(tmp_path, monkeypatch):
         "riesz": {"J": 1, "K": 8, "refinement_levels": 1}}))
     assert run_cli(["verify-riesz", "--config", str(cfg_path),
                     "--out", str(tmp_path / "out")]) == 1
-    x = default_grid().x
-    points = np.concatenate((x[:MIRROR_EDGE], x[x.size // 2:]))
-    assert sum(factors) == direct_factor_count(points, 42)
+    assert sum(factors) == direct_factor_count(default_grid().x, 42)
 
 
 def test_verify_riesz_evaluates_each_generator_once(tmp_path, monkeypatch):
@@ -683,6 +685,35 @@ def test_counterexample_with_underflowing_norms_is_inconclusive(tmp_path):
     rows = (tmp_path / "counterexample.csv").read_text().splitlines()[1:]
     assert len(rows) == 6
     assert rows[-1].split(",")[1:] == ["0.0", "0.0", "nan"]
+
+
+def test_all_validates_the_config_once(tmp_path, monkeypatch):
+    # the flags are applied to the document and the result validated once;
+    # every subcommand of `all` reads those validated blocks, and a flag
+    # that makes the config bad is still refused before anything is written
+    calls = []
+    instantiate = cli._instantiate
+
+    def counted(cfg):
+        calls.append(1)
+        return instantiate(cfg)
+
+    monkeypatch.setattr(cli, "_instantiate", counted)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "build": {"J": 1, "K": 2},
+        "vaguelet": {"j_max": 2, "synthesis_J": 1, "synthesis_K": 2},
+        "riesz": {"J": 1, "K": 2, "refinement_levels": 1},
+        "counterexample": {"gamma": 2.0},
+        "simulate": {"J_detail": 1, "K": 4, "n_paths": 2}}))
+    assert main(["all", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+    out = tmp_path / "refused"
+    assert main(["counterexample", "--config", str(cfg_path), "--out",
+                 str(out), "--alpha1", "1.5"]) == 2
+    assert len(calls) == 2
+    assert not out.exists()
 
 
 def test_all_loads_no_scipy(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from vaguelab import mra
 from vaguelab.cli import main
-from vaguelab.family import (MIRROR_EDGE, ROLES, SIDES, FamilyBuilder,
+from vaguelab.family import (FILL_BLOCK, ROLES, SIDES, FamilyBuilder,
                              FamilyError, FamilyIndex, _spectrum)
 from vaguelab.filters import (ExpGammaFilter, FilterPair, FractionalFilter,
                               MSTApproxFilter, OUComplexFilter, OUFilter,
@@ -14,7 +14,7 @@ from vaguelab.filters import (ExpGammaFilter, FilterPair, FractionalFilter,
 from vaguelab.grids import (SampledSpectrum, inner_product,
                             inverse_transform_at, l2_norm, make_grid)
 from vaguelab.mra import WaveletSpec
-from vaguelab.riesz import Truncation, gram
+from vaguelab.riesz import Truncation, gram, riesz_suite
 from vaguelab.vaguelet import VagueletParams, synthesis_bound, vaguelet_suite
 
 from phi_product import direct_factor_count
@@ -196,10 +196,9 @@ def test_mother_cache_returns_fresh_bit_equal_arrays(meyer, ou_pair):
     WaveletSpec("daubechies", n_moments=7)], ids=["meyer", "db2", "db4",
                                                   "db10", "db7"])
 def test_batch_mothers_match_direct_evaluation(wavelet, ou_pair):
-    # oracle: phi_hat / psi_hat of each grid's own points, bit for bit
-    # (signed zeros included) on the chain levels 0..5 of one batch and on
-    # the 2n wide grid, and 0 outside the band; a Daubechies phi^ or psi^
-    # is formed on x >= 0 and conjugated onto x < 0
+    # oracle: phi_hat / psi_hat of each grid's own points x >= 0, bit for
+    # bit (signed zeros included) on the chain levels 0..5 of one batch and
+    # on the 2n wide grid, and 0 outside the band
     builder = FamilyBuilder(wavelet, ou_pair)
     builder.generators((j, "primal", role) for j in range(6) for role in ROLES)
     wide = make_grid(2.0 * builder.grid.x_max, 2 * builder.grid.n)
@@ -209,9 +208,9 @@ def test_batch_mothers_match_direct_evaluation(wavelet, ou_pair):
         direct = (wavelet.psi_hat(grid.x) if role == "wavelet"
                   else wavelet.phi_hat(grid.x))
         band = builder._bands[role, grid]
-        assert mother.tobytes() == direct[band].tobytes(), (role, grid)
-        assert not np.any(direct[:band.start])
-        assert not np.any(direct[band.stop:])
+        assert len(direct) == grid.size
+        assert mother.tobytes() == direct[:band].tobytes(), (role, grid)
+        assert not np.any(direct[band:])
 
 
 @pytest.mark.parametrize("wavelet", [
@@ -219,8 +218,8 @@ def test_batch_mothers_match_direct_evaluation(wavelet, ou_pair):
     WaveletSpec("daubechies", n_moments=10)], ids=["meyer", "db4", "db10"])
 def test_level_spectra_do_not_depend_on_the_grid_layout(wavelet, ou_pair):
     # the (2 x_max, 2n) grid holds the base grid's points bit for bit at
-    # indices n/2..3n/2 - 1, and its level spectra hold the base grid's
-    # there too: every value depends on its point alone, not on the blocks
+    # indices 0..n/2, and its level spectra hold the base grid's there
+    # too: every value depends on its point alone, not on the blocks
     # or the chain it was filled in
     builder = FamilyBuilder(wavelet, ou_pair)
     n = builder.grid.n
@@ -232,7 +231,7 @@ def test_level_spectra_do_not_depend_on_the_grid_layout(wavelet, ou_pair):
                 held, wide_log_scale = builder.level_spectrum(j, side, role,
                                                               wide)
                 assert wide_log_scale == log_scale
-                assert (held.values[n // 2:3 * n // 2].tobytes()
+                assert (held.values[:n // 2 + 1].tobytes()
                         == base.values.tobytes()), (j, side, role)
 
 
@@ -249,7 +248,7 @@ def _holed_spectra(builder, j, side, role):
     args = (builder.wavelet, builder.pair)
     rest = (band, j, side, role, grid, 2.0 ** (-j / 2.0))
     return (_spectrum(*args, mother, *rest), _spectrum(*args, holed, *rest),
-            band.start + hole)
+            hole)
 
 
 def _bits_except(a, b, index):
@@ -281,9 +280,8 @@ def test_slice_path_absorbs_and_refuses_the_pole_at_zero(db4):
     with pytest.warns(RuntimeWarning, match="pole at x=0 absorbed"):
         (whole, _), (holed, _), hole = _holed_spectra(builder, 0, "dual",
                                                       "wavelet")
-    zero = builder.grid.n // 2
-    assert whole[zero] == 0.0 and holed[zero] == 0.0
-    assert whole[zero - 1] != 0.0 and whole[zero + 1] != 0.0
+    assert whole[0] == 0.0 and holed[0] == 0.0
+    assert whole[1] != 0.0
     assert _bits_except(whole, holed, hole)
     with pytest.raises(FamilyError, match="does not vanish fast enough"):
         builder.generator(0, "dual", "approximation")
@@ -341,9 +339,9 @@ def test_synthesis_bound_after_the_suite_takes_no_product_pass(monkeypatch,
 
 def test_meyer_mothers_of_all_live_on_their_bands(tmp_path, monkeypatch):
     # every mother a default `vaguelab all` fills, on every chain grid and
-    # for both roles, bit-equals phi_hat / psi_hat of the whole grid inside
-    # its band and is zero outside it: the band is |y| < 4 pi / 3 for phi^
-    # and |y| < 8 pi / 3 for psi^
+    # for both roles, bit-equals phi_hat / psi_hat of the whole half grid
+    # inside its band and is zero outside it: the band is 0 <= y < 4 pi / 3
+    # for phi^ and 0 <= y < 8 pi / 3 for psi^
     builders = []
     init = FamilyBuilder.__init__
 
@@ -362,11 +360,9 @@ def test_meyer_mothers_of_all_live_on_their_bands(tmp_path, monkeypatch):
                 meyer.phi_hat(grid.x)
             band = builder._bands[role, grid]
             radius = (2.0 if wavelet_role else 1.0) * mra.MEYER_PHI_RADIUS
-            inside = np.flatnonzero(np.abs(grid.x) < radius)
-            assert (band.start, band.stop) == (inside[0], inside[-1] + 1)
-            assert mother.tobytes() == direct[band].tobytes(), (role, grid)
-            assert not np.any(direct[:band.start])
-            assert not np.any(direct[band.stop:])
+            assert band == np.flatnonzero(grid.x < radius)[-1] + 1
+            assert mother.tobytes() == direct[:band].tobytes(), (role, grid)
+            assert not np.any(direct[band:])
             seen.add((role, grid))
     default = builders[0].grid
     chain = {make_grid(default.x_max / 2.0**j, default.n) for j in range(5)}
@@ -389,9 +385,10 @@ def _psi_points(monkeypatch):
 
 
 def _psi_band(grid):
-    """The points of grid where the Meyer psi^ is evaluated: |y| < 8 pi / 3."""
+    """The points of grid where the Meyer psi^ is evaluated: 0 <= y <
+    8 pi / 3."""
     x = grid.x
-    return x[np.abs(x) < 2.0 * mra.MEYER_PHI_RADIUS]
+    return x[x < 2.0 * mra.MEYER_PHI_RADIUS]
 
 
 def test_suite_fills_each_mother_once(monkeypatch, meyer, ou_pair):
@@ -420,9 +417,8 @@ def test_gram_shares_product_factors_across_levels(monkeypatch, db4,
     # G_1. psi^ on G_l is formed from phi^ on G_{l+1}, and the products of
     # phi^ on G_0, G_1, G_2 share their factors u^(x / 2^m) / sqrt 2 with
     # m = 1..42: each factor a point takes directly is evaluated once for
-    # all three levels; the points are those of x >= 0 and the MIRROR_EDGE
-    # points from -x_max, the rest of x < 0 is mirrored, and v^ of each
-    # psi^ is evaluated at those points only
+    # all three levels; the points are those of the half grid x >= 0, and
+    # v^ of each psi^ is evaluated at those points only
     evaluated = {"factor": 0, "v_hat": 0}
     trig_poly = mra._trig_poly
 
@@ -437,19 +433,76 @@ def test_gram_shares_product_factors_across_levels(monkeypatch, db4,
     for side in SIDES:
         gram(builder, side, Truncation(1, 8))
     grid = builder.grid
-    points = np.concatenate((grid.x[:MIRROR_EDGE], grid.x[grid.n // 2:]))
-    assert evaluated == {"factor": direct_factor_count(points, 42),
-                         "v_hat": 2 * len(points)}
+    assert evaluated == {"factor": direct_factor_count(grid.x, 42),
+                         "v_hat": 2 * grid.x.size}
     # the phi^ on G_1 and G_2 that only built a psi^ are not kept
     half = make_grid(grid.x_max / 2.0, grid.n)
     assert set(builder._mothers) == {("approximation", grid),
                                      ("wavelet", grid), ("wavelet", half)}
 
 
+@pytest.mark.parametrize("wavelet", [
+    WaveletSpec("meyer"), WaveletSpec("daubechies", n_moments=4)],
+    ids=["meyer", "db4"])
+def test_fill_hands_phi_hat_levels_only_x_nonnegative(monkeypatch, wavelet,
+                                                      ou_pair):
+    # verify-riesz at J 1, K 8 and one refinement level reads phi^ on the
+    # level-0 and level-1 y-grids G_0, G_1 and psi^ on G_0 and G_1, where
+    # psi^ on G_l is formed from phi^ on G_{l+1}: one fill hands
+    # phi_hat_levels slices of G_0's half grid x >= 0 and no point x < 0.
+    # For Daubechies that is one pass over the half grid, and the products
+    # of phi^ on G_0, G_1, G_2 share their factors u^(x / 2^m) / sqrt 2,
+    # m = 1..42: each factor a point takes directly is evaluated once for
+    # all three levels. psi^ is formed once per point of each psi^ band
+    calls, psi_points, factors = [], [], []
+    levels, psi_hat = WaveletSpec.phi_hat_levels, WaveletSpec.psi_hat
+
+    def recorded(self, x, level_list):
+        calls.append(np.array(x))
+        return levels(self, x, level_list)
+
+    def psi_recorded(self, x, phi_half=None):
+        psi_points.append(np.size(x))
+        return psi_hat(self, x, phi_half)
+
+    trig_poly = mra._trig_poly
+
+    def counted(coeffs, x, *first):
+        # product factors carry the filter divided by sqrt 2 (sum 1)
+        if math.isclose(sum(coeffs), 1.0):
+            factors.append(np.size(x))
+        return trig_poly(coeffs, x, *first)
+
+    monkeypatch.setattr(WaveletSpec, "phi_hat_levels", recorded)
+    monkeypatch.setattr(WaveletSpec, "psi_hat", psi_recorded)
+    monkeypatch.setattr(mra, "_trig_poly", counted)
+    builder = FamilyBuilder(wavelet, ou_pair)
+    riesz_suite(builder, Truncation(1, 8), range(1))
+    grid = builder.grid
+    for x in calls:  # each a slice of the half grid
+        start = round(x[0] / grid.dx)
+        assert x.tobytes() == grid.x[start:start + len(x)].tobytes()
+    points = np.concatenate(calls)
+    assert np.all(points >= 0.0)
+    if wavelet.kind == "daubechies":
+        assert points.tobytes() == grid.x.tobytes()
+        assert sum(factors) == direct_factor_count(grid.x, 42)
+    else:
+        assert np.array_equal(np.unique(points),
+                              grid.x[grid.x < 4.0 * mra.MEYER_PHI_RADIUS])
+    half = make_grid(grid.x_max / 2.0, grid.n)
+    assert sum(psi_points) == (builder._bands["wavelet", grid]
+                               + builder._bands["wavelet", half])
+    # the phi^ on G_2 that only built a psi^ is not kept
+    assert set(builder._mothers) == {("approximation", grid),
+                                     ("approximation", half),
+                                     ("wavelet", grid), ("wavelet", half)}
+
+
 def test_mother_fill_peak_is_retained_mothers_plus_a_few_arrays(db4,
                                                                 ou_pair):
-    # block-wise evaluation: no full-length temporaries beyond the grid
-    # points and a few blocks
+    # block-wise evaluation: beyond the retained mothers, the grid points,
+    # the copy of one mother and a few blocks, no full-length temporaries
     builder = FamilyBuilder(db4, ou_pair)
     grid = builder.grid
     requests = [("approximation", grid), ("wavelet", grid),
@@ -461,8 +514,8 @@ def test_mother_fill_peak_is_retained_mothers_plus_a_few_arrays(db4,
     finally:
         tracemalloc.stop()
     retained = sum(mother.nbytes for mother in builder._mothers.values())
-    assert retained == 3 * 16 * grid.n
-    assert peak < retained + 2 * 16 * grid.n
+    assert retained == 3 * 16 * grid.size
+    assert peak < retained + 24 * grid.size + 6 * 16 * FILL_BLOCK
 
 
 class _DoubledOnTheLeft(OUFilter):
@@ -487,10 +540,9 @@ def test_only_hermitian_filters_build_a_family(meyer, h):
             FamilyBuilder(meyer, pair)
 
 
-def _tight(values) -> slice:
-    """The smallest band that holds the nonzero values."""
-    inside = np.flatnonzero(values)
-    return slice(inside[0], inside[-1] + 1)
+def _tight(values) -> int:
+    """The shortest band that holds the nonzero values."""
+    return int(np.flatnonzero(values)[-1]) + 1
 
 
 def test_banded_passes_equal_the_full_grid_ones(meyer, ou_pair):
@@ -511,14 +563,12 @@ def test_banded_passes_equal_the_full_grid_ones(meyer, ou_pair):
     for a in keys:
         for b in keys:
             full = SampledSpectrum(grid, np.conjugate(gens[b][0]) * gens[a][0])
-            band = slice(max(bands[a].start, bands[b].start),
-                         min(bands[a].stop, bands[b].stop))
-            assert not np.any(full.values[:band.start])
-            assert not np.any(full.values[band.stop:])
+            band = min(bands[a], bands[b])
+            assert not np.any(full.values[band:])
             banded = SampledSpectrum(grid, full.values, band)
             assert inverse_transform_at(banded, lags).tobytes() == \
                 inverse_transform_at(full, lags).tobytes(), (a, b)
-            checked += band.stop - band.start < grid.n // 2
+            checked += band < grid.size // 2
         values, _ = gens[a]
         spectrum = SampledSpectrum(grid, values, bands[a])
         full_norm = l2_norm(SampledSpectrum(grid, values))

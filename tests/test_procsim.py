@@ -19,7 +19,7 @@ from vaguelab.procsim import (PathEnsemble, ProcsimError, SynthesisPlan,
                               fbm_scaling, simulate, target_autocovariance)
 
 from level_terms import per_time_level_terms
-from transforms import inverse_transform, time_samples
+from transforms import full_values, full_x, inverse_transform, time_samples
 
 
 def _plan(pair, meyer, **kw):
@@ -245,8 +245,8 @@ def test_negative_level_terms_consistent(meyer, ou_pair):
     times = np.array([-1.5, 0.0, 0.25, 3.0])
     spec, _ = builder.level_spectrum(j, "primal", "wavelet")
     tau = 2.0**j * times[None, :] - ks[:, None]
-    quad = (np.exp(1j * np.multiply.outer(tau, spec.grid.x)) @ spec.values
-            * spec.grid.dx / (2.0 * np.pi))
+    quad = (np.exp(1j * np.multiply.outer(tau, full_x(spec.grid)))
+            @ full_values(spec) * spec.grid.dx / (2.0 * np.pi))
     terms = _level_terms(builder, j, "primal", "wavelet", ks, times)
     assert np.max(np.abs(terms - 2.0 ** (j / 2.0) * quad.real)) < 1e-9
 

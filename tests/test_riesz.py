@@ -104,7 +104,9 @@ def test_biorthogonality_matches_member_inner_products(ou_builder, meyer):
 
 def _full_transform_entries(builder, left, right, gens):
     """<m_a, m_b> read off one full inverse transform per generator pair,
-    from the generator values gens by (j, side, role) key."""
+    from the generator values gens by (j, side, role) key: the product's
+    full complex spectrum rebuilt by conjugate mirror
+    (transforms.full_values)."""
     grid = builder.grid
     series = {}
     out = np.empty((len(left), len(right)), dtype=complex)
@@ -265,20 +267,19 @@ def _fold_case(draw):
                 FamilyIndex(1, -512, "primal", "wavelet")]))
 def test_folded_entries_match_the_full_transform(fold_builders, case):
     # each entry is a sum of n products: roundoff of its FFT is bounded by
-    # a few eps log2(n) times the l1 mass (dx / 2 pi) sum |ga gb|. The
-    # entries are the real parts: a db4 spectrum the 48 pi grid cuts has
-    # an imaginary part from its unpaired sample at x = -x_max alone
+    # a few eps log2(n) times the l1 mass (dx / 2 pi) sum |ga gb| over the
+    # full grid, imaginary part of the reference included
     name, left, right = case
     builder = fold_builders[name]
     grid = builder.grid
     gens = _values(builder, left + right)
     got = _inner_products(builder, left, right, gens)
-    want = _full_transform_entries(builder, left, right, gens).real
+    want = _full_transform_entries(builder, left, right, gens)
     for ia, a in enumerate(left):
         ga = gens[a.j, a.side, a.role]
         for ib, b in enumerate(right):
             gb = gens[b.j, b.side, b.role]
-            mass = np.sum(np.abs(ga * gb)) * grid.dx / (2.0 * np.pi)
+            mass = np.sum(np.abs(ga * gb)) * grid.dx / np.pi
             tol = 4.0 * np.log2(grid.n) * np.finfo(float).eps * mass
             assert abs(got[ia, ib] - want[ia, ib]) <= tol, (a, b)
 
@@ -486,6 +487,34 @@ def test_filter_ratio_finds_every_pole():
     assert defined.tolist() == [True, False, True, False, True, True]
     assert ratio[~defined].tolist() == [0.0, 0.0]
     assert np.array_equal(ratio[defined], pair.h2.eval(x[defined]))
+
+
+@pytest.mark.parametrize("wavelet", ["meyer", "db4"])
+def test_band_reads_equal_whole_half_grid_reads(request, ou_pair, wavelet,
+                                                monkeypatch):
+    # bracket_sum folds only the periods the level-0 approximation band
+    # touches, and refinement_identity forms xi, the support cut and the
+    # residuals on Phi_{j+1}'s band: each result equals the one read over
+    # the whole half grid, excluded_points included (a Daubechies band is
+    # the whole half grid; the Meyer ones are a few percent of it)
+    builder = FamilyBuilder(request.getfixturevalue(wavelet), ou_pair)
+    keys = [(0, "primal", "approximation"), *refinement_keys(0),
+            *refinement_keys(1)]
+    formed: dict = {}
+    riesz._generators(builder, keys, formed)
+
+    def checks():
+        return [c.statistics for c in (
+            bracket_sum(builder, dict(formed)),
+            refinement_identity(builder, 0, dict(formed)),
+            refinement_identity(builder, 1, dict(formed)))]
+
+    banded = checks()
+    size = builder.grid.size
+    if wavelet == "meyer":
+        assert builder.band(2, "approximation") < size // 10
+    monkeypatch.setattr(builder, "band", lambda j, role: size)
+    assert banded == checks()
 
 
 def test_refinement_identity_violating_pair(meyer):

@@ -433,7 +433,7 @@ def test_profile_window_is_the_masked_window(grid):
     # the window read off its bounds equals the indices q in [-n/2, n/2)
     # with |q dt| <= 2^j t_window, down to bounds that are exact multiples
     # of dt and windows wider than the grid
-    spectrum = SampledSpectrum(grid, np.ones(grid.n, dtype=complex))
+    spectrum = SampledSpectrum(grid, np.ones(grid.size, dtype=complex))
     q_all = np.arange(-grid.n // 2, grid.n // 2)
     for t_window in (32.0, 0.3, 1e-9, 1e6, 1e308, 5 * grid.dt,
                      7 * grid.dt / 8, (2**9 + 1) * grid.dt / 4):
@@ -448,8 +448,8 @@ def test_nan_profile_level_never_passes(monkeypatch, ou_builder):
     # per_j would skip it and let the decay check PASS
     profile = vaguelet._profile
 
-    def poisoned(spectrum, j, t_window, work):
-        q, g, norm = profile(spectrum, j, t_window, work)
+    def poisoned(spectrum, j, t_window):
+        q, g, norm = profile(spectrum, j, t_window)
         if j == 2:
             g = g.copy()
             g[len(g) // 2] = math.nan  # q = 0, an even sample
@@ -474,7 +474,7 @@ def test_nan_level_spectrum_never_passes(monkeypatch, ou_builder):
         spectrum, log_scale = level_spectrum(self, j, side, role, grid)
         if j == 3:
             vals = spectrum.values.copy()
-            vals[len(vals) // 2] = math.nan
+            vals[0] = math.nan  # x = 0
             spectrum = SampledSpectrum(spectrum.grid, vals)
         return spectrum, log_scale
 
